@@ -123,7 +123,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     io_sec = _section(doc, "io")
 
     sim = None
-    sim_sec = _section(doc, "sim")
+    sim_sec = dict(_section(doc, "sim"))  # popped below; the caller's dict stays intact
     if sim_sec:
         gains = sim_sec.pop("per_tooth_gain", None)
         if gains is None:

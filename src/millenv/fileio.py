@@ -5,6 +5,11 @@ endings, one column per channel plus an optional leading time_s column.
 Floats are written with Python's shortest round-trip representation, so a
 write/read cycle reproduces sample values exactly. Reports are JSON with
 sorted keys; re-serializing a report is byte-identical.
+
+Plot data goes out twice: a two-column `.txt` file with every point, and an
+SVG rendering. A long SVG line over sorted x keeps only the first, last,
+min-y and max-y point of each pixel column, which draws the same line
+(M4 aggregation). CSVs and `.txt` plot data keep every sample.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
@@ -21,6 +27,10 @@ from .pipeline import AnalysisResult
 from .sync import TachoTrack, detect_pulses
 
 _COLUMN_ORDER = ("time_s",) + CHANNELS
+
+#: Rows formatted per write in `write_recording`; bounds the memory held by
+#: the Python strings of one block.
+_WRITE_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -43,6 +53,44 @@ def _parse_float(cell: str, lineno: int, column: str) -> float:
         raise ParseError(
             f"non-finite value {cell!r} in column {column!r} at line {lineno}")
     return value
+
+
+def _parse_columns(fh, n_cols: int,
+                   index: dict[str, int]) -> dict[str, np.ndarray] | None:
+    """Parse the body as one numeric table; None if any row needs a closer look.
+
+    The table parser accepts a subset of what `float()` accepts and gives the
+    same value for it, and skips only empty lines, as the row scan does. So a
+    table with the header's column count and no non-finite value is exactly
+    what the row scan would return.
+    """
+    try:
+        with catch_warnings():
+            simplefilter("ignore", UserWarning)  # "input contained no data"
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != n_cols or not np.isfinite(table).all():
+        return None
+    return {ch: table[:, col_idx] for ch, col_idx in index.items()}
+
+
+def _scan_rows(fh, path, header: list[str],
+               index: dict[str, int]) -> dict[str, np.ndarray]:
+    """Parse the body row by row, raising ParseError at the first bad line."""
+    data: dict[str, list[float]] = {ch: [] for ch in index}
+    n_cols = len(header)
+    for lineno, line in enumerate(fh, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != n_cols:
+            raise ParseError(
+                f"{path}: line {lineno} has {len(cells)} cells, header has {n_cols}")
+        for ch, col_idx in index.items():
+            data[ch].append(_parse_float(cells[col_idx], lineno, header[col_idx]))
+    return {ch: np.array(values, dtype=float) for ch, values in data.items()}
 
 
 def read_recording(path, *, columns: dict[str, str] | None = None,
@@ -78,27 +126,20 @@ def read_recording(path, *, columns: dict[str, str] | None = None,
             raise ParseError(f"{path}: no known channel columns in header {header}")
 
         index = {ch: header.index(col) for ch, col in col_map.items()}
-        data: dict[str, list[float]] = {ch: [] for ch in index}
-        n_cols = len(header)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != n_cols:
-                raise ParseError(
-                    f"{path}: line {lineno} has {len(cells)} cells, header has {n_cols}")
-            for ch, col_idx in index.items():
-                data[ch].append(_parse_float(cells[col_idx], lineno, header[col_idx]))
+        body_start = fh.tell()
+        data = _parse_columns(fh, len(header), index)
+        if data is None:
+            fh.seek(body_start)
+            data = _scan_rows(fh, path, header, index)
 
-    if not data or not next(iter(data.values())):
+    if not data or next(iter(data.values())).size == 0:
         raise ParseError(f"{path}: no data rows")
 
     warnings: list[str] = []
     time_values = data.pop("time_s", None)
     rate = sample_rate_hz
-    if time_values is not None and len(time_values) >= 2:
-        dt = np.median(np.diff(np.asarray(time_values)))
+    if time_values is not None and time_values.size >= 2:
+        dt = np.median(np.diff(time_values))
         if dt <= 0:
             raise ParseError(f"{path}: time_s column is not increasing")
         derived = 1.0 / float(dt)
@@ -150,10 +191,13 @@ def write_recording(channels: dict[str, TimeSeries], path,
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         header = (["time_s"] if include_time else []) + order
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            row = [repr(i / rate)] if include_time else []
-            row += [repr(float(a[i])) for a in arrays]
-            fh.write(",".join(row) + "\n")
+        for start in range(0, n, _WRITE_BLOCK_ROWS):
+            stop = min(start + _WRITE_BLOCK_ROWS, n)
+            block = [a[start:stop] for a in arrays]
+            if include_time:
+                block.insert(0, np.arange(start, stop) / rate)  # bit-identical to i / rate
+            rows = np.column_stack(block).tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def _finding_dict(f) -> dict:
@@ -226,13 +270,42 @@ def write_xy(path, x, y, x_label: str, y_label: str) -> None:
         raise InputError("x and y must have the same length")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {x_label} {y_label}\n")
-        for xi, yi in zip(x, y):
-            fh.write(f"{xi:.9g} {yi:.9g}\n")
+        fh.write("".join(map("{:.9g} {:.9g}\n".format, x.tolist(), y.tolist())))
+
+
+def _m4_indices(x: np.ndarray, y: np.ndarray, x0: float, xs: float,
+                n_px: int) -> np.ndarray | None:
+    """Indices of the first, last, min-y and max-y point of each pixel column.
+
+    M4 aggregation (Jugel et al., VLDB 2014): a line through these points
+    rasterizes like the line through all of them. Returns None, meaning
+    draw every point, unless x is non-decreasing, y is finite and there are
+    more than 4 points per pixel column on average.
+    """
+    if (x.size <= 4 * n_px or not np.isfinite(x).all()
+            or not np.isfinite(y).all() or np.any(x[1:] < x[:-1])):
+        return None
+    col = np.minimum(((x - x0) * xs).astype(np.int64), n_px - 1)
+    # x is sorted, so each pixel column is one run of consecutive points
+    _, first, run = np.unique(col, return_index=True, return_inverse=True)
+    last = np.append(first[1:] - 1, x.size - 1)
+
+    def first_hit(hit):
+        idx = np.flatnonzero(hit)
+        return idx[np.flatnonzero(np.diff(run[idx], prepend=-1))]
+
+    lo = first_hit(y == np.minimum.reduceat(y, first)[run])
+    hi = first_hit(y == np.maximum.reduceat(y, first)[run])
+    return np.unique(np.concatenate((first, last, lo, hi)))
 
 
 def write_svg(path, x, y, title: str, x_label: str, y_label: str,
               width: int = 800, height: int = 400) -> None:
-    """Minimal deterministic SVG line plot of y over x."""
+    """Minimal deterministic SVG line plot of y over x.
+
+    Above 4 points per pixel column of sorted x, only each column's first,
+    last, min-y and max-y points are drawn.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size == 0:
@@ -243,9 +316,12 @@ def write_svg(path, x, y, title: str, x_label: str, y_label: str,
     y0, y1 = float(y.min()), float(y.max())
     xs = pw / (x1 - x0) if x1 > x0 else 0.0
     ys = ph / (y1 - y0) if y1 > y0 else 0.0
+    keep = _m4_indices(x, y, x0, xs, pw)
+    if keep is not None:
+        x, y = x[keep], y[keep]
     px = ml + (x - x0) * xs
     py = mt + ph - (y - y0) * ys
-    points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+    points = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',

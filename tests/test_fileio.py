@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from millenv import ConfigError, ParseError, SimConfig, simulate
+import millenv.fileio
+import reference_fileio as ref
+from millenv import ConfigError, ParseError, SimConfig, TimeSeries, simulate
 from millenv.config import config_from_dict, load_config
 from millenv.fileio import (dump_report, emit_plot_data, read_recording,
-                            report_document, write_recording, write_xy)
+                            report_document, write_recording, write_svg,
+                            write_xy)
 from conftest import FS, RPM, analyze_channel, run_simulation
 
 
@@ -110,6 +113,143 @@ class TestReadRecording:
         assert rec.warnings == []
 
 
+def _body(rows=6):
+    return [f"{i / FS!r},{0.25 * i!r},{-0.5 * i!r}" for i in range(rows)]
+
+
+def _replace(lines, row, line):
+    return lines[:row] + [line] + lines[row + 1:]
+
+
+def _insert(lines, row, line):
+    return lines[:row] + [line] + lines[row:]
+
+
+#: Body variants that take the column parser off its fast path, or nearly
+#: so; each is read by both readers and must give the same result.
+PARSER_CASES = {
+    "clean": _body(),
+    "blank_line": _insert(_body(), 3, ""),
+    "whitespace_only_line": _insert(_body(), 3, "   "),
+    "comment_line": _insert(_body(), 2, "# comment"),
+    "trailing_comma_one_row": _replace(_body(), 4, "0.00016,1.0,2.0,"),
+    "trailing_comma_every_row": [line + "," for line in _body()],
+    "underscore_digits": _replace(_body(), 2, "0.00008,1_0,2.0"),
+    "padded_signed_exponent": _replace(_body(), 2, "0.00008, +1e3 ,2.0"),
+    "inf_in_time": _replace(_body(), 1, "inf,1.0,2.0"),
+    "nan_in_time": _replace(_body(), 1, "nan,1.0,2.0"),
+    "inf_in_channel": _replace(_body(), 5, "0.0002,1.0,-inf"),
+    "nan_in_channel": _replace(_body(), 5, "0.0002,NaN,2.0"),
+    "extra_cell": _replace(_body(), 3, "0.00012,1.0,2.0,3.0"),
+    "missing_cell": _replace(_body(), 3, "0.00012,1.0"),
+    "no_rows": [],
+}
+
+
+def _read_both(path, **kwargs):
+    """Run both readers; each gives a Recording or the ParseError message."""
+    outcomes = []
+    for reader in (read_recording, ref.read_recording):
+        try:
+            outcomes.append(reader(path, **kwargs))
+        except ParseError as err:
+            outcomes.append(str(err))
+    return outcomes
+
+
+def assert_same_recording(new, old):
+    if isinstance(old, str):
+        assert new == old
+        return
+    assert not isinstance(new, str), new
+    assert list(new.channels) == list(old.channels)
+    for ch, ts in old.channels.items():
+        assert np.array_equal(new.channels[ch].samples, ts.samples)
+        assert new.channels[ch].unit == ts.unit
+    assert new.sample_rate_hz == old.sample_rate_hz
+    assert new.warnings == old.warnings
+
+
+class TestParserEquivalence:
+    @pytest.mark.parametrize("case", sorted(PARSER_CASES))
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_matches_row_scan(self, tmp_path, case, newline):
+        path = tmp_path / "rec.csv"
+        lines = ["time_s,ax,ay"] + PARSER_CASES[case]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(line + newline for line in lines))
+        new, old = _read_both(path)
+        assert_same_recording(new, old)
+
+    def test_unused_text_column_still_parses(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        write_csv(path, "time_s,ax,note",
+                  [[i / FS, float(i), "ok"] for i in range(8)])
+        new, old = _read_both(path)
+        assert not isinstance(old, str)
+        assert_same_recording(new, old)
+
+    def test_remapped_single_column(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        write_csv(path, "sensor", [[float(i)] for i in range(8)] + [["x"]])
+        new, old = _read_both(path, columns={"az": "sensor"},
+                              sample_rate_hz=FS)
+        assert isinstance(old, str) and "line 10" in old
+        assert_same_recording(new, old)
+
+    def test_simulated_recording(self, tmp_path, cutter):
+        out = simulate(SimConfig(cutter, (1.0, 1.0, 0.5, 1.0, 1.0, 1.0),
+                                 rpm=RPM, duration_s=0.3, seed=5))
+        path = tmp_path / "rec.csv"
+        write_recording(out.channels, path)
+        new, old = _read_both(path)
+        assert_same_recording(new, old)
+        assert np.array_equal(new.tacho.pulse_times_s, old.tacho.pulse_times_s)
+
+    def test_well_formed_file_skips_row_scan(self, tmp_path, monkeypatch):
+        path = tmp_path / "rec.csv"
+        write_csv(path, "time_s,ax", [[i / FS, 0.5 * i] for i in range(20)])
+
+        def fail(*args, **kwargs):
+            raise AssertionError("row scan used on a well-formed file")
+
+        monkeypatch.setattr(millenv.fileio, "_scan_rows", fail)
+        rec = read_recording(path)
+        assert np.array_equal(rec.channels["ax"].samples, 0.5 * np.arange(20))
+
+
+def _random_channels(n, rate):
+    rng = np.random.default_rng(11)
+    scales = [1.0, 1e-300, 1e300, 3.0e5, 1e-7, 7.0, 1.0]
+    channels = {ch: TimeSeries(rng.standard_normal(n) * scale, rate, ch)
+                for ch, scale in zip(("ax", "ay", "az", "fx", "fy", "fz",
+                                      "tacho"), scales)}
+    samples = channels["ax"].samples.copy()
+    samples[:4] = [0.0, -0.0, 5e-324, -1.7976931348623157e308]
+    channels["ax"] = TimeSeries(samples, rate, "ax")
+    return channels
+
+
+class TestWriteRecording:
+    @pytest.mark.parametrize("include_time", [True, False])
+    def test_bytes_match_per_cell_writer(self, tmp_path, include_time):
+        n = 2 * millenv.fileio._WRITE_BLOCK_ROWS + 37
+        channels = _random_channels(n, 3.0)
+        write_recording(channels, tmp_path / "new.csv", include_time)
+        ref.write_recording(channels, tmp_path / "old.csv", include_time)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\n") == n + 1
+
+    def test_simulated_recording_bytes(self, tmp_path, cutter):
+        out = simulate(SimConfig(cutter, (1.0,) * 6, rpm=RPM, duration_s=0.1,
+                                 noise_rms=0.02, seed=9))
+        write_recording(out.channels, tmp_path / "new.csv")
+        ref.write_recording(out.channels, tmp_path / "old.csv")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
+
 class TestReportSerialization:
     def test_reserialization_byte_identical(self, cutter):
         out, track = run_simulation(cutter, [1.0, 1.0, 1.0, 0.5, 1.0, 1.0],
@@ -149,6 +289,91 @@ class TestPlotData:
         lines = (tmp_path / "d.txt").read_text().splitlines()
         assert lines[0] == "# f a"
         assert lines[1].split() == ["1", "3"]
+
+    def test_xy_bytes_match_per_point_writer(self, tmp_path):
+        rng = np.random.default_rng(2)
+        x = np.linspace(0.0, 12500.0, 20001)
+        y = rng.standard_normal(x.size) * 10.0 ** rng.integers(-300, 300, x.size)
+        y[:5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        write_xy(tmp_path / "new.txt", x, y, "f", "a")
+        ref.write_xy(tmp_path / "old.txt", x, y, "f", "a")
+        assert ((tmp_path / "new.txt").read_bytes()
+                == (tmp_path / "old.txt").read_bytes())
+
+
+PLOT_WIDTH = 800 - 60 - 20  # write_svg's default width minus its margins
+
+
+def _svg_pair(tmp_path, x, y):
+    write_svg(tmp_path / "new.svg", x, y, "t", "x", "y")
+    ref.write_svg(tmp_path / "old.svg", x, y, "t", "x", "y")
+    return ((tmp_path / "new.svg").read_text(),
+            (tmp_path / "old.svg").read_text())
+
+
+def _polyline(svg):
+    line = next(l for l in svg.splitlines() if l.startswith("<polyline"))
+    return line.split('points="')[1].split('"')[0].split(" ")
+
+
+def _pixel_columns(x):
+    x = np.asarray(x, dtype=float)
+    span = x.max() - x.min()
+    scale = PLOT_WIDTH / span if span > 0 else 0.0
+    return np.minimum(((x - x.min()) * scale).astype(int), PLOT_WIDTH - 1)
+
+
+class TestSvgReduction:
+    @pytest.mark.parametrize("kind", ["uniform", "plateaus", "constant_x"])
+    def test_reduced_polyline_keeps_column_extremes(self, tmp_path, kind):
+        rng = np.random.default_rng(4)
+        n = 15001
+        x = {"uniform": np.linspace(0.0, 12500.0, n),
+             "plateaus": np.sort(rng.integers(0, 1500, n)).astype(float),
+             "constant_x": np.full(n, 3.0)}[kind]
+        y = rng.standard_normal(n)
+        new, old = _svg_pair(tmp_path, x, y)
+        kept, full = _polyline(new), _polyline(old)
+        assert len(kept) <= 4 * PLOT_WIDTH
+        # the kept points are a subsequence of the full polyline
+        idx, j = [], 0
+        for point in kept:
+            while full[j] != point:
+                j += 1
+            idx.append(j)
+            j += 1
+        idx = np.array(idx)
+        col = _pixel_columns(x)
+        full_y = np.array([float(p.split(",")[1]) for p in full])
+        expected = set()
+        for c in np.unique(col):
+            members = np.flatnonzero(col == c)
+            kept_here = idx[col[idx] == c]
+            assert kept_here[0] == members[0] and kept_here[-1] == members[-1]
+            assert full_y[kept_here].min() == full_y[members].min()
+            assert full_y[kept_here].max() == full_y[members].max()
+            expected |= {members[0], members[-1], members[np.argmin(y[members])],
+                         members[np.argmax(y[members])]}
+        assert idx.tolist() == sorted(expected)
+        # everything but the polyline is unchanged
+        strip = [l for l in old.splitlines() if not l.startswith("<polyline")]
+        assert [l for l in new.splitlines()
+                if not l.startswith("<polyline")] == strip
+
+    @pytest.mark.parametrize("case", ["at_threshold", "non_monotonic",
+                                      "non_finite_y", "short"])
+    def test_unreduced_inputs_match_per_point_writer(self, tmp_path, case):
+        rng = np.random.default_rng(6)
+        n = {"at_threshold": 4 * PLOT_WIDTH, "short": 50}.get(case, 15001)
+        x = np.linspace(-1.0, 1.0, n)
+        y = rng.standard_normal(n)
+        if case == "non_monotonic":
+            x[[100, 101]] = x[[101, 100]]
+        if case == "non_finite_y":
+            y[7] = np.nan
+        new, old = _svg_pair(tmp_path, x, y)
+        assert new == old
+        assert len(_polyline(new)) == n
 
 
 class TestConfig:
@@ -192,6 +417,14 @@ class TestConfig:
         assert cfg.sim is not None
         assert cfg.sim.per_tooth_gain[3] == 0.5
         assert cfg.sim.cutter.z == 6
+
+    def test_sim_section_not_mutated(self):
+        doc = {**BASE_CONFIG,
+               "sim": {"per_tooth_gain": [1, 1, 1, 0.5, 1, 1], "rpm": 1352.8}}
+        before = json.dumps(doc, sort_keys=True)
+        for _ in range(2):
+            assert config_from_dict(doc).sim.per_tooth_gain[3] == 0.5
+        assert json.dumps(doc, sort_keys=True) == before
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
