@@ -19,11 +19,9 @@ from .millsim import SimConfig, SimOutput, SimTruth, simulate
 from .modal import Frf, ImpactRecord, estimate_frf, propose_bands, split_impacts
 from .pipeline import (AnalysisResult, Cutter, DefectReport, Finding,
                        Thresholds, analyze, analyze_all_channels,
-                       averaged_rev_spectrum, classify,
-                       tooth_passing_frequency)
+                       averaged_rev_spectrum, classify)
 from .sync import (TachoTrack, ToothProfile, detect_pulses, resample_to_angle,
-                   sector_peaks, speed_profile, synchronous_average,
-                   tooth_segmentation)
+                   speed_profile, synchronous_average, tooth_segmentation)
 
 __all__ = [
     "AnalysisError", "AnalysisResult", "AngularSeries", "Band", "CHANNELS",
@@ -36,7 +34,6 @@ __all__ = [
     "analyze_all_channels", "averaged_rev_spectrum", "band_filter",
     "classify", "detect_pulses", "detrend", "envelope", "envelope_spectrum",
     "estimate_frf", "propose_bands", "resample_to_angle", "rms",
-    "sector_peaks", "simulate", "slice_time", "speed_profile",
-    "split_impacts", "synchronous_average", "tooth_passing_frequency",
-    "tooth_segmentation",
+    "simulate", "slice_time", "speed_profile", "split_impacts",
+    "synchronous_average", "tooth_segmentation",
 ]

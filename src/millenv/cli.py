@@ -21,15 +21,14 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .core import slice_time
 from .dsp import HANN, RECTANGULAR, amplitude_spectrum
 from .errors import AnalysisError, ConfigError
 from .fileio import (Recording, emit_plot_data, read_recording,
                      report_document, write_recording, write_report)
 from .millsim import simulate
 from .modal import estimate_frf, propose_bands, split_impacts
-from .pipeline import analyze
-from .sync import TachoTrack
+# `analyze` is not called here; bench/spans.py patches it by this name
+from .pipeline import analyze, analyze_all_channels
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -85,32 +84,20 @@ def _cmd_analyze(args) -> int:
                             "envelope analysis needs a 1/rev reference")
     out = _out_dir(args.out)
 
+    if args.t0 is not None or args.t1 is not None:
+        rec = rec.slice(args.t0, args.t1)
     channels = {ch: ts for ch, ts in rec.channels.items()
                 if ch in ANALYSIS_CHANNELS}
     if not channels:
         raise AnalysisError("recording has no vibration or force channels")
-    tacho = rec.tacho
-    if args.t0 is not None or args.t1 is not None:
-        duration = min(ts.duration_s for ts in channels.values())
-        t0 = args.t0 if args.t0 is not None else 0.0
-        t1 = args.t1 if args.t1 is not None else duration
-        channels = {ch: slice_time(ts, t0, t1) for ch, ts in channels.items()}
-        keep = (tacho.pulse_times_s >= t0) & (tacho.pulse_times_s <= t1)
-        tacho = TachoTrack(tacho.pulse_times_s[keep] - t0)
 
-    bands = {ch: cfg.band_settings(ch).band for ch in channels}
-    tapers = {ch: cfg.band_settings(ch).taper_hz for ch in channels}
-
-    results = {}
-    errors = {}
-    for ch, ts in channels.items():
-        try:
-            results[ch] = analyze(ts, tacho, cfg.cutter, bands[ch],
-                                  cfg.thresholds, taper_hz=tapers[ch],
-                                  samples_per_rev=cfg.samples_per_rev,
-                                  tooth0_offset_frac=cfg.tooth0_offset_frac)
-        except AnalysisError as err:
-            errors[ch] = err
+    settings = {ch: cfg.band_settings(ch) for ch in channels}
+    results, errors = analyze_all_channels(
+        channels.values(), rec.tacho, cfg.cutter,
+        {ch: bs.band for ch, bs in settings.items()}, cfg.thresholds,
+        taper_hz={ch: bs.taper_hz for ch, bs in settings.items()},
+        samples_per_rev=cfg.samples_per_rev,
+        tooth0_offset_frac=cfg.tooth0_offset_frac)
 
     doc = report_document(results, errors, config_echo=_echo(args.config))
     write_report(doc, out / "report.json")
@@ -226,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--in", dest="in_path", required=True)
     ana.add_argument("--out", required=True)
     ana.add_argument("--t0", type=float, default=None,
-                     help="start of the analysis interval in seconds")
+                     help="start of the analysis interval in seconds; tacho "
+                          "pulse times are re-based to the first sample kept")
     ana.add_argument("--t1", type=float, default=None,
                      help="end of the analysis interval in seconds")
     ana.set_defaults(func=_cmd_analyze)

@@ -26,6 +26,7 @@ Schema (all sections except "cutter" optional):
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -142,7 +143,7 @@ def config_from_dict(doc: dict) -> RunConfig:
                         if "sample_rate_hz" in io_sec else None),
         columns=dict(io_sec.get("columns", {})),
         sim=sim,
-        metadata=_section(doc, "metadata"))
+        metadata=copy.deepcopy(_section(doc, "metadata")))
 
 
 def load_config(path) -> RunConfig:

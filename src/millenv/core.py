@@ -166,6 +166,11 @@ def detrend(x: TimeSeries) -> TimeSeries:
     return x.with_samples(x.samples - m)
 
 
+def first_sample_index(t_s: float, sample_rate_hz: float) -> int:
+    """Index of the first sample at or after t_s, within a 1e-9 sample snap."""
+    return int(np.ceil(t_s * sample_rate_hz - _TIME_EPS))
+
+
 def slice_time(x: TimeSeries, t0_s: float, t1_s: float) -> TimeSeries:
     """Samples of x in the half-open time interval [t0_s, t1_s).
 
@@ -178,8 +183,8 @@ def slice_time(x: TimeSeries, t0_s: float, t1_s: float) -> TimeSeries:
             f"slice [{t0_s}, {t1_s}) is outside the valid interval "
             f"[0, {dur}] s of this {dur} s record")
     fs = x.sample_rate_hz
-    i0 = int(np.ceil(t0_s * fs - _TIME_EPS))
-    i1 = min(int(np.ceil(t1_s * fs - _TIME_EPS)), x.samples.size)
+    i0 = first_sample_index(t0_s, fs)
+    i1 = min(first_sample_index(t1_s, fs), x.samples.size)
     if i1 <= i0:
         raise RangeError(f"slice [{t0_s}, {t1_s}) contains no samples at {fs} Hz")
     return x.with_samples(x.samples[i0:i1])

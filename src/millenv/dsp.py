@@ -15,28 +15,19 @@ import numpy as np
 from .core import Spectrum, TimeSeries, detrend
 from .errors import RangeError, SizeError
 
-_WINDOW_GAINS = {"rectangular": 1.0, "hann": 0.5}
+_WINDOW_KINDS = ("hann", "rectangular")
 
 
 @dataclass(frozen=True)
 class Window:
-    """Analysis window, identified by kind.
-
-    ``coherent_gain`` is the nominal mean of the window taps (1.0 for
-    rectangular, 0.5 for hann); amplitude correction uses the realized tap
-    mean so bin-centered tones report their exact peak amplitude.
-    """
+    """Analysis window, identified by kind."""
 
     kind: str = "hann"
 
     def __post_init__(self):
-        if self.kind not in _WINDOW_GAINS:
+        if self.kind not in _WINDOW_KINDS:
             raise RangeError(f"unknown window kind {self.kind!r}; "
-                             f"expected one of {sorted(_WINDOW_GAINS)}")
-
-    @property
-    def coherent_gain(self) -> float:
-        return _WINDOW_GAINS[self.kind]
+                             f"expected one of {list(_WINDOW_KINDS)}")
 
     def taps(self, n: int) -> np.ndarray:
         """Window sequence of length n. Hann taps are zero at both ends."""
@@ -68,14 +59,12 @@ class Band:
         return self.f_hi_hz - self.f_lo_hz
 
 
-def amplitude_spectrum(x: TimeSeries, w: Window = HANN,
-                       pad_to_pow2: bool = False) -> Spectrum:
+def amplitude_spectrum(x: TimeSeries, w: Window = HANN) -> Spectrum:
     """One-sided amplitude spectrum of x.
 
-    Amplitudes are corrected for the window's coherent gain: a sinusoid of
-    peak amplitude A centered on a bin reports A. By default the FFT length
-    equals the signal length (no interpolation by zero-padding);
-    ``pad_to_pow2`` rounds the FFT length up to a power of two for speed.
+    Amplitudes are corrected for the window's realized coherent gain: a
+    sinusoid of peak amplitude A centered on a bin reports A. The FFT
+    length equals the signal length (no interpolation by zero-padding).
     """
     n = len(x)
     if n < 2:
@@ -84,13 +73,12 @@ def amplitude_spectrum(x: TimeSeries, w: Window = HANN,
     scale = float(taps.sum())  # n * realized coherent gain
     if scale <= 0.0:
         raise SizeError(f"{w.kind} window of length {n} has zero gain")
-    n_fft = 1 << (n - 1).bit_length() if pad_to_pow2 else n
-    spec = np.fft.rfft(x.samples * taps, n_fft)
+    spec = np.fft.rfft(x.samples * taps)
     amps = np.abs(spec) * (2.0 / scale)
     amps[0] *= 0.5  # DC is not mirrored
-    if n_fft % 2 == 0:
+    if n % 2 == 0:
         amps[-1] *= 0.5  # neither is Nyquist
-    return Spectrum(amps, x.sample_rate_hz / n_fft, w.kind, n_fft)
+    return Spectrum(amps, x.sample_rate_hz / n, w.kind, n)
 
 
 def _band_mask(freqs: np.ndarray, b: Band, taper_hz: float) -> np.ndarray:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
-from .core import CHANNELS, TimeSeries
+from .core import CHANNELS, TimeSeries, first_sample_index, slice_time
 from .errors import InputError, ParseError, PulseDetectionError
 from .pipeline import AnalysisResult
 from .sync import TachoTrack, detect_pulses
@@ -41,6 +41,27 @@ class Recording:
     tacho: TachoTrack | None
     sample_rate_hz: float
     warnings: list[str] = field(default_factory=list)
+
+    def slice(self, t0_s: float | None = None,
+              t1_s: float | None = None) -> "Recording":
+        """The recording restricted to [t0_s, t1_s), by default all of it.
+
+        Channels are cut with `slice_time`. Tacho pulse times are re-based
+        to the first kept sample, the first at or after t0_s, so that they
+        stay aligned with the samples when t0_s is off the sample grid.
+        """
+        t0_s = t0_s or 0.0
+        if t1_s is None:
+            t1_s = min(ts.duration_s for ts in self.channels.values())
+        channels = {ch: slice_time(ts, t0_s, t1_s)
+                    for ch, ts in self.channels.items()}
+        tacho = self.tacho
+        if tacho is not None:
+            start_s = first_sample_index(t0_s, self.sample_rate_hz) / self.sample_rate_hz
+            pulses = tacho.pulse_times_s[tacho.pulse_times_s >= start_s]
+            tacho = TachoTrack(pulses[pulses <= t1_s] - start_s)
+        return replace(self, channels=channels, tacho=tacho,
+                       warnings=list(self.warnings))
 
 
 def _parse_float(cell: str, lineno: int, column: str) -> float:

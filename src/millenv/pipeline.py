@@ -29,8 +29,9 @@ from .core import Spectrum, TimeSeries, detrend
 from .dsp import Band, band_filter, envelope
 from .errors import (AnalysisError, CoverageError, InputError, RangeError,
                      SizeError)
-from .sync import (TachoTrack, ToothProfile, resample_to_angle, speed_profile,
-                   synchronous_average, tooth_segmentation)
+from .sync import (TachoTrack, ToothProfile, covered_revolutions,
+                   resample_to_angle, speed_profile, synchronous_average,
+                   tooth_segmentation)
 
 MAX_SPINDLE_RPM = 8000.0
 
@@ -79,22 +80,6 @@ class Cutter:
     @property
     def tooth_passing_hz(self) -> float:
         return self.z * self.rotation_hz
-
-
-def tooth_passing_frequency(rpm_or_cutter, z: int | None = None) -> float:
-    """Tooth-passing frequency in Hz: (rpm / 60) * z.
-
-    Accepts either a Cutter (whose derived speed and tooth count are used)
-    or an explicit spindle speed in rpm plus tooth count.
-    """
-    if isinstance(rpm_or_cutter, Cutter):
-        return rpm_or_cutter.tooth_passing_hz
-    rpm = float(rpm_or_cutter)
-    if rpm <= 0.0:
-        raise RangeError(f"rpm must be positive, got {rpm}")
-    if z is None or z < 1:
-        raise RangeError(f"tooth count must be >= 1, got {z}")
-    return rpm / 60.0 * z
 
 
 @dataclass(frozen=True)
@@ -281,25 +266,18 @@ def classify(env_spec: Spectrum, tooth_profile: ToothProfile, f_rot: float,
     return tuple(findings), bool(inconclusive)
 
 
-def _complete_revolutions(x: TimeSeries, tacho: TachoTrack) -> int:
-    t_last = (len(x) - 1) / x.sample_rate_hz
-    pulses = tacho.pulse_times_s
-    return int(np.count_nonzero((pulses[:-1] >= 0.0) & (pulses[1:] <= t_last)))
-
-
 def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
             cfg: Thresholds = Thresholds(), *,
             taper_hz: float | None = None,
             samples_per_rev: int | None = None,
-            tooth0_offset_frac: float | None = None,
-            spectrum_tile: int = SPECTRUM_TILE) -> AnalysisResult:
+            tooth0_offset_frac: float | None = None) -> AnalysisResult:
     """Full envelope analysis of one channel.
 
     Pipeline: detrend -> band_filter -> envelope -> resample_to_angle ->
     synchronous_average, then tooth segmentation and the averaged-revolution
     amplitude spectrum feed the classifier. Frequencies are reported in Hz
-    using the mean measured spindle speed; a speed drift beyond
-    cfg.max_rpm_drift attaches a warning rather than failing.
+    using the mean spindle speed over the averaged revolutions; a speed
+    drift beyond cfg.max_rpm_drift attaches a warning rather than failing.
 
     With the default ``tooth0_offset_frac=None`` each tooth sector is
     centered on its impact angle (tooth 0 at the tacho pulse): the zero-phase
@@ -317,10 +295,10 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
             f"samples_per_rev={samples_per_rev} is not divisible by z={z}; "
             f"use a multiple of {z} (e.g. {default_samples_per_rev(z)})")
 
-    n_revs = _complete_revolutions(x, tacho)
-    if n_revs < cfg.min_revs:
+    covered = covered_revolutions(x, tacho)
+    if covered.size < cfg.min_revs:
         raise CoverageError(
-            f"signal covers {n_revs} complete revolution(s); "
+            f"signal covers {covered.size} complete revolution(s); "
             f"need at least {cfg.min_revs}")
 
     env = envelope(band_filter(detrend(x), band, taper_hz))
@@ -328,7 +306,7 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
     avg = synchronous_average(angular)
     profile = tooth_segmentation(avg, z, tooth0_offset_frac)
 
-    speeds = speed_profile(tacho)[:angular.n_revs, 1]
+    speeds = speed_profile(tacho)[covered, 1]
     mean_rpm = float(speeds.mean())
     warnings = []
     drift = float((speeds.max() - speeds.min()) / mean_rpm)
@@ -339,7 +317,7 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
             "the drift but Hz readings use the mean speed")
 
     f_rot = mean_rpm / 60.0
-    env_spec = averaged_rev_spectrum(avg, f_rot, spectrum_tile)
+    env_spec = averaged_rev_spectrum(avg, f_rot)
     findings, inconclusive = classify(env_spec, profile, f_rot, z, cfg)
     report = DefectReport(
         channel=x.channel, f_rot_hz=f_rot, f_tooth_hz=z * f_rot,
@@ -348,26 +326,35 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
     return AnalysisResult(report, env_spec, avg, samples_per_rev, mean_rpm)
 
 
+def _for_channel(setting, channel: str, what: str):
+    """`setting` itself, or its entry for `channel` if it is a mapping."""
+    if not isinstance(setting, Mapping):
+        return setting
+    if channel not in setting:
+        raise InputError(f"no {what} configured for channel {channel!r}")
+    return setting[channel]
+
+
 def analyze_all_channels(channels: Iterable[TimeSeries], tacho: TachoTrack,
                          cutter: Cutter, bands: Band | Mapping[str, Band],
-                         cfg: Thresholds = Thresholds(), **kwargs
+                         cfg: Thresholds = Thresholds(), *,
+                         taper_hz: float | None | Mapping[str, float | None] = None,
+                         **kwargs
                          ) -> tuple[dict[str, AnalysisResult], dict[str, AnalysisError]]:
     """Run `analyze` on every channel; failures do not abort the others.
 
-    `bands` is either one Band for all channels or a mapping from channel
-    label to Band. Returns ``(results, errors)`` keyed by channel label.
+    `bands` and `taper_hz` each hold one value for all channels or a
+    mapping from channel label to value; a channel missing from a mapping
+    is an InputError. Returns ``(results, errors)`` keyed by channel label.
     """
     results: dict[str, AnalysisResult] = {}
     errors: dict[str, AnalysisError] = {}
     for ts in channels:
         try:
-            if isinstance(bands, Band):
-                band = bands
-            else:
-                band = bands.get(ts.channel)
-                if band is None:
-                    raise InputError(f"no band configured for channel {ts.channel!r}")
-            results[ts.channel] = analyze(ts, tacho, cutter, band, cfg, **kwargs)
+            results[ts.channel] = analyze(
+                ts, tacho, cutter, _for_channel(bands, ts.channel, "band"),
+                cfg, taper_hz=_for_channel(taper_hz, ts.channel, "taper"),
+                **kwargs)
         except AnalysisError as err:
             errors[ts.channel] = err
     return results, errors

@@ -147,6 +147,13 @@ def _cubic_interp(a: np.ndarray, s: np.ndarray) -> np.ndarray:
                   + (3.0 * (p1 - p2) + p3 - p0) * u * u * u)
 
 
+def covered_revolutions(x: TimeSeries, t: TachoTrack) -> np.ndarray:
+    """Indices i of the revolutions (pulse i to pulse i + 1) inside x's span."""
+    t_last = (len(x) - 1) / x.sample_rate_hz
+    pulses = t.pulse_times_s
+    return np.flatnonzero((pulses[:-1] >= 0.0) & (pulses[1:] <= t_last))
+
+
 def resample_to_angle(x: TimeSeries, t: TachoTrack,
                       samples_per_rev: int) -> AngularSeries:
     """Resample x onto a uniform shaft-angle grid (order tracking).
@@ -159,9 +166,8 @@ def resample_to_angle(x: TimeSeries, t: TachoTrack,
     if samples_per_rev < 2:
         raise RangeError(f"samples_per_rev must be >= 2, got {samples_per_rev}")
     fs = x.sample_rate_hz
-    t_last = (len(x) - 1) / fs
     pulses = t.pulse_times_s
-    usable = np.flatnonzero((pulses[:-1] >= 0.0) & (pulses[1:] <= t_last))
+    usable = covered_revolutions(x, t)
     if usable.size == 0:
         raise CoverageError(
             f"signal of {x.duration_s:.6g} s covers no complete revolution "
@@ -208,28 +214,3 @@ def tooth_segmentation(avg_rev, z: int,
     else:
         asym = np.zeros(z)
     return ToothProfile(z, mean_load, asym)
-
-
-def sector_peaks(avg_rev, z: int, tooth0_offset_frac: float = 0.0) -> np.ndarray:
-    """Fractional angular index of the largest peak inside each tooth sector.
-
-    Sector boundaries may fall between samples (no divisibility required);
-    the per-sector argmax is refined by parabolic interpolation through its
-    neighbours, giving sub-sample peak positions for alignment checks.
-    """
-    avg = np.asarray(avg_rev, dtype=float)
-    n = avg.size
-    if z < 1 or n < z:
-        raise SizeError(f"revolution of {n} samples cannot hold z={z} sectors")
-    peaks = np.empty(z)
-    for i in range(z):
-        base = int(np.floor((tooth0_offset_frac + i / z) * n))
-        width = int(np.floor((tooth0_offset_frac + (i + 1) / z) * n)) - base
-        idx = (base + np.arange(max(width, 1))) % n
-        j = int(np.argmax(avg[idx]))
-        k = idx[j]
-        y0, y1, y2 = avg[(k - 1) % n], avg[k], avg[(k + 1) % n]
-        denom = y0 - 2.0 * y1 + y2
-        delta = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
-        peaks[i] = (k + float(np.clip(delta, -0.5, 0.5))) % n
-    return peaks

@@ -1,13 +1,14 @@
 """Shared fixtures: reference cutter and canonical simulator runs.
 
 The session-scoped runs are reused by the pipeline, simulator and
-acceptance tests so the suite stays fast.
+acceptance tests so the suite stays fast. `sector_peaks` is a test-only
+readout of the averaged revolution used by alignment checks.
 """
 
 import numpy as np
 import pytest
 
-from millenv import (Band, Cutter, SimConfig, Thresholds, analyze,
+from millenv import (Band, Cutter, SimConfig, SizeError, Thresholds, analyze,
                      detect_pulses, simulate)
 
 FS = 25000.0
@@ -50,6 +51,31 @@ def symmetric_run(cutter):
 def asymmetric_run(cutter):
     out, track = run_simulation(cutter, [1.0, 1.0, 1.0, 0.5, 1.0, 1.0])
     return out, track, analyze_channel(out, track, cutter)
+
+
+def sector_peaks(avg_rev, z: int, tooth0_offset_frac: float = 0.0) -> np.ndarray:
+    """Fractional angular index of the largest peak inside each tooth sector.
+
+    Sector boundaries may fall between samples (no divisibility required);
+    the per-sector argmax is refined by parabolic interpolation through its
+    neighbours, giving sub-sample peak positions for alignment checks.
+    """
+    avg = np.asarray(avg_rev, dtype=float)
+    n = avg.size
+    if z < 1 or n < z:
+        raise SizeError(f"revolution of {n} samples cannot hold z={z} sectors")
+    peaks = np.empty(z)
+    for i in range(z):
+        base = int(np.floor((tooth0_offset_frac + i / z) * n))
+        width = int(np.floor((tooth0_offset_frac + (i + 1) / z) * n)) - base
+        idx = (base + np.arange(max(width, 1))) % n
+        j = int(np.argmax(avg[idx]))
+        k = idx[j]
+        y0, y1, y2 = avg[(k - 1) % n], avg[k], avg[(k + 1) % n]
+        denom = y0 - 2.0 * y1 + y2
+        delta = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
+        peaks[i] = (k + float(np.clip(delta, -0.5, 0.5))) % n
+    return peaks
 
 
 def tone(freq_hz, duration_s=1.0, fs=FS, amp=1.0, phase=0.0):

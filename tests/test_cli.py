@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from millenv import TimeSeries
+from millenv import Band, Cutter, Thresholds, TimeSeries, analyze_all_channels
 from millenv.cli import main
-from millenv.fileio import write_recording
+from millenv.fileio import (dump_report, read_recording, report_document,
+                            write_recording)
 from conftest import FS
 
 
@@ -85,6 +86,46 @@ class TestAnalyzeCommand:
                      "--out", str(tmp_path / "sliced"),
                      "--t0", "0.05", "--t1", "1.15"])
         assert code == 0
+
+    def test_fractional_t0_rebases_tacho_to_first_kept_sample(
+            self, tmp_path, config_path):
+        # samples lie 40 us apart: both starts keep the same samples (from
+        # 0.10004 s on), so the tacho must be re-based by the same time
+        sim_dir = tmp_path / "sim"
+        main(["simulate", "--config", str(config_path), "--out", str(sim_dir)])
+        reports = []
+        for name, t0 in (("a", "0.10002"), ("b", "0.10004")):
+            out = tmp_path / name
+            assert main(["analyze", "--config", str(config_path),
+                         "--in", str(sim_dir / "recording.csv"),
+                         "--out", str(out), "--t0", t0, "--t1", "1.1"]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_report_matches_library_path(self, tmp_path):
+        bands = {"default": {"f_lo_hz": 1500.0, "f_hi_hz": 2500.0,
+                             "taper_hz": 50.0},
+                 "ay": {"f_lo_hz": 1500.0, "f_hi_hz": 2500.0,
+                        "taper_hz": 200.0}}
+        config_path = write_config(tmp_path / "run.json", bands=bands)
+        sim_dir = tmp_path / "sim"
+        main(["simulate", "--config", str(config_path), "--out", str(sim_dir)])
+        csv = sim_dir / "recording.csv"
+        assert main(["analyze", "--config", str(config_path), "--in", str(csv),
+                     "--out", str(tmp_path / "run")]) == 0
+
+        rec = read_recording(csv, sample_rate_hz=25000.0)
+        labels = ("ax", "ay", "az", "fx", "fy", "fz")
+        results, errors = analyze_all_channels(
+            [rec.channels[ch] for ch in labels], rec.tacho,
+            Cutter(z=6, diameter_mm=80.0, feed_per_tooth_mm=0.1,
+                   cutting_speed_m_min=340.0),
+            Band(1500.0, 2500.0), Thresholds(),
+            taper_hz={ch: 200.0 if ch == "ay" else 50.0 for ch in labels},
+            samples_per_rev=1152)
+        expected = dump_report(report_document(
+            results, errors, config_echo=json.loads(config_path.read_text())))
+        assert (tmp_path / "run" / "report.json").read_text() == expected
 
     def test_missing_input_file(self, tmp_path, config_path):
         assert main(["analyze", "--config", str(config_path),

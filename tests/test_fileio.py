@@ -5,11 +5,12 @@ import pytest
 
 import millenv.fileio
 import reference_fileio as ref
-from millenv import ConfigError, ParseError, SimConfig, TimeSeries, simulate
+from millenv import (ConfigError, ParseError, SimConfig, TimeSeries, simulate,
+                     slice_time)
 from millenv.config import config_from_dict, load_config
-from millenv.fileio import (dump_report, emit_plot_data, read_recording,
-                            report_document, write_recording, write_svg,
-                            write_xy)
+from millenv.fileio import (Recording, dump_report, emit_plot_data,
+                            read_recording, report_document, write_recording,
+                            write_svg, write_xy)
 from conftest import FS, RPM, analyze_channel, run_simulation
 
 
@@ -376,6 +377,36 @@ class TestSvgReduction:
         assert len(_polyline(new)) == n
 
 
+class TestRecordingSlice:
+    @pytest.fixture()
+    def recording(self, symmetric_run):
+        out, track, _ = symmetric_run
+        return Recording(dict(out.channels), track, FS, ["kept"])
+
+    # at 25 kHz samples lie 40 us apart: 0.10002 s falls between samples
+    # 2500 and 2501, so the first kept sample is 2501, as for 0.10004 s
+    @pytest.mark.parametrize("t0, first", [(0.1, 2500), (0.10002, 2501),
+                                           (0.10004, 2501)])
+    def test_pulses_rebased_to_first_kept_sample(self, recording, t0, first):
+        part = recording.slice(t0, 1.1)
+        start = first / FS
+        pulses = recording.tacho.pulse_times_s
+        kept = pulses[(pulses >= start) & (pulses <= 1.1)]
+        np.testing.assert_array_equal(part.tacho.pulse_times_s, kept - start)
+        for ch, ts in recording.channels.items():
+            assert part.channels[ch].samples[0] == ts.samples[first]
+            np.testing.assert_array_equal(part.channels[ch].samples,
+                                          slice_time(ts, t0, 1.1).samples)
+        assert part.warnings == ["kept"]
+
+    def test_default_bounds_keep_everything(self, recording):
+        part = recording.slice()
+        np.testing.assert_array_equal(part.tacho.pulse_times_s,
+                                      recording.tacho.pulse_times_s)
+        for ch, ts in recording.channels.items():
+            np.testing.assert_array_equal(part.channels[ch].samples, ts.samples)
+
+
 class TestConfig:
     def test_minimal_config(self):
         cfg = config_from_dict(BASE_CONFIG)
@@ -404,10 +435,15 @@ class TestConfig:
             config_from_dict(bad)
 
     def test_metadata_section_is_free_form(self):
-        cfg = config_from_dict({**BASE_CONFIG,
-                                "metadata": {"depth_of_cut_mm": 0.5,
-                                             "material": "E24-2"}})
+        doc = {**BASE_CONFIG, "metadata": {"depth_of_cut_mm": 0.5,
+                                           "material": {"grade": "E24-2"}}}
+        before = json.dumps(doc, sort_keys=True)
+        cfg = config_from_dict(doc)
         assert cfg.metadata["depth_of_cut_mm"] == 0.5
+        # the config owns its copy: editing it leaves the caller's dict alone
+        cfg.metadata["b"] = 2
+        cfg.metadata["material"]["grade"] = "S355"
+        assert json.dumps(doc, sort_keys=True) == before
 
     def test_sim_section_builds_simconfig(self):
         doc = {**BASE_CONFIG,

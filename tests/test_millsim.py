@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from millenv import (ConfigError, SimConfig, band_filter, detect_pulses,
-                     detrend, envelope, resample_to_angle, sector_peaks,
-                     simulate, synchronous_average)
-from conftest import BAND, RPM, analyze_channel, run_simulation
+                     detrend, envelope, resample_to_angle, simulate,
+                     synchronous_average)
+from conftest import BAND, RPM, analyze_channel, run_simulation, sector_peaks
 
 
 class TestSimConfig:

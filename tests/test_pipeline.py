@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from millenv import (Band, CoverageError, Cutter, InputError, RangeError,
-                     SizeError, Spectrum, Thresholds, analyze,
+                     SizeError, Spectrum, TachoTrack, Thresholds, analyze,
                      analyze_all_channels, averaged_rev_spectrum, classify,
-                     tooth_passing_frequency, tooth_segmentation)
+                     slice_time, tooth_segmentation)
 from millenv.fileio import dump_report, report_document
 from conftest import BAND, analyze_channel, run_simulation
 
@@ -23,22 +23,6 @@ class TestCutter:
         with pytest.raises(RangeError):
             Cutter(z=0, diameter_mm=80.0, feed_per_tooth_mm=0.1,
                    cutting_speed_m_min=340.0)
-
-
-class TestToothPassingFrequency:
-    def test_reference_values(self):
-        assert tooth_passing_frequency(1352.8, 6) == pytest.approx(135.28, abs=1e-9)
-        assert tooth_passing_frequency(60.0, 1) == pytest.approx(1.0, abs=1e-12)
-        assert tooth_passing_frequency(8000.0, 6) == pytest.approx(800.0, abs=1e-9)
-
-    def test_accepts_cutter(self, cutter):
-        assert tooth_passing_frequency(cutter) == cutter.tooth_passing_hz
-
-    def test_nonpositive_rpm_rejected(self):
-        with pytest.raises(RangeError):
-            tooth_passing_frequency(0.0, 6)
-        with pytest.raises(RangeError):
-            tooth_passing_frequency(-100.0, 6)
 
 
 def synthetic_spectrum(f_rot, z, order_amps, tile=8, spr=1152):
@@ -204,6 +188,21 @@ class TestAnalyzeOnSimulator:
         with pytest.raises(CoverageError):
             analyze_channel(out, track, cutter)  # ~11 revs < 20
 
+    def test_speed_read_from_averaged_revolutions(self, cutter):
+        # a tacho that starts before the signal: its first revolutions are
+        # not averaged, so they must not set the speed either
+        out, track = run_simulation(cutter, [1.0] * 6, rpm=1200.0,
+                                    rpm_end=1500.0, duration_s=1.2)
+        x = slice_time(out.channels["ax"], 0.2, 1.2)
+        p = track.pulse_times_s - 0.2
+        early = analyze(x, TachoTrack(p), cutter, BAND, samples_per_rev=1152)
+        trimmed = analyze(x, TachoTrack(p[p >= 0.0]), cutter, BAND,
+                          samples_per_rev=1152)
+        np.testing.assert_array_equal(early.averaged_envelope,
+                                      trimmed.averaged_envelope)
+        assert early.mean_rpm == trimmed.mean_rpm
+        assert early.report.warnings == trimmed.report.warnings
+
     def test_speed_drift_warning_on_ramp(self, cutter):
         out, track = run_simulation(cutter, [1.0] * 6, rpm=1200.0,
                                     rpm_end=1500.0, duration_s=1.2)
@@ -250,6 +249,25 @@ class TestAnalyzeAllChannels:
         assert sorted(results) == ["ax", "ay", "az", "fx", "fy"]
         assert list(errors) == ["fz"]
         assert isinstance(errors["fz"], RangeError)
+
+    def test_taper_mapping_reaches_each_channel(self, symmetric_run, cutter):
+        out, track, _ = symmetric_run
+        channels = [out.channels[c] for c in ("ax", "ay", "az")]
+        tapers = {"ax": 0.0, "ay": 400.0}  # no entry for az
+        results, errors = analyze_all_channels(
+            channels, track, cutter, BAND, taper_hz=tapers,
+            samples_per_rev=1152)
+        for ch, taper in tapers.items():
+            alone = analyze(out.channels[ch], track, cutter, BAND,
+                            taper_hz=taper, samples_per_rev=1152)
+            np.testing.assert_array_equal(results[ch].averaged_envelope,
+                                          alone.averaged_envelope)
+        swapped = analyze(out.channels["ax"], track, cutter, BAND,
+                          taper_hz=400.0, samples_per_rev=1152)
+        assert not np.array_equal(results["ax"].averaged_envelope,
+                                  swapped.averaged_envelope)
+        assert sorted(results) == ["ax", "ay"]
+        assert isinstance(errors["az"], InputError)
 
     def test_missing_band_recorded_as_error(self, symmetric_run, cutter):
         out, track, _ = symmetric_run

@@ -4,9 +4,9 @@ import pytest
 from millenv import (CoverageError, InputError, PulseDetectionError,
                      PulseQualityError, RangeError, SizeError, TachoTrack,
                      TimeSeries, ToothProfile, detect_pulses,
-                     resample_to_angle, rms, sector_peaks, speed_profile,
+                     resample_to_angle, rms, speed_profile,
                      synchronous_average, tooth_segmentation)
-from conftest import FS
+from conftest import FS, sector_peaks
 
 
 def square_wave(freq_hz, duration_s=1.0, fs=FS):
