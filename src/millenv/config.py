@@ -22,6 +22,9 @@ Schema (all sections except "cutter" optional):
                      "sample_rate_hz": 25000.0, "seed": 0},
       "metadata":   {"depth_of_cut_mm": 0.5}    # free-form, echoed in reports
     }
+
+"sync.samples_per_rev" must be a positive multiple of the tooth count z.
+Without it, `analyze` uses the smallest multiple of z at or above 1024.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .core import CHANNELS
 from .dsp import Band
 from .errors import ConfigError
 from .millsim import SimConfig
-from .pipeline import Cutter, Thresholds, default_samples_per_rev
+from .pipeline import Cutter, Thresholds
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class RunConfig:
     cutter: Cutter
     bands: dict[str, BandSettings] = field(default_factory=dict)
     thresholds: Thresholds = Thresholds()
-    samples_per_rev: int = 0          # 0 resolves from the tooth count
+    samples_per_rev: int | None = None  # None: `analyze` picks one from z
     tooth0_offset_frac: float | None = None   # None: sectors centered on teeth
     sample_rate_hz: float | None = None
     columns: dict[str, str] = field(default_factory=dict)
@@ -61,11 +64,10 @@ class RunConfig:
     metadata: dict = field(default_factory=dict)  # free-form, echoed in reports
 
     def __post_init__(self):
-        spr = self.samples_per_rev or default_samples_per_rev(self.cutter.z)
-        if spr % self.cutter.z:
-            raise ConfigError(
-                f"samples_per_rev={spr} is not divisible by z={self.cutter.z}")
-        object.__setattr__(self, "samples_per_rev", spr)
+        spr = self.samples_per_rev
+        if spr is not None and (spr < 1 or spr % self.cutter.z):
+            raise ConfigError(f"samples_per_rev={spr} must be positive and "
+                              f"divisible by z={self.cutter.z}")
         if (self.tooth0_offset_frac is not None
                 and not (0.0 <= self.tooth0_offset_frac < 1.0)):
             raise ConfigError(
@@ -132,12 +134,13 @@ def config_from_dict(doc: dict) -> RunConfig:
         sim = _build(SimConfig, {"cutter": cutter,
                                  "per_tooth_gain": tuple(gains), **sim_sec}, "sim")
 
+    spr = sync.get("samples_per_rev")
     offset = sync.get("tooth0_offset_frac")
     return RunConfig(
         cutter=cutter,
         bands=bands,
         thresholds=thresholds,
-        samples_per_rev=int(sync.get("samples_per_rev", 0)),
+        samples_per_rev=None if spr is None else int(spr),
         tooth0_offset_frac=None if offset is None else float(offset),
         sample_rate_hz=(float(io_sec["sample_rate_hz"])
                         if "sample_rate_hz" in io_sec else None),

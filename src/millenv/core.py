@@ -13,9 +13,11 @@ import numpy as np
 
 from .errors import RangeError, SizeError
 
-#: Physical channel labels accepted at ingestion: triaxial acceleration,
-#: triaxial cutting force, the 1/rev tachometer and the instrumented hammer.
-CHANNELS = ("ax", "ay", "az", "fx", "fy", "fz", "tacho", "hammer")
+#: Physical channel labels accepted at ingestion and their units: triaxial
+#: acceleration and cutting force, the 1/rev tachometer and the hammer.
+CHANNEL_UNITS = {"ax": "m/s^2", "ay": "m/s^2", "az": "m/s^2",
+                 "fx": "N", "fy": "N", "fz": "N", "tacho": "V", "hammer": "N"}
+CHANNELS = tuple(CHANNEL_UNITS)
 
 _TIME_EPS = 1e-9  # snap tolerance when mapping times onto the sample grid
 
@@ -104,16 +106,16 @@ class Spectrum:
     def frequencies_hz(self) -> np.ndarray:
         return np.arange(self.amplitudes.size) * self.df_hz
 
-    def amplitude_near(self, f_hz: float, bins: int = 1) -> tuple[float, float]:
-        """Largest amplitude within +-`bins` of the bin closest to f_hz.
+    def amplitude_near(self, f_hz: float) -> tuple[float, float]:
+        """Largest amplitude within +-1 bin of the bin closest to f_hz.
 
         Returns ``(amplitude, bin_frequency_hz)`` of the winning bin. No
         sub-bin interpolation is applied; synchronous records put order
         components exactly on bins.
         """
         k = int(round(f_hz / self.df_hz))
-        lo = max(k - bins, 0)
-        hi = min(k + bins, self.amplitudes.size - 1)
+        lo = max(k - 1, 0)
+        hi = min(k + 1, self.amplitudes.size - 1)
         if hi < lo:
             raise RangeError(f"frequency {f_hz} Hz outside the spectrum")
         window = self.amplitudes[lo:hi + 1]
@@ -127,19 +129,22 @@ class AngularSeries:
 
     samples: np.ndarray
     samples_per_rev: int
-    n_revs: int
 
     def __post_init__(self):
         arr = _readonly_1d(self.samples)
-        if self.samples_per_rev < 1 or self.n_revs < 1:
-            raise RangeError("samples_per_rev and n_revs must be positive")
-        if arr.size != self.samples_per_rev * self.n_revs:
+        spr = int(self.samples_per_rev)
+        if spr < 1:
+            raise RangeError(f"samples_per_rev must be positive, got {spr}")
+        if arr.size == 0 or arr.size % spr:
             raise SizeError(
-                f"expected {self.samples_per_rev * self.n_revs} samples "
-                f"({self.n_revs} revs x {self.samples_per_rev}), got {arr.size}")
+                f"expected a positive whole number of {spr}-sample "
+                f"revolutions, got {arr.size} samples")
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "samples_per_rev", int(self.samples_per_rev))
-        object.__setattr__(self, "n_revs", int(self.n_revs))
+        object.__setattr__(self, "samples_per_rev", spr)
+
+    @property
+    def n_revs(self) -> int:
+        return self.samples.size // self.samples_per_rev
 
     def rev_matrix(self) -> np.ndarray:
         """View shaped (n_revs, samples_per_rev)."""

@@ -21,7 +21,8 @@ from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
-from .core import CHANNELS, TimeSeries, first_sample_index, slice_time
+from .core import (CHANNEL_UNITS, CHANNELS, TimeSeries, first_sample_index,
+                   slice_time)
 from .errors import InputError, ParseError, PulseDetectionError
 from .pipeline import AnalysisResult
 from .sync import TachoTrack, detect_pulses
@@ -174,9 +175,7 @@ def read_recording(path, *, columns: dict[str, str] | None = None,
         raise ParseError(
             f"{path}: no time_s column and no declared sample rate")
 
-    units = {"ax": "m/s^2", "ay": "m/s^2", "az": "m/s^2",
-             "fx": "N", "fy": "N", "fz": "N", "tacho": "V", "hammer": "N"}
-    channels = {ch: TimeSeries(values, rate, ch, units.get(ch, ""))
+    channels = {ch: TimeSeries(values, rate, ch, CHANNEL_UNITS[ch])
                 for ch, values in data.items()}
 
     tacho_track = None
@@ -197,9 +196,8 @@ def read_recording(path, *, columns: dict[str, str] | None = None,
     return Recording(channels, tacho_track, float(rate), warnings)
 
 
-def write_recording(channels: dict[str, TimeSeries], path,
-                    include_time: bool = True) -> None:
-    """Write channels as CSV in canonical column order."""
+def write_recording(channels: dict[str, TimeSeries], path) -> None:
+    """Write channels as CSV in canonical column order, after a time_s column."""
     order = [ch for ch in CHANNELS if ch in channels]
     if not order:
         raise InputError("no channels to write")
@@ -210,13 +208,11 @@ def write_recording(channels: dict[str, TimeSeries], path,
             raise InputError("all channels must share one length and rate")
     arrays = [channels[ch].samples for ch in order]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = (["time_s"] if include_time else []) + order
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(["time_s"] + order) + "\n")
         for start in range(0, n, _WRITE_BLOCK_ROWS):
             stop = min(start + _WRITE_BLOCK_ROWS, n)
-            block = [a[start:stop] for a in arrays]
-            if include_time:
-                block.insert(0, np.arange(start, stop) / rate)  # bit-identical to i / rate
+            # np.arange(start, stop) / rate is bit-identical to i / rate
+            block = [np.arange(start, stop) / rate] + [a[start:stop] for a in arrays]
             rows = np.column_stack(block).tolist()
             fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
@@ -320,8 +316,7 @@ def _m4_indices(x: np.ndarray, y: np.ndarray, x0: float, xs: float,
     return np.unique(np.concatenate((first, last, lo, hi)))
 
 
-def write_svg(path, x, y, title: str, x_label: str, y_label: str,
-              width: int = 800, height: int = 400) -> None:
+def write_svg(path, x, y, title: str, x_label: str, y_label: str) -> None:
     """Minimal deterministic SVG line plot of y over x.
 
     Above 4 points per pixel column of sorted x, only each column's first,
@@ -331,6 +326,7 @@ def write_svg(path, x, y, title: str, x_label: str, y_label: str,
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size == 0:
         raise InputError("x and y must be non-empty and the same length")
+    width, height = 800, 400
     ml, mr, mt, mb = 60, 20, 30, 45
     pw, ph = width - ml - mr, height - mt - mb
     x0, x1 = float(x.min()), float(x.max())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import CHANNEL_UNITS, TimeSeries
 from .errors import ConfigError
 from .pipeline import Cutter
 
@@ -26,6 +26,7 @@ ACCEL_GAINS = {"ax": 1.0, "ay": 0.75, "az": 0.5}
 FORCE_GAINS = {"fx": 1.0, "fy": 0.75, "fz": 0.5}
 FORCE_SCALE_N = 200.0       # nominal per-unit-gain cutting-force level
 FORCE_PULSE_S = 4e-4        # smoothing width of the force pulse
+TACHO_PULSE_FRAC = 0.02     # tacho pulse width as a fraction of one rev
 OSC_DECAY_FLOOR = 1e-4      # truncate the oscillator kernel at this decay
 
 
@@ -44,7 +45,6 @@ class SimConfig:
     duration_s: float = 1.5
     sample_rate_hz: float = 25000.0
     seed: int = 0
-    tacho_pulse_frac: float = 0.02      # pulse width as a fraction of one rev
 
     def __post_init__(self):
         gains = tuple(float(g) for g in self.per_tooth_gain)
@@ -164,7 +164,7 @@ def simulate(cfg: SimConfig) -> SimOutput:
     pulse_t = _rev_to_time(pulse_revs.astype(float), f0, beta)
     pulse_t = pulse_t[pulse_t < cfg.duration_s - 1.0 / fs]
     tacho = np.zeros(n)
-    width = max(2, int(round(cfg.tacho_pulse_frac * fs / f0)))
+    width = max(2, int(round(TACHO_PULSE_FRAC * fs / f0)))
     for pt in pulse_t:
         start = int(round(pt * fs))
         tacho[start:start + width] = 1.0
@@ -173,12 +173,12 @@ def simulate(cfg: SimConfig) -> SimOutput:
     channels: dict[str, TimeSeries] = {}
     for ch, g in ACCEL_GAINS.items():
         noise = rng.normal(0.0, cfg.noise_rms, n) if cfg.noise_rms > 0.0 else 0.0
-        channels[ch] = TimeSeries(g * vib + noise, fs, ch, "m/s^2")
+        channels[ch] = TimeSeries(g * vib + noise, fs, ch, CHANNEL_UNITS[ch])
     for ch, g in FORCE_GAINS.items():
         noise = (rng.normal(0.0, cfg.noise_rms * FORCE_SCALE_N, n)
                  if cfg.noise_rms > 0.0 else 0.0)
-        channels[ch] = TimeSeries(g * force + noise, fs, ch, "N")
-    channels["tacho"] = TimeSeries(tacho, fs, "tacho", "V")
+        channels[ch] = TimeSeries(g * force + noise, fs, ch, CHANNEL_UNITS[ch])
+    channels["tacho"] = TimeSeries(tacho, fs, "tacho", CHANNEL_UNITS["tacho"])
 
     truth = SimTruth(strike_t, tooth, pulse_t, cfg.per_tooth_gain, 60.0 * f0)
     return SimOutput(channels, truth)

@@ -12,8 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeSeries, _readonly_1d
-from .dsp import Band, RECTANGULAR, Window
+from .dsp import Band
 from .errors import InputError, RangeError, SizeError
+
+TRIGGER_FRAC = 0.05          # an impact starts where |force| reaches this x peak
+PRE_FRAC = 0.10              # record share kept before an impact's trigger
+EXCITED_FLOOR_REL = 1e-3     # force power below this x max marks unexcited bins
+MIN_COHERENCE = 0.9          # coherence a proposed band's peak must keep
 
 
 @dataclass(frozen=True)
@@ -76,19 +81,19 @@ class Frf:
     def frequencies_hz(self) -> np.ndarray:
         return np.arange(self.h1.size) * self.df_hz
 
-    def excited_bins(self, floor_rel: float = 1e-3) -> np.ndarray:
-        """Mask of bins the impacts actually excited (force power above
-        floor_rel of its maximum). All-true when force power is unknown."""
+    def excited_bins(self) -> np.ndarray:
+        """Mask of bins the impacts actually excited (force power at least
+        EXCITED_FLOOR_REL of its maximum). All-true when it is unknown."""
         if self.force_power is None:
             return np.ones(self.h1.size, dtype=bool)
-        return self.force_power >= floor_rel * float(self.force_power.max())
+        return self.force_power >= EXCITED_FLOOR_REL * float(self.force_power.max())
 
 
-def _force_gate(force: np.ndarray, trigger_frac: float, decay_frac: float) -> np.ndarray:
+def _force_gate(force: np.ndarray, decay_frac: float) -> np.ndarray:
     """Rectangular gate from the trigger to where the force dies out."""
     mag = np.abs(force)
     peak = float(mag.max())
-    start = int(np.argmax(mag >= trigger_frac * peak))
+    start = int(np.argmax(mag >= TRIGGER_FRAC * peak))
     peak_idx = int(np.argmax(mag))
     after = np.flatnonzero(mag[peak_idx:] < decay_frac * peak)
     stop = peak_idx + int(after[0]) if after.size else force.size
@@ -97,20 +102,18 @@ def _force_gate(force: np.ndarray, trigger_frac: float, decay_frac: float) -> np
     return gate
 
 
-def estimate_frf(impacts, w: Window = RECTANGULAR, *,
-                 trigger_frac: float = 0.05,
-                 force_gate_frac: float | None = 0.01,
+def estimate_frf(impacts, *, force_gate_frac: float | None = 0.01,
                  response_decay_end: float | None = 0.05) -> Frf:
     """H1 frequency response from averaged impact records.
 
     H1 = <cross-spectrum(force, response)> / <auto-spectrum(force)>, averaged
-    over all records; coherence = |<S_fx>|^2 / (<S_ff> <S_xx>).
+    over all unwindowed records; coherence = |<S_fx>|^2 / (<S_ff> <S_xx>).
 
-    By default each force record is gated from its trigger (5% of peak) to
-    the point it decays below ``force_gate_frac`` of peak, and each response
-    gets an exponential window decaying to ``response_decay_end`` at the end
-    of the record; the added damping is reported on the result. Pass None to
-    disable either window when the records are already leakage-free.
+    By default each force record is gated from its trigger (TRIGGER_FRAC of
+    peak) to where it decays below ``force_gate_frac`` of peak, and each
+    response gets an exponential window decaying to ``response_decay_end``
+    at the end of the record; the added damping is reported on the result.
+    Pass None to disable either window for records already leakage-free.
     """
     impacts = list(impacts)
     if not impacts:
@@ -132,16 +135,15 @@ def estimate_frf(impacts, w: Window = RECTANGULAR, *,
     s_ff = np.zeros(n_bins)
     s_xx = np.zeros(n_bins)
     s_fx = np.zeros(n_bins, dtype=complex)
-    taps = w.taps(n)
     for rec in impacts:
         f = rec.force.samples
         if force_gate_frac is not None:
-            f = _force_gate(f, trigger_frac, force_gate_frac)
+            f = _force_gate(f, force_gate_frac)
         x = rec.response.samples
         if exp_win is not None:
             x = x * exp_win
-        spec_f = np.fft.rfft(f * taps)
-        spec_x = np.fft.rfft(x * taps)
+        spec_f = np.fft.rfft(f)
+        spec_x = np.fft.rfft(x)
         s_ff += np.abs(spec_f) ** 2
         s_xx += np.abs(spec_x) ** 2
         s_fx += np.conj(spec_f) * spec_x
@@ -183,14 +185,13 @@ def _half_power_edges(mag: np.ndarray, peak: int, df: float) -> tuple[float, flo
     return lo, hi
 
 
-def propose_bands(frf: Frf, n_bands: int = 1,
-                  min_coherence: float = 0.9) -> list[Band]:
+def propose_bands(frf: Frf, n_bands: int = 1) -> list[Band]:
     """Demodulation bands around the strongest coherent resonance peaks.
 
     Only bins the impacts actually excited are considered (see
     ``Frf.excited_bins``). Local maxima of |H1| are ranked by magnitude
     (ties broken by lower frequency). A candidate must keep coherence >=
-    min_coherence across a small neighbourhood (isolated bins beat the gate
+    MIN_COHERENCE across a small neighbourhood (isolated bins beat the gate
     by chance with few averages) and must stand well above the valid-bin
     median (a flat response has no resonance to propose). Each selected
     peak spans its half-power (-3 dB) width, widened to at least 10 bins;
@@ -203,7 +204,7 @@ def propose_bands(frf: Frf, n_bands: int = 1,
     mag = np.abs(frf.h1)
     df = frf.df_hz
     nyq = (mag.size - 1) * df
-    valid = (frf.coherence >= min_coherence) & frf.excited_bins()
+    valid = (frf.coherence >= MIN_COHERENCE) & frf.excited_bins()
     hood = np.ones(5)
     valid_hood = np.convolve(valid.astype(float), hood, "same") >= np.minimum(
         np.convolve(np.ones(mag.size), hood, "same"), hood.size)
@@ -234,18 +235,16 @@ def propose_bands(frf: Frf, n_bands: int = 1,
     return bands
 
 
-def split_impacts(force: TimeSeries, response: TimeSeries, *,
-                  trigger_frac: float = 0.05, pre_frac: float = 0.10,
-                  record_len: int | None = None) -> list[ImpactRecord]:
+def split_impacts(force: TimeSeries, response: TimeSeries) -> list[ImpactRecord]:
     """Cut a continuous hammer/response recording into per-impact records.
 
-    Trigger points are rising crossings of ``trigger_frac`` of the global
-    force peak; each record starts ``pre_frac`` of its length before the
-    trigger. The record length defaults to the smallest trigger spacing so
-    records never overlap.
+    Trigger points are rising crossings of TRIGGER_FRAC of the global force
+    peak; each record starts PRE_FRAC of its length before the trigger. The
+    record length is the smallest trigger spacing, so records never
+    overlap, and the last record must fit before the end of the recording.
     """
     mag = np.abs(force.samples)
-    level = trigger_frac * float(mag.max())
+    level = TRIGGER_FRAC * float(mag.max())
     if level <= 0.0:
         raise InputError("force channel carries no impulses")
     above = mag >= level
@@ -260,12 +259,10 @@ def split_impacts(force: TimeSeries, response: TimeSeries, *,
             triggers.append(int(r))
     if not triggers:
         raise InputError("no force triggers found")
-    if record_len is None:
-        gaps = list(np.diff(triggers)) if len(triggers) > 1 else []
-        # the last record must still fit before the end of the recording
-        gaps.append(int((len(force) - triggers[-1]) / (1.0 - pre_frac)))
-        record_len = int(min(gaps))
-    pre = int(pre_frac * record_len)
+    gaps = list(np.diff(triggers)) if len(triggers) > 1 else []
+    gaps.append(int((len(force) - triggers[-1]) / (1.0 - PRE_FRAC)))
+    record_len = int(min(gaps))
+    pre = int(PRE_FRAC * record_len)
     records = []
     for trig in triggers:
         start = max(trig - pre, 0)

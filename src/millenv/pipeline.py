@@ -128,22 +128,22 @@ class Finding:
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Classified findings for one channel."""
+    """Classified findings for one channel at mean spindle speed mean_rpm."""
 
     channel: str
-    f_rot_hz: float
-    f_tooth_hz: float
+    mean_rpm: float
     findings: tuple[Finding, ...]
     tooth_profile: ToothProfile
     warnings: tuple[str, ...] = ()
     inconclusive: bool = False
 
-    def __post_init__(self):
-        expected = self.tooth_profile.z * self.f_rot_hz
-        if abs(self.f_tooth_hz - expected) > 1e-9 * max(expected, 1.0):
-            raise RangeError(
-                f"f_tooth_hz {self.f_tooth_hz} inconsistent with "
-                f"z * f_rot = {expected}")
+    @property
+    def f_rot_hz(self) -> float:
+        return self.mean_rpm / 60.0
+
+    @property
+    def f_tooth_hz(self) -> float:
+        return self.tooth_profile.z * self.f_rot_hz
 
     def triggered(self) -> tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.triggered)
@@ -156,8 +156,14 @@ class AnalysisResult:
     report: DefectReport
     envelope_spectrum: Spectrum
     averaged_envelope: np.ndarray
-    samples_per_rev: int
-    mean_rpm: float
+
+    @property
+    def samples_per_rev(self) -> int:
+        return self.averaged_envelope.size
+
+    @property
+    def mean_rpm(self) -> float:
+        return self.report.mean_rpm
 
 
 def default_samples_per_rev(z: int) -> int:
@@ -165,30 +171,27 @@ def default_samples_per_rev(z: int) -> int:
     return z * max(2, math.ceil(1024 / z))
 
 
-def averaged_rev_spectrum(avg_rev, f_rot_hz: float,
-                          tile: int = SPECTRUM_TILE) -> Spectrum:
+def averaged_rev_spectrum(avg_rev, f_rot_hz: float) -> Spectrum:
     """Amplitude spectrum of one synchronously averaged revolution.
 
     The revolution is exactly periodic in angle, so a rectangular window is
     exact. The mean (envelope DC) is removed first. Tiling the revolution
-    `tile` times refines the bin grid to f_rot/tile without interpolation;
-    order k keeps its exact amplitude at bin k*tile and intermediate bins
-    are zero up to roundoff.
+    SPECTRUM_TILE times refines the bin grid to f_rot/SPECTRUM_TILE without
+    interpolation; order k keeps its exact amplitude at bin k*SPECTRUM_TILE
+    and intermediate bins are zero up to roundoff.
     """
     avg = np.asarray(avg_rev, dtype=float)
     if avg.size < 2:
         raise SizeError("averaged revolution needs at least 2 samples")
-    if tile < 1:
-        raise RangeError(f"tile must be >= 1, got {tile}")
     if f_rot_hz <= 0.0:
         raise RangeError(f"f_rot_hz must be positive, got {f_rot_hz}")
-    tiled = np.tile(avg - avg.mean(), tile)
+    tiled = np.tile(avg - avg.mean(), SPECTRUM_TILE)
     n_fft = tiled.size
     amps = np.abs(np.fft.rfft(tiled)) * (2.0 / n_fft)
     amps[0] *= 0.5
     if n_fft % 2 == 0:
         amps[-1] *= 0.5
-    return Spectrum(amps, f_rot_hz / tile, "rectangular", n_fft)
+    return Spectrum(amps, f_rot_hz / SPECTRUM_TILE, "rectangular", n_fft)
 
 
 def classify(env_spec: Spectrum, tooth_profile: ToothProfile, f_rot: float,
@@ -320,10 +323,10 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
     env_spec = averaged_rev_spectrum(avg, f_rot)
     findings, inconclusive = classify(env_spec, profile, f_rot, z, cfg)
     report = DefectReport(
-        channel=x.channel, f_rot_hz=f_rot, f_tooth_hz=z * f_rot,
-        findings=findings, tooth_profile=profile,
-        warnings=tuple(warnings), inconclusive=inconclusive)
-    return AnalysisResult(report, env_spec, avg, samples_per_rev, mean_rpm)
+        channel=x.channel, mean_rpm=mean_rpm, findings=findings,
+        tooth_profile=profile, warnings=tuple(warnings),
+        inconclusive=inconclusive)
+    return AnalysisResult(report, env_spec, avg)
 
 
 def _for_channel(setting, channel: str, what: str):

@@ -27,7 +27,6 @@ class TachoTrack:
     """
 
     pulse_times_s: np.ndarray
-    nominal_rpm: float = field(default=0.0)
 
     def __post_init__(self):
         times = _readonly_1d(self.pulse_times_s, "pulse_times_s")
@@ -46,10 +45,11 @@ class TachoTrack:
             raise PulseQualityError(
                 f"inconsistent pulse spacing (median gap {median_gap:.6g} s): {details}")
         object.__setattr__(self, "pulse_times_s", times)
-        rpm = float(self.nominal_rpm) if self.nominal_rpm else 60.0 / median_gap
-        if rpm <= 0.0:
-            raise RangeError(f"nominal_rpm must be positive, got {rpm}")
-        object.__setattr__(self, "nominal_rpm", rpm)
+
+    @property
+    def nominal_rpm(self) -> float:
+        """Speed from the median pulse gap."""
+        return 60.0 / float(np.median(np.diff(self.pulse_times_s)))
 
     @property
     def n_revs(self) -> int:
@@ -58,31 +58,31 @@ class TachoTrack:
 
 @dataclass(frozen=True)
 class ToothProfile:
-    """Per-tooth mean load over the averaged revolution.
+    """Per-tooth mean load over the averaged revolution, one entry per tooth.
 
     ``asymmetry_index[i]`` is the relative deviation of tooth i from the
-    mean of all tooth loads; the indices sum to zero.
+    mean of all tooth loads, derived from ``mean_load``; the indices sum
+    to zero, and are all zero when every load is.
     """
 
-    z: int
     mean_load: np.ndarray
-    asymmetry_index: np.ndarray
+    asymmetry_index: np.ndarray = field(init=False)
 
     def __post_init__(self):
         load = _readonly_1d(self.mean_load, "mean_load")
-        asym = _readonly_1d(self.asymmetry_index, "asymmetry_index")
-        if self.z < 1:
-            raise RangeError(f"tooth count must be >= 1, got {self.z}")
-        if load.size != self.z or asym.size != self.z:
-            raise SizeError(f"expected {self.z} per-tooth entries, got "
-                            f"{load.size} loads / {asym.size} indices")
+        if load.size == 0:
+            raise SizeError("mean_load needs an entry for at least one tooth")
         if np.any(load < 0.0):
             raise RangeError("mean_load entries must be non-negative")
-        if abs(float(asym.sum())) > 1e-9:
-            raise RangeError("asymmetry_index must sum to zero")
-        object.__setattr__(self, "z", int(self.z))
+        total = float(load.mean())
+        asym = load / total - 1.0 if total > 0.0 else np.zeros(load.size)
+        asym.setflags(write=False)
         object.__setattr__(self, "mean_load", load)
         object.__setattr__(self, "asymmetry_index", asym)
+
+    @property
+    def z(self) -> int:
+        return self.mean_load.size
 
     @property
     def weakest_tooth(self) -> int:
@@ -177,7 +177,7 @@ def resample_to_angle(x: TimeSeries, t: TachoTrack,
     spans = pulses[usable + 1] - starts
     target_t = (starts[:, None] + spans[:, None] * frac[None, :]).ravel()
     values = _cubic_interp(x.samples, target_t * fs)
-    return AngularSeries(values, samples_per_rev, usable.size)
+    return AngularSeries(values, samples_per_rev)
 
 
 def synchronous_average(a: AngularSeries) -> np.ndarray:
@@ -207,10 +207,4 @@ def tooth_segmentation(avg_rev, z: int,
             f"tooth0_offset_frac must be in [0, 1), got {tooth0_offset_frac}")
     start = int(round(tooth0_offset_frac * n)) % n
     sectors = np.roll(avg, -start).reshape(z, n // z)
-    mean_load = np.sqrt(np.mean(np.square(sectors), axis=1))
-    total = float(mean_load.mean())
-    if total > 0.0:
-        asym = mean_load / total - 1.0
-    else:
-        asym = np.zeros(z)
-    return ToothProfile(z, mean_load, asym)
+    return ToothProfile(np.sqrt(np.mean(np.square(sectors), axis=1)))

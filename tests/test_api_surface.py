@@ -1,0 +1,91 @@
+"""The settable surface of the public API, written out.
+
+Each function's parameter names and each dataclass's init fields are
+listed here, so a new option or stored field shows up as a diff of this
+table. Update the table together with the API change it records.
+"""
+
+import dataclasses
+import inspect
+
+import millenv
+from millenv import fileio
+
+PARAMETERS = {
+    "amplitude_spectrum": "x w",
+    "analytic_signal": "x",
+    "analyze": "x tacho cutter band cfg taper_hz samples_per_rev "
+               "tooth0_offset_frac",
+    "analyze_all_channels": "channels tacho cutter bands cfg taper_hz kwargs",
+    "averaged_rev_spectrum": "avg_rev f_rot_hz",
+    "band_filter": "x b taper_hz",
+    "classify": "env_spec tooth_profile f_rot z cfg",
+    "detect_pulses": "tacho threshold hysteresis",
+    "detrend": "x",
+    "envelope": "x",
+    "envelope_spectrum": "x b taper_hz w",
+    "estimate_frf": "impacts force_gate_frac response_decay_end",
+    "propose_bands": "frf n_bands",
+    "resample_to_angle": "x t samples_per_rev",
+    "rms": "x",
+    "simulate": "cfg",
+    "slice_time": "x t0_s t1_s",
+    "speed_profile": "t",
+    "split_impacts": "force response",
+    "synchronous_average": "a",
+    "tooth_segmentation": "avg_rev z tooth0_offset_frac",
+    "fileio.read_recording": "path columns sample_rate_hz detect_tacho",
+    "fileio.write_recording": "channels path",
+    "fileio.write_svg": "path x y title x_label y_label",
+    "fileio.emit_plot_data": "path_base x y title x_label y_label",
+}
+
+INIT_FIELDS = {
+    "AnalysisResult": "report envelope_spectrum averaged_envelope",
+    "AngularSeries": "samples samples_per_rev",
+    "Band": "f_lo_hz f_hi_hz",
+    "Cutter": "z diameter_mm feed_per_tooth_mm cutting_speed_m_min",
+    "DefectReport": "channel mean_rpm findings tooth_profile warnings "
+                    "inconclusive",
+    "Finding": "kind evidence_freq_hz amplitude_ratio threshold triggered "
+               "tooth_index",
+    "Frf": "h1 coherence df_hz n_averages force_power response_decay_per_s",
+    "ImpactRecord": "force response",
+    "SimConfig": "cutter per_tooth_gain rpm rpm_end resonance_hz "
+                 "damping_ratio eccentricity noise_rms duration_s "
+                 "sample_rate_hz seed",
+    "SimOutput": "channels truth",
+    "SimTruth": "impact_times_s impact_tooth pulse_times_s per_tooth_gain rpm",
+    "Spectrum": "amplitudes df_hz window n_fft",
+    "TachoTrack": "pulse_times_s",
+    "Thresholds": "asym_ratio weak_tooth_drop ecc_ratio misalign_ratio "
+                  "min_carrier min_revs max_rpm_drift",
+    "TimeSeries": "samples sample_rate_hz channel unit",
+    "ToothProfile": "mean_load",
+    "Window": "kind",
+}
+
+
+def _exported(kind):
+    return {name: getattr(millenv, name) for name in millenv.__all__
+            if kind(getattr(millenv, name))}
+
+
+def _is_dataclass_type(obj):
+    return isinstance(obj, type) and dataclasses.is_dataclass(obj)
+
+
+def test_function_parameters():
+    functions = _exported(inspect.isfunction)
+    functions.update({f"fileio.{name}": getattr(fileio, name)
+                      for name in ("read_recording", "write_recording",
+                                   "write_svg", "emit_plot_data")})
+    actual = {name: " ".join(inspect.signature(fn).parameters)
+              for name, fn in functions.items()}
+    assert actual == PARAMETERS
+
+
+def test_dataclass_init_fields():
+    actual = {name: " ".join(f.name for f in dataclasses.fields(cls) if f.init)
+              for name, cls in _exported(_is_dataclass_type).items()}
+    assert actual == INIT_FIELDS

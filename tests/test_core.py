@@ -133,8 +133,8 @@ class TestSpectrumType:
 class TestAngularSeries:
     def test_length_invariant(self):
         with pytest.raises(SizeError):
-            AngularSeries(np.zeros(10), samples_per_rev=4, n_revs=3)
+            AngularSeries(np.zeros(10), samples_per_rev=4)
 
     def test_rev_matrix_shape(self):
-        a = AngularSeries(np.arange(12.0), samples_per_rev=4, n_revs=3)
+        a = AngularSeries(np.arange(12.0), samples_per_rev=4)
         assert a.rev_matrix().shape == (3, 4)

@@ -232,12 +232,11 @@ def _random_channels(n, rate):
 
 
 class TestWriteRecording:
-    @pytest.mark.parametrize("include_time", [True, False])
-    def test_bytes_match_per_cell_writer(self, tmp_path, include_time):
+    def test_bytes_match_per_cell_writer(self, tmp_path):
         n = 2 * millenv.fileio._WRITE_BLOCK_ROWS + 37
         channels = _random_channels(n, 3.0)
-        write_recording(channels, tmp_path / "new.csv", include_time)
-        ref.write_recording(channels, tmp_path / "old.csv", include_time)
+        write_recording(channels, tmp_path / "new.csv")
+        ref.write_recording(channels, tmp_path / "old.csv")
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "old.csv").read_bytes()
         assert new.count(b"\n") == n + 1
@@ -427,6 +426,15 @@ class TestConfig:
         bad = {**BASE_CONFIG, "sync": {"samples_per_rev": 1000}}
         with pytest.raises(ConfigError, match="divisible"):
             config_from_dict(bad)
+
+    def test_zero_samples_per_rev_rejected(self):
+        bad = {**BASE_CONFIG, "sync": {"samples_per_rev": 0}}
+        with pytest.raises(ConfigError, match="positive"):
+            config_from_dict(bad)
+
+    def test_omitted_samples_per_rev_left_to_analyze(self):
+        doc = {k: v for k, v in BASE_CONFIG.items() if k != "sync"}
+        assert config_from_dict(doc).samples_per_rev is None
 
     def test_band_for_unknown_channel_rejected(self):
         bad = {**BASE_CONFIG,

@@ -182,7 +182,7 @@ class TestProposeBands:
 
     def test_bands_within_valid_range(self):
         frf = estimate_frf(sdof_impacts())
-        for band in propose_bands(frf, n_bands=2, min_coherence=0.8):
+        for band in propose_bands(frf, n_bands=2):
             assert 0.0 < band.f_lo_hz < band.f_hi_hz <= FS / 2
 
     def test_bad_n_bands(self):

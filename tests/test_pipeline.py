@@ -215,6 +215,12 @@ class TestAnalyzeOnSimulator:
             analyze(out.channels["ax"], track, cutter, BAND,
                     samples_per_rev=1024)
 
+    def test_default_samples_per_rev_from_tooth_count(self, symmetric_run,
+                                                      cutter):
+        out, track, _ = symmetric_run
+        res = analyze(out.channels["ax"], track, cutter, BAND)
+        assert res.samples_per_rev == 1026  # smallest multiple of 6 >= 1024
+
     def test_spectrum_tile_keeps_resolution_fine(self, symmetric_run):
         res = symmetric_run[2]
         assert res.report.f_rot_hz >= 3.0 * res.envelope_spectrum.df_hz
@@ -282,7 +288,7 @@ class TestAveragedRevSpectrum:
         spr = 1152
         theta = 2 * np.pi * np.arange(spr) / spr
         avg = 3.0 + 0.8 * np.cos(6 * theta + 0.4)
-        spec = averaged_rev_spectrum(avg, f_rot_hz=22.55, tile=8)
+        spec = averaged_rev_spectrum(avg, f_rot_hz=22.55)
         assert spec.amplitudes[6 * 8] == pytest.approx(0.8, rel=1e-9)
         assert spec.amplitudes[0] == pytest.approx(0.0, abs=1e-12)  # mean removed
         assert spec.df_hz == pytest.approx(22.55 / 8)
@@ -290,7 +296,7 @@ class TestAveragedRevSpectrum:
     def test_off_order_bins_empty(self):
         spr = 1152
         avg = np.cos(2 * np.pi * 6 * np.arange(spr) / spr)
-        spec = averaged_rev_spectrum(avg, 22.55, tile=8)
+        spec = averaged_rev_spectrum(avg, 22.55)
         mask = np.ones(spec.amplitudes.size, bool)
         mask[6 * 8] = False
         assert spec.amplitudes[mask].max() <= 1e-9

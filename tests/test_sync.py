@@ -3,7 +3,7 @@ import pytest
 
 from millenv import (CoverageError, InputError, PulseDetectionError,
                      PulseQualityError, RangeError, SizeError, TachoTrack,
-                     TimeSeries, ToothProfile, detect_pulses,
+                     TimeSeries, detect_pulses,
                      resample_to_angle, rms, speed_profile,
                      synchronous_average, tooth_segmentation)
 from conftest import FS, sector_peaks
@@ -171,7 +171,7 @@ class TestSynchronousAverage:
         rng = np.random.default_rng(42)
         pattern = np.sin(2 * np.pi * np.arange(256) / 256)
         noise = rng.normal(0.0, 0.5, (100, 256))
-        a = make_angular(np.tile(pattern, 100) + noise.ravel(), 256, 100)
+        a = make_angular(np.tile(pattern, 100) + noise.ravel(), 256)
         avg = synchronous_average(a)
         residual = rms(avg - pattern)
         assert residual == pytest.approx(0.5 / 10.0, rel=0.3)
@@ -179,27 +179,27 @@ class TestSynchronousAverage:
     def test_single_rev_unchanged(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=128)
-        a = make_angular(x, 128, 1)
+        a = make_angular(x, 128)
         assert np.array_equal(synchronous_average(a), x)
 
     def test_linearity_on_exact_values(self):
         rng = np.random.default_rng(2)
         x = rng.integers(-8, 8, 512).astype(float)
         y = rng.integers(-8, 8, 512).astype(float)
-        ax = make_angular(x, 128, 4)
-        ay = make_angular(y, 128, 4)
-        axy = make_angular(x + y, 128, 4)
+        ax = make_angular(x, 128)
+        ay = make_angular(y, 128)
+        axy = make_angular(x + y, 128)
         assert np.array_equal(synchronous_average(axy),
                               synchronous_average(ax) + synchronous_average(ay))
 
 
-def make_angular(values, spr, n_revs):
+def make_angular(values, spr):
     from millenv import AngularSeries
-    return AngularSeries(values, spr, n_revs)
+    return AngularSeries(values, spr)
 
 
 def resample_like(pattern, n_revs):
-    return make_angular(np.tile(pattern, n_revs), pattern.size, n_revs)
+    return make_angular(np.tile(pattern, n_revs), pattern.size)
 
 
 class TestToothSegmentation:
@@ -249,10 +249,6 @@ class TestToothSegmentation:
     def test_bad_offset_rejected(self):
         with pytest.raises(RangeError):
             tooth_segmentation(np.zeros(1152), 6, tooth0_offset_frac=1.0)
-
-    def test_profile_type_validation(self):
-        with pytest.raises(RangeError):
-            ToothProfile(3, [1.0, 1.0, 1.0], [0.5, 0.5, 0.5])  # sum != 0
 
 
 class TestSectorPeaks:
