@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 
 from .core import CHANNELS
@@ -103,6 +104,24 @@ def _build(cls, kwargs: dict, what: str):
         raise ConfigError(f"invalid {what} settings: {err}") from None
 
 
+def _number(sec: dict, key: str, what: str, integral: bool = False):
+    """sec[key] as a finite float, or an int if `integral`; None if unset."""
+    value = sec.get(key)
+    if value is None:
+        return None
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigError(f"{what}.{key} must be a finite number, got {value!r}")
+    if not integral:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{what}.{key} must be a whole number, got {value!r}")
+    return int(number)
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     known = {"cutter", "bands", "thresholds", "sync", "io", "sim", "metadata"}
     unknown = set(doc) - known
@@ -134,16 +153,13 @@ def config_from_dict(doc: dict) -> RunConfig:
         sim = _build(SimConfig, {"cutter": cutter,
                                  "per_tooth_gain": tuple(gains), **sim_sec}, "sim")
 
-    spr = sync.get("samples_per_rev")
-    offset = sync.get("tooth0_offset_frac")
     return RunConfig(
         cutter=cutter,
         bands=bands,
         thresholds=thresholds,
-        samples_per_rev=None if spr is None else int(spr),
-        tooth0_offset_frac=None if offset is None else float(offset),
-        sample_rate_hz=(float(io_sec["sample_rate_hz"])
-                        if "sample_rate_hz" in io_sec else None),
+        samples_per_rev=_number(sync, "samples_per_rev", "sync", integral=True),
+        tooth0_offset_frac=_number(sync, "tooth0_offset_frac", "sync"),
+        sample_rate_hz=_number(io_sec, "sample_rate_hz", "io"),
         columns=dict(io_sec.get("columns", {})),
         sim=sim,
         metadata=copy.deepcopy(_section(doc, "metadata")))

@@ -3,7 +3,10 @@
 The demodulation chain is built from frequency-domain primitives: a one-sided
 amplitude spectrum with window gain correction, an ideal band mask with
 raised-cosine edges (zero phase, no group delay), and the FFT construction of
-the analytic signal whose magnitude is the envelope.
+the analytic signal whose magnitude is the envelope. The analytic signal is
+built from the one-sided (``rfft``) spectrum at any record length, odd or
+even, without padding; `band_envelope` masks that same spectrum, so a band
+envelope costs one forward and one inverse FFT.
 """
 
 from __future__ import annotations
@@ -96,14 +99,9 @@ def _band_mask(freqs: np.ndarray, b: Band, taper_hz: float) -> np.ndarray:
     return mask
 
 
-def band_filter(x: TimeSeries, b: Band, taper_hz: float | None = None) -> TimeSeries:
-    """Zero-phase band-pass by frequency-domain masking.
-
-    The mask is unity inside [f_lo, f_hi], zero outside, with a raised-cosine
-    roll-off of width taper_hz just inside each edge. ``taper_hz=None`` uses
-    5% of the band width. Being a real, symmetric mask the filter has exactly
-    zero phase, which preserves impact timing.
-    """
+def _checked_band_mask(x: TimeSeries, b: Band,
+                       taper_hz: float | None) -> np.ndarray:
+    """`_band_mask` over x's rfft bins, after checking b and taper_hz."""
     nyq = x.sample_rate_hz / 2.0
     if b.f_hi_hz > nyq * (1 + 1e-12):
         raise RangeError(
@@ -114,33 +112,45 @@ def band_filter(x: TimeSeries, b: Band, taper_hz: float | None = None) -> TimeSe
     if taper_hz < 0.0 or taper_hz > b.width_hz / 2.0 + 1e-12:
         raise RangeError(
             f"taper_hz must be within [0, {b.width_hz / 2.0}], got {taper_hz}")
-    n = len(x)
-    freqs = np.fft.rfftfreq(n, 1.0 / x.sample_rate_hz)
-    spec = np.fft.rfft(x.samples) * _band_mask(freqs, b, float(taper_hz))
-    return x.with_samples(np.fft.irfft(spec, n))
+    freqs = np.fft.rfftfreq(len(x), 1.0 / x.sample_rate_hz)
+    return _band_mask(freqs, b, float(taper_hz))
+
+
+def band_filter(x: TimeSeries, b: Band, taper_hz: float | None = None) -> TimeSeries:
+    """Zero-phase band-pass by frequency-domain masking.
+
+    The mask is unity inside [f_lo, f_hi], zero outside, with a raised-cosine
+    roll-off of width taper_hz just inside each edge. ``taper_hz=None`` uses
+    5% of the band width. Being a real, symmetric mask the filter has exactly
+    zero phase, which preserves impact timing.
+    """
+    spec = np.fft.rfft(x.samples) * _checked_band_mask(x, b, taper_hz)
+    return x.with_samples(np.fft.irfft(spec, len(x)))
+
+
+def _analytic_from_rfft(spec: np.ndarray, n: int) -> np.ndarray:
+    """Analytic signal of length n from the rfft of a real signal.
+
+    Bins strictly between DC and n/2 are doubled in place; DC and, for
+    even n, the Nyquist bin keep unit weight; the negative frequencies are
+    the zeros `ifft` pads with.
+    """
+    spec[1:(n + 1) // 2] *= 2.0
+    return np.fft.ifft(spec, n)
 
 
 def analytic_signal(x: TimeSeries) -> np.ndarray:
     """Complex analytic signal of x via the FFT method.
 
     The spectrum is multiplied by h with h[0]=1, h[k]=2 for 0<k<N/2,
-    h[N/2]=1 and h[k]=0 above, then inverse transformed. The real part
-    equals the input; the imaginary part is its Hilbert transform. Odd
-    lengths are zero-padded by one sample internally and the pad dropped.
+    h[N/2]=1 (even N only) and h[k]=0 above, then inverse transformed. The
+    real part equals the input; the imaginary part is its Hilbert
+    transform. Odd and even lengths take the same path, with no padding.
     """
-    n0 = len(x)
-    if n0 < 4:
-        raise SizeError(f"analytic_signal needs at least 4 samples, got {n0}")
-    a = x.samples
-    if n0 % 2:
-        a = np.append(a, 0.0)
-    n = a.size
-    h = np.zeros(n)
-    h[0] = 1.0
-    h[1:n // 2] = 2.0
-    h[n // 2] = 1.0
-    z = np.fft.ifft(np.fft.fft(a) * h)
-    return z[:n0]
+    n = len(x)
+    if n < 4:
+        raise SizeError(f"analytic_signal needs at least 4 samples, got {n}")
+    return _analytic_from_rfft(np.fft.rfft(x.samples), n)
 
 
 def envelope(x: TimeSeries) -> TimeSeries:
@@ -148,9 +158,29 @@ def envelope(x: TimeSeries) -> TimeSeries:
 
     Non-negative, same length and rate; the channel label gains an ``_env``
     suffix. The first and last ~1% of samples are contaminated by circular
-    FFT effects and should be excluded from quantitative comparisons.
+    FFT effects, at odd lengths as at even ones, and should be excluded
+    from quantitative comparisons.
     """
     return x.with_samples(np.abs(analytic_signal(x)), channel=x.channel + "_env")
+
+
+def band_envelope(x: TimeSeries, b: Band,
+                  taper_hz: float | None = None) -> TimeSeries:
+    """``envelope(band_filter(x, b, taper_hz))`` in one rfft and one ifft.
+
+    The band mask and the analytic-signal weights are applied to the same
+    one-sided spectrum, which skips the real band-passed signal in between.
+    At even lengths the result equals the two-step chain to rounding; the
+    same edge caveat as for `envelope` applies.
+    """
+    mask = _checked_band_mask(x, b, taper_hz)
+    n = len(x)
+    if n < 4:
+        raise SizeError(f"band_envelope needs at least 4 samples, got {n}")
+    spec = np.fft.rfft(x.samples)
+    spec *= mask
+    return x.with_samples(np.abs(_analytic_from_rfft(spec, n)),
+                          channel=x.channel + "_env")
 
 
 def envelope_spectrum(x: TimeSeries, b: Band, taper_hz: float | None = None,
@@ -160,5 +190,4 @@ def envelope_spectrum(x: TimeSeries, b: Band, taper_hz: float | None = None,
     Band-filters x, takes the envelope, removes the envelope mean (the DC
     term would otherwise dominate) and returns its amplitude spectrum.
     """
-    env = envelope(band_filter(x, b, taper_hz))
-    return amplitude_spectrum(detrend(env), w)
+    return amplitude_spectrum(detrend(band_envelope(x, b, taper_hz)), w)

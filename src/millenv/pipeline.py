@@ -26,7 +26,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import Spectrum, TimeSeries, detrend
-from .dsp import Band, band_filter, envelope
+# `band_filter` and `envelope` are not called here; bench/spans.py patches
+# them by these names
+from .dsp import Band, band_envelope, band_filter, envelope
 from .errors import (AnalysisError, CoverageError, InputError, RangeError,
                      SizeError)
 from .sync import (TachoTrack, ToothProfile, covered_revolutions,
@@ -195,12 +197,13 @@ def averaged_rev_spectrum(avg_rev, f_rot_hz: float) -> Spectrum:
 
 
 def classify(env_spec: Spectrum, tooth_profile: ToothProfile, f_rot: float,
-             z: int, cfg: Thresholds = Thresholds()
+             cfg: Thresholds = Thresholds()
              ) -> tuple[tuple[Finding, ...], bool]:
     """Findings from an envelope spectrum plus tooth profile.
 
-    Returns ``(findings, inconclusive)``. The analysis is inconclusive when
-    the tooth-passing component does not rise above the noise floor,
+    The tooth count z is the profile's. Returns ``(findings,
+    inconclusive)``. The analysis is inconclusive when the tooth-passing
+    component (order z) does not rise above the noise floor,
     cfg.min_carrier times the median amplitude over the rotation-harmonic
     bins (only those bins carry signal in a synchronous spectrum).
     Spectrum-based findings are then reported untriggered. Amplitudes are
@@ -212,6 +215,7 @@ def classify(env_spec: Spectrum, tooth_profile: ToothProfile, f_rot: float,
         raise RangeError(
             f"spectrum resolution {df} Hz too coarse for f_rot {f_rot} Hz; "
             "need f_rot >= 3 bins")
+    z = tooth_profile.z
     carrier, _ = env_spec.amplitude_near(z * f_rot)
     # noise floor from the rotation harmonics surrounding the carrier; the
     # envelope rolls off at high orders, so distant bins would understate it
@@ -276,7 +280,7 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
             tooth0_offset_frac: float | None = None) -> AnalysisResult:
     """Full envelope analysis of one channel.
 
-    Pipeline: detrend -> band_filter -> envelope -> resample_to_angle ->
+    Pipeline: detrend -> band_envelope -> resample_to_angle ->
     synchronous_average, then tooth segmentation and the averaged-revolution
     amplitude spectrum feed the classifier. Frequencies are reported in Hz
     using the mean spindle speed over the averaged revolutions; a speed
@@ -287,7 +291,15 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
     filter spreads energy symmetrically, so sectors that start exactly at
     the impact would leak half of a tooth's pulse into its neighbour. Pass
     an explicit offset in [0, 1) to place sector boundaries yourself.
+
+    A non-finite sample is an InputError that names the channel and the
+    first bad sample index.
     """
+    bad = np.flatnonzero(~np.isfinite(x.samples))
+    if bad.size:
+        raise InputError(
+            f"channel {x.channel!r} has {bad.size} non-finite sample(s), "
+            f"the first at index {bad[0]}")
     z = cutter.z
     if tooth0_offset_frac is None:
         tooth0_offset_frac = (1.0 - 0.5 / z) % 1.0
@@ -304,7 +316,7 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
             f"signal covers {covered.size} complete revolution(s); "
             f"need at least {cfg.min_revs}")
 
-    env = envelope(band_filter(detrend(x), band, taper_hz))
+    env = band_envelope(detrend(x), band, taper_hz)
     angular = resample_to_angle(env, tacho, samples_per_rev)
     avg = synchronous_average(angular)
     profile = tooth_segmentation(avg, z, tooth0_offset_frac)
@@ -321,7 +333,7 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
 
     f_rot = mean_rpm / 60.0
     env_spec = averaged_rev_spectrum(avg, f_rot)
-    findings, inconclusive = classify(env_spec, profile, f_rot, z, cfg)
+    findings, inconclusive = classify(env_spec, profile, f_rot, cfg)
     report = DefectReport(
         channel=x.channel, mean_rpm=mean_rpm, findings=findings,
         tooth_profile=profile, warnings=tuple(warnings),

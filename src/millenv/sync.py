@@ -27,6 +27,11 @@ class TachoTrack:
     """
 
     pulse_times_s: np.ndarray
+    # the order-tracking plan of the last (record length, sample rate,
+    # samples_per_rev) resampled against this track, shared by every
+    # channel that repeats that key; see `resample_to_angle`
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         times = _readonly_1d(self.pulse_times_s, "pulse_times_s")
@@ -133,18 +138,9 @@ def speed_profile(t: TachoTrack) -> np.ndarray:
     return np.column_stack((mid, 60.0 / gaps))
 
 
-def _cubic_interp(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """4-point (Catmull-Rom) interpolation of a at fractional indices s."""
-    n = a.size
-    i = np.floor(s).astype(int)
-    u = s - i
-    p0 = a[np.clip(i - 1, 0, n - 1)]
-    p1 = a[np.clip(i, 0, n - 1)]
-    p2 = a[np.clip(i + 1, 0, n - 1)]
-    p3 = a[np.clip(i + 2, 0, n - 1)]
-    return 0.5 * (2.0 * p1 + (p2 - p0) * u
-                  + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * u * u
-                  + (3.0 * (p1 - p2) + p3 - p0) * u * u * u)
+#: Output samples per block while a resampling plan is filled; bounds the
+#: temporaries to a few blocks instead of a few whole records.
+_PLAN_BLOCK = 16384
 
 
 def covered_revolutions(x: TimeSeries, t: TachoTrack) -> np.ndarray:
@@ -152,6 +148,38 @@ def covered_revolutions(x: TimeSeries, t: TachoTrack) -> np.ndarray:
     t_last = (len(x) - 1) / x.sample_rate_hz
     pulses = t.pulse_times_s
     return np.flatnonzero((pulses[:-1] >= 0.0) & (pulses[1:] <= t_last))
+
+
+def _resampling_plan(pulses: np.ndarray, usable: np.ndarray, fs: float,
+                     samples_per_rev: int) -> tuple[np.ndarray, np.ndarray]:
+    """4-point (Catmull-Rom) taps for sampling the revolutions `usable`.
+
+    Returns ``(first, weights)``: output sample k is
+    ``sum(weights[j, k] * a[first[k] - 1 + j] for j in range(4))`` with the
+    index clipped to the record, where ``first[k]`` is the floor of its
+    fractional sample position.
+    """
+    frac = np.arange(samples_per_rev) / samples_per_rev
+    starts = pulses[usable]
+    spans = pulses[usable + 1] - starts
+    first = np.empty(usable.size * samples_per_rev, dtype=np.intp)
+    weights = np.empty((4, first.size))
+    rows = max(1, _PLAN_BLOCK // samples_per_rev)
+    for r in range(0, usable.size, rows):
+        s = (starts[r:r + rows, None] + spans[r:r + rows, None] * frac).ravel() * fs
+        i = np.floor(s)
+        u = s - i
+        u2 = u * u
+        u3 = u2 * u
+        block = slice(r * samples_per_rev, r * samples_per_rev + s.size)
+        first[block] = i
+        weights[0, block] = 0.5 * (2.0 * u2 - u - u3)
+        weights[1, block] = 0.5 * (2.0 - 5.0 * u2 + 3.0 * u3)
+        weights[2, block] = 0.5 * (u + 4.0 * u2 - 3.0 * u3)
+        weights[3, block] = 0.5 * (u3 - u2)
+    first.setflags(write=False)
+    weights.setflags(write=False)
+    return first, weights
 
 
 def resample_to_angle(x: TimeSeries, t: TachoTrack,
@@ -162,21 +190,38 @@ def resample_to_angle(x: TimeSeries, t: TachoTrack,
     consecutive pulses; x is then sampled at `samples_per_rev` uniform
     angles per revolution using 4-point cubic interpolation. Only
     revolutions fully covered by x are used.
+
+    The interpolation indices and weights depend only on the tacho, the
+    record length, the sample rate and `samples_per_rev`. `t` keeps them
+    for the last such key, so the channels that share a tacho build them
+    once.
     """
     if samples_per_rev < 2:
         raise RangeError(f"samples_per_rev must be >= 2, got {samples_per_rev}")
     fs = x.sample_rate_hz
     pulses = t.pulse_times_s
-    usable = covered_revolutions(x, t)
-    if usable.size == 0:
-        raise CoverageError(
-            f"signal of {x.duration_s:.6g} s covers no complete revolution "
-            f"(pulses span {pulses[0]:.6g}..{pulses[-1]:.6g} s)")
-    frac = np.arange(samples_per_rev) / samples_per_rev
-    starts = pulses[usable]
-    spans = pulses[usable + 1] - starts
-    target_t = (starts[:, None] + spans[:, None] * frac[None, :]).ravel()
-    values = _cubic_interp(x.samples, target_t * fs)
+    key = (len(x), fs, samples_per_rev)
+    plan = t._plans.get(key)
+    if plan is None:
+        usable = covered_revolutions(x, t)
+        if usable.size == 0:
+            raise CoverageError(
+                f"signal of {x.duration_s:.6g} s covers no complete revolution "
+                f"(pulses span {pulses[0]:.6g}..{pulses[-1]:.6g} s)")
+        t._plans.clear()
+        plan = t._plans[key] = _resampling_plan(pulses, usable, fs,
+                                                samples_per_rev)
+    first, weights = plan
+    a = x.samples
+    # padded[m] == a[clip(m - 1, 0, n - 1)], so tap j of every output
+    # sample is padded[first + j]
+    padded = np.concatenate((a[:1], a, a[-1:], a[-1:]))
+    values = padded.take(first)
+    values *= weights[0]
+    for j in (1, 2, 3):
+        tap = padded[j:].take(first)
+        tap *= weights[j]
+        values += tap
     return AngularSeries(values, samples_per_rev)
 
 

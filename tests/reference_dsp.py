@@ -1,0 +1,64 @@
+"""Reference demodulation chain: four FFTs and per-call interpolation.
+
+These are the straightforward forms the library's fused kernels replace,
+kept as test oracles: `reference_band_envelope` band-passes with an
+rfft/irfft pair, then builds the analytic signal with an fft/ifft pair
+(zero-padding odd lengths by one sample), then takes its magnitude.
+`reference_resample_to_angle` evaluates the Catmull-Rom polynomial on the
+samples for every call. `millenv.dsp.band_envelope` and
+`millenv.sync.resample_to_angle` are compared against them.
+"""
+
+import numpy as np
+
+from millenv import TimeSeries
+from millenv.dsp import _band_mask
+
+
+def reference_band_filter(x: TimeSeries, b, taper_hz: float) -> np.ndarray:
+    n = len(x)
+    freqs = np.fft.rfftfreq(n, 1.0 / x.sample_rate_hz)
+    spec = np.fft.rfft(x.samples) * _band_mask(freqs, b, float(taper_hz))
+    return np.fft.irfft(spec, n)
+
+
+def reference_analytic_signal(a: np.ndarray) -> np.ndarray:
+    n0 = a.size
+    if n0 % 2:
+        a = np.append(a, 0.0)
+    n = a.size
+    h = np.zeros(n)
+    h[0] = 1.0
+    h[1:n // 2] = 2.0
+    h[n // 2] = 1.0
+    return np.fft.ifft(np.fft.fft(a) * h)[:n0]
+
+
+def reference_band_envelope(x: TimeSeries, b, taper_hz: float) -> np.ndarray:
+    return np.abs(reference_analytic_signal(reference_band_filter(x, b, taper_hz)))
+
+
+def cubic_interp(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """4-point (Catmull-Rom) interpolation of a at fractional indices s."""
+    n = a.size
+    i = np.floor(s).astype(int)
+    u = s - i
+    p0 = a[np.clip(i - 1, 0, n - 1)]
+    p1 = a[np.clip(i, 0, n - 1)]
+    p2 = a[np.clip(i + 1, 0, n - 1)]
+    p3 = a[np.clip(i + 2, 0, n - 1)]
+    return 0.5 * (2.0 * p1 + (p2 - p0) * u
+                  + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * u * u
+                  + (3.0 * (p1 - p2) + p3 - p0) * u * u * u)
+
+
+def reference_resample_to_angle(x: TimeSeries, pulses: np.ndarray,
+                                samples_per_rev: int) -> np.ndarray:
+    fs = x.sample_rate_hz
+    t_last = (len(x) - 1) / fs
+    usable = np.flatnonzero((pulses[:-1] >= 0.0) & (pulses[1:] <= t_last))
+    frac = np.arange(samples_per_rev) / samples_per_rev
+    starts = pulses[usable]
+    spans = pulses[usable + 1] - starts
+    target_t = (starts[:, None] + spans[:, None] * frac[None, :]).ravel()
+    return cubic_interp(x.samples, target_t * fs)

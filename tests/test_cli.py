@@ -53,6 +53,19 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("sync", "samples_per_rev", "abc"),
+        ("sync", "samples_per_rev", 1152.5),
+        ("sync", "tooth0_offset_frac", "x"),
+        ("io", "sample_rate_hz", "fast"),
+    ])
+    def test_bad_number_is_config_error_naming_key(self, tmp_path, capsys,
+                                                    section, key, value):
+        cfg = write_config(tmp_path / "c.json", **{section: {key: value}})
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 3
+        assert f"{section}.{key}" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     def test_end_to_end_and_deterministic(self, tmp_path, config_path):

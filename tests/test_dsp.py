@@ -188,7 +188,7 @@ class TestAnalyticSignal:
         with pytest.raises(SizeError):
             analytic_signal(TimeSeries([1.0, 2.0, 3.0], FS))
 
-    def test_odd_length_pads_and_drops(self):
+    def test_odd_length_without_padding(self):
         x = tone(1000.0, duration_s=0.2)[:4999]
         z = analytic_signal(TimeSeries(x, FS))
         assert z.size == 4999

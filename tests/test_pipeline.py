@@ -42,14 +42,14 @@ class TestClassify:
 
     def test_single_tooth_order_peak_all_untriggered(self):
         spec = synthetic_spectrum(self.F_ROT, 6, {6: 1.0})
-        findings, inconclusive = classify(spec, flat_profile(), self.F_ROT, 6)
+        findings, inconclusive = classify(spec, flat_profile(), self.F_ROT)
         assert not inconclusive
         assert findings
         assert all(not f.triggered for f in findings)
 
     def test_equal_subharmonic_triggers_asymmetry_ratio_one(self):
         spec = synthetic_spectrum(self.F_ROT, 6, {6: 1.0, 1: 1.0})
-        findings, _ = classify(spec, flat_profile(), self.F_ROT, 6)
+        findings, _ = classify(spec, flat_profile(), self.F_ROT)
         asym = next(f for f in findings if f.kind == "tooth_asymmetry")
         assert asym.triggered
         assert asym.amplitude_ratio == pytest.approx(1.0)
@@ -57,19 +57,19 @@ class TestClassify:
 
     def test_all_zero_spectrum_inconclusive(self):
         spec = synthetic_spectrum(self.F_ROT, 6, {})
-        findings, inconclusive = classify(spec, flat_profile(), self.F_ROT, 6)
+        findings, inconclusive = classify(spec, flat_profile(), self.F_ROT)
         assert inconclusive
         assert all(not f.triggered for f in findings)
 
     def test_misalignment_needs_second_harmonic_dominance(self):
         spec = synthetic_spectrum(self.F_ROT, 6, {6: 1.0, 1: 0.1, 2: 0.4})
-        findings, _ = classify(spec, flat_profile(), self.F_ROT, 6)
+        findings, _ = classify(spec, flat_profile(), self.F_ROT)
         mis = next(f for f in findings if f.kind == "misalignment")
         assert mis.triggered
         assert mis.amplitude_ratio == pytest.approx(0.4)
         # swap: 1/rev above 2/rev suppresses the misalignment verdict
         spec2 = synthetic_spectrum(self.F_ROT, 6, {6: 1.0, 1: 0.5, 2: 0.4})
-        findings2, _ = classify(spec2, flat_profile(), self.F_ROT, 6)
+        findings2, _ = classify(spec2, flat_profile(), self.F_ROT)
         mis2 = next(f for f in findings2 if f.kind == "misalignment")
         assert not mis2.triggered
 
@@ -78,7 +78,7 @@ class TestClassify:
         weak = tooth_segmentation(
             np.concatenate([np.full(192, 1.0)] * 3
                            + [np.full(192, 0.2)] + [np.full(192, 1.0)] * 2), 6)
-        findings, _ = classify(spec, weak, self.F_ROT, 6)
+        findings, _ = classify(spec, weak, self.F_ROT)
         kinds = {f.kind: f for f in findings if f.triggered}
         assert "weak_tooth" in kinds
         assert kinds["weak_tooth"].tooth_index == 3
@@ -88,12 +88,12 @@ class TestClassify:
     def test_resolution_precondition(self):
         spec = Spectrum(np.zeros(33), 10.0, "rectangular", 64)
         with pytest.raises(RangeError):
-            classify(spec, flat_profile(), 22.55, 6)
+            classify(spec, flat_profile(), 22.55)
 
     def test_triggered_iff_threshold_for_pure_ratio_kinds(self):
         for a1 in (0.05, 0.19, 0.2, 0.21, 0.9):
             spec = synthetic_spectrum(self.F_ROT, 6, {6: 1.0, 1: a1})
-            findings, _ = classify(spec, flat_profile(), self.F_ROT, 6)
+            findings, _ = classify(spec, flat_profile(), self.F_ROT)
             asym = next(f for f in findings if f.kind == "tooth_asymmetry")
             assert asym.triggered == (asym.amplitude_ratio >= asym.threshold)
             weak = next(f for f in findings if f.kind == "weak_tooth")
@@ -255,6 +255,28 @@ class TestAnalyzeAllChannels:
         assert sorted(results) == ["ax", "ay", "az", "fx", "fy"]
         assert list(errors) == ["fz"]
         assert isinstance(errors["fz"], RangeError)
+
+    def test_non_finite_sample_named_before_any_fft(self, symmetric_run,
+                                                     cutter, monkeypatch):
+        out, track, _ = symmetric_run
+        labels = ("ax", "ay", "az", "fx", "fy", "fz")
+        samples = out.channels["ay"].samples.copy()
+        samples[1234] = np.nan
+        channels = [out.channels[c] for c in labels]
+        channels[1] = out.channels["ay"].with_samples(samples)
+        results, errors = analyze_all_channels(channels, track, cutter, BAND,
+                                               samples_per_rev=1152)
+        assert sorted(results) == ["ax", "az", "fx", "fy", "fz"]
+        assert list(errors) == ["ay"]
+        assert isinstance(errors["ay"], InputError)
+        assert "'ay'" in str(errors["ay"]) and "1234" in str(errors["ay"])
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT ran on a non-finite channel")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        with pytest.raises(InputError, match="1234"):
+            analyze(channels[1], track, cutter, BAND, samples_per_rev=1152)
 
     def test_taper_mapping_reaches_each_channel(self, symmetric_run, cutter):
         out, track, _ = symmetric_run
