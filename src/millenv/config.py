@@ -23,19 +23,23 @@ Schema (all sections except "cutter" optional):
       "metadata":   {"depth_of_cut_mm": 0.5}    # free-form, echoed in reports
     }
 
+The numbers of "cutter", "sync", "io" and "sim" must be finite, and the
+counts (cutter.z, thresholds.min_revs, sim.seed, sync.samples_per_rev)
+whole: 6.0 reads as 6. A value out of range, such as a taper_hz above half
+its band, is a ConfigError at load.
 "sync.samples_per_rev" must be a positive multiple of the tooth count z.
 Without it, `analyze` uses the smallest multiple of z at or above 1024.
+"metadata" must be an object; it is never read (reports echo the file).
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field
 
 from .core import CHANNELS
-from .dsp import Band
+from .dsp import Band, _checked_taper
 from .errors import ConfigError
 from .millsim import SimConfig
 from .pipeline import Cutter, Thresholds
@@ -46,6 +50,9 @@ class BandSettings:
     f_lo_hz: float
     f_hi_hz: float
     taper_hz: float | None = None
+
+    def __post_init__(self):
+        _checked_taper(self.band, self.taper_hz)
 
     @property
     def band(self) -> Band:
@@ -62,7 +69,6 @@ class RunConfig:
     sample_rate_hz: float | None = None
     columns: dict[str, str] = field(default_factory=dict)
     sim: SimConfig | None = None
-    metadata: dict = field(default_factory=dict)  # free-form, echoed in reports
 
     def __post_init__(self):
         spr = self.samples_per_rev
@@ -100,7 +106,7 @@ def _section(doc: dict, name: str, required: bool = False) -> dict:
 def _build(cls, kwargs: dict, what: str):
     try:
         return cls(**kwargs)
-    except TypeError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid {what} settings: {err}") from None
 
 
@@ -122,13 +128,26 @@ def _number(sec: dict, key: str, what: str, integral: bool = False):
     return int(number)
 
 
+def _numbers(sec: dict, what: str, counts: tuple[str, ...],
+             floats: tuple[str, ...] = ()) -> dict:
+    """A copy of sec with each set count and float passed through `_number`."""
+    out = dict(sec)
+    for key in counts + floats:
+        if sec.get(key) is not None:
+            out[key] = _number(sec, key, what, integral=key in counts)
+    return out
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     known = {"cutter", "bands", "thresholds", "sync", "io", "sim", "metadata"}
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
+    _section(doc, "metadata")  # free-form, but an object
 
-    cutter = _build(Cutter, _section(doc, "cutter", required=True), "cutter")
+    cutter = _build(Cutter, _numbers(
+        _section(doc, "cutter", required=True), "cutter", ("z",),
+        ("diameter_mm", "feed_per_tooth_mm", "cutting_speed_m_min")), "cutter")
 
     bands = {}
     for ch, entry in _section(doc, "bands").items():
@@ -136,16 +155,18 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"band configured for unknown channel {ch!r}")
         if not isinstance(entry, dict):
             raise ConfigError(f"band for {ch!r} must be an object")
-        bands[ch] = _build(BandSettings, entry, f"band[{ch}]")
-        bands[ch].band  # validate limits eagerly
+        bands[ch] = _build(BandSettings, entry, f"bands.{ch}")
 
-    thresholds = _build(Thresholds, _section(doc, "thresholds"), "thresholds")
+    thresholds = _build(Thresholds, _numbers(
+        _section(doc, "thresholds"), "thresholds", ("min_revs",)), "thresholds")
 
     sync = _section(doc, "sync")
     io_sec = _section(doc, "io")
 
     sim = None
-    sim_sec = dict(_section(doc, "sim"))  # popped below; the caller's dict stays intact
+    sim_sec = _numbers(_section(doc, "sim"), "sim", ("seed",), (
+        "rpm", "rpm_end", "resonance_hz", "damping_ratio", "eccentricity",
+        "noise_rms", "duration_s", "sample_rate_hz"))
     if sim_sec:
         gains = sim_sec.pop("per_tooth_gain", None)
         if gains is None:
@@ -161,8 +182,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         tooth0_offset_frac=_number(sync, "tooth0_offset_frac", "sync"),
         sample_rate_hz=_number(io_sec, "sample_rate_hz", "io"),
         columns=dict(io_sec.get("columns", {})),
-        sim=sim,
-        metadata=copy.deepcopy(_section(doc, "metadata")))
+        sim=sim)
 
 
 def load_config(path) -> RunConfig:

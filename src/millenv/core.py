@@ -69,10 +69,6 @@ class TimeSeries:
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate_hz
 
-    @property
-    def times_s(self) -> np.ndarray:
-        return np.arange(self.samples.size) / self.sample_rate_hz
-
     def with_samples(self, samples, channel: str | None = None) -> "TimeSeries":
         """Same rate/unit, new sample values (and optionally a new label)."""
         return TimeSeries(samples, self.sample_rate_hz,

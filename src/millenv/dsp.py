@@ -76,12 +76,17 @@ def amplitude_spectrum(x: TimeSeries, w: Window = HANN) -> Spectrum:
     scale = float(taps.sum())  # n * realized coherent gain
     if scale <= 0.0:
         raise SizeError(f"{w.kind} window of length {n} has zero gain")
-    spec = np.fft.rfft(x.samples * taps)
-    amps = np.abs(spec) * (2.0 / scale)
-    amps[0] *= 0.5  # DC is not mirrored
-    if n % 2 == 0:
-        amps[-1] *= 0.5  # neither is Nyquist
-    return Spectrum(amps, x.sample_rate_hz / n, w.kind, n)
+    return Spectrum(_one_sided_amplitudes(x.samples * taps, scale),
+                    x.sample_rate_hz / n, w.kind, n)
+
+
+def _one_sided_amplitudes(samples: np.ndarray, scale: float) -> np.ndarray:
+    """One-sided rfft magnitudes over scale; DC and Nyquist are not mirrored."""
+    amps = np.abs(np.fft.rfft(samples)) * (2.0 / scale)
+    amps[0] *= 0.5
+    if samples.size % 2 == 0:
+        amps[-1] *= 0.5
+    return amps
 
 
 def _band_mask(freqs: np.ndarray, b: Band, taper_hz: float) -> np.ndarray:
@@ -107,13 +112,18 @@ def _checked_band_mask(x: TimeSeries, b: Band,
         raise RangeError(
             f"band [{b.f_lo_hz}, {b.f_hi_hz}] Hz exceeds the Nyquist frequency "
             f"{nyq} Hz; valid bands lie within (0, {nyq}]")
+    freqs = np.fft.rfftfreq(len(x), 1.0 / x.sample_rate_hz)
+    return _band_mask(freqs, b, _checked_taper(b, taper_hz))
+
+
+def _checked_taper(b: Band, taper_hz: float | None) -> float:
+    """taper_hz, or 5% of b's width for None, after checking it fits b."""
     if taper_hz is None:
         taper_hz = 0.05 * b.width_hz
-    if taper_hz < 0.0 or taper_hz > b.width_hz / 2.0 + 1e-12:
+    if not 0.0 <= taper_hz <= b.width_hz / 2.0 + 1e-12:  # NaN fails too
         raise RangeError(
             f"taper_hz must be within [0, {b.width_hz / 2.0}], got {taper_hz}")
-    freqs = np.fft.rfftfreq(len(x), 1.0 / x.sample_rate_hz)
-    return _band_mask(freqs, b, float(taper_hz))
+    return float(taper_hz)
 
 
 def band_filter(x: TimeSeries, b: Band, taper_hz: float | None = None) -> TimeSeries:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from warnings import catch_warnings, simplefilter
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .core import (CHANNEL_UNITS, CHANNELS, TimeSeries, first_sample_index,
                    slice_time)
 from .errors import InputError, ParseError, PulseDetectionError
-from .pipeline import AnalysisResult
+from .pipeline import SIGNATURE_MAP, AnalysisResult
 from .sync import TachoTrack, detect_pulses
 
 _COLUMN_ORDER = ("time_s",) + CHANNELS
@@ -217,28 +217,6 @@ def write_recording(channels: dict[str, TimeSeries], path) -> None:
             fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
-def _finding_dict(f) -> dict:
-    d = {"kind": f.kind,
-         "evidence_freq_hz": f.evidence_freq_hz,
-         "amplitude_ratio": f.amplitude_ratio,
-         "threshold": f.threshold,
-         "triggered": f.triggered}
-    if f.tooth_index is not None:
-        d["tooth_index"] = f.tooth_index
-    return d
-
-
-#: The defect-to-frequency signature mapping is a configuration-backed
-#: convention, not a measured fact; reports carry it so readers can audit
-#: what each finding's evidence frequency means.
-SIGNATURE_MAP = {
-    "tooth_asymmetry": "k x f_rot for k = 1..z-1, vs the z x f_rot carrier",
-    "weak_tooth": "per-tooth load drop in the averaged-envelope profile",
-    "imbalance_or_eccentricity": "1 x f_rot (single-channel ambiguous)",
-    "misalignment": "2 x f_rot exceeding 1 x f_rot",
-}
-
-
 def report_document(results: dict[str, AnalysisResult],
                     errors: dict[str, Exception] | None = None,
                     config_echo: dict | None = None) -> dict:
@@ -256,7 +234,9 @@ def report_document(results: dict[str, AnalysisResult],
             "samples_per_rev": res.samples_per_rev,
             "inconclusive": rep.inconclusive,
             "warnings": list(rep.warnings),
-            "findings": [_finding_dict(f) for f in rep.findings],
+            # tooth_index is None except on weak-tooth findings
+            "findings": [{k: v for k, v in asdict(f).items() if v is not None}
+                         for f in rep.findings],
             "tooth_profile": {
                 "z": rep.tooth_profile.z,
                 "mean_load": [float(v) for v in rep.tooth_profile.mean_load],

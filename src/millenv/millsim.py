@@ -62,6 +62,8 @@ class SimConfig:
                 f"sample rate ({0.4 * self.sample_rate_hz} Hz)")
         if self.eccentricity < 0.0 or self.noise_rms < 0.0:
             raise ConfigError("eccentricity and noise_rms must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.duration_s <= 0.0 or self.sample_rate_hz <= 0.0:
             raise ConfigError("duration_s and sample_rate_hz must be positive")
         for name in ("rpm", "rpm_end"):

@@ -28,7 +28,8 @@ import numpy as np
 from .core import Spectrum, TimeSeries, detrend
 # `band_filter` and `envelope` are not called here; bench/spans.py patches
 # them by these names
-from .dsp import Band, band_envelope, band_filter, envelope
+from .dsp import (Band, _one_sided_amplitudes, band_envelope, band_filter,
+                  envelope)
 from .errors import (AnalysisError, CoverageError, InputError, RangeError,
                      SizeError)
 from .sync import (TachoTrack, ToothProfile, covered_revolutions,
@@ -43,8 +44,14 @@ MAX_SPINDLE_RPM = 8000.0
 #: order.
 SPECTRUM_TILE = 8
 
-FINDING_KINDS = ("tooth_asymmetry", "weak_tooth",
-                 "imbalance_or_eccentricity", "misalignment")
+#: Finding kinds and the evidence each reads: a convention, not a measured
+#: fact, so reports carry it for readers to audit each evidence frequency.
+SIGNATURE_MAP = {
+    "tooth_asymmetry": "k x f_rot for k = 1..z-1, vs the z x f_rot carrier",
+    "weak_tooth": "per-tooth load drop in the averaged-envelope profile",
+    "imbalance_or_eccentricity": "1 x f_rot (single-channel ambiguous)",
+    "misalignment": "2 x f_rot exceeding 1 x f_rot",
+}
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,7 @@ class Thresholds:
     def __post_init__(self):
         for name in ("asym_ratio", "weak_tooth_drop", "ecc_ratio",
                      "misalign_ratio", "min_carrier", "max_rpm_drift"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN fails too
                 raise RangeError(f"{name} must be positive, got {getattr(self, name)}")
         if self.min_revs < 1:
             raise RangeError(f"min_revs must be >= 1, got {self.min_revs}")
@@ -122,7 +129,7 @@ class Finding:
     tooth_index: int | None = None
 
     def __post_init__(self):
-        if self.kind not in FINDING_KINDS:
+        if self.kind not in SIGNATURE_MAP:
             raise RangeError(f"unknown finding kind {self.kind!r}")
         if self.amplitude_ratio < 0.0:
             raise RangeError("amplitude_ratio must be non-negative")
@@ -189,11 +196,8 @@ def averaged_rev_spectrum(avg_rev, f_rot_hz: float) -> Spectrum:
         raise RangeError(f"f_rot_hz must be positive, got {f_rot_hz}")
     tiled = np.tile(avg - avg.mean(), SPECTRUM_TILE)
     n_fft = tiled.size
-    amps = np.abs(np.fft.rfft(tiled)) * (2.0 / n_fft)
-    amps[0] *= 0.5
-    if n_fft % 2 == 0:
-        amps[-1] *= 0.5
-    return Spectrum(amps, f_rot_hz / SPECTRUM_TILE, "rectangular", n_fft)
+    return Spectrum(_one_sided_amplitudes(tiled, n_fft),
+                    f_rot_hz / SPECTRUM_TILE, "rectangular", n_fft)
 
 
 def classify(env_spec: Spectrum, tooth_profile: ToothProfile, f_rot: float,
@@ -201,14 +205,17 @@ def classify(env_spec: Spectrum, tooth_profile: ToothProfile, f_rot: float,
              ) -> tuple[tuple[Finding, ...], bool]:
     """Findings from an envelope spectrum plus tooth profile.
 
-    The tooth count z is the profile's. Returns ``(findings,
-    inconclusive)``. The analysis is inconclusive when the tooth-passing
-    component (order z) does not rise above the noise floor,
-    cfg.min_carrier times the median amplitude over the rotation-harmonic
-    bins (only those bins carry signal in a synchronous spectrum).
-    Spectrum-based findings are then reported untriggered. Amplitudes are
-    read as the maximum over +-1 bin around the target frequency, which
-    requires f_rot >= 3 bin widths.
+    The tooth count z is the profile's. The spectrum is read once, into a
+    table of rotation orders k = 1 .. max(min(k_max, max(3z, 8)), z), k_max
+    being the highest order in the spectrum; each entry is the maximum over
+    +-1 bin around k * f_rot, which requires f_rot >= 3 bin widths. The
+    carrier is order z; tooth asymmetry reads the largest order below z,
+    imbalance order 1 and misalignment order 2. Returns ``(findings,
+    inconclusive)``: inconclusive when the carrier does not exceed the noise
+    floor, cfg.min_carrier times the median of the table (only rotation
+    harmonics carry signal in a synchronous spectrum, and the envelope rolls
+    off at high orders, so the orders near the carrier set the floor).
+    Spectrum-based findings are then reported untriggered.
     """
     df = env_spec.df_hz
     if f_rot < 3.0 * df - 1e-12:
@@ -216,60 +223,41 @@ def classify(env_spec: Spectrum, tooth_profile: ToothProfile, f_rot: float,
             f"spectrum resolution {df} Hz too coarse for f_rot {f_rot} Hz; "
             "need f_rot >= 3 bins")
     z = tooth_profile.z
-    carrier, _ = env_spec.amplitude_near(z * f_rot)
-    # noise floor from the rotation harmonics surrounding the carrier; the
-    # envelope rolls off at high orders, so distant bins would understate it
     k_max = int((env_spec.amplitudes.size - 2) * df / f_rot)
-    k_hi = min(k_max, max(3 * z, 8))
-    order_amps = [env_spec.amplitude_near(k * f_rot)[0]
-                  for k in range(1, max(k_hi, z) + 1)]
-    noise_floor = cfg.min_carrier * float(np.median(order_amps))
-    inconclusive = carrier <= noise_floor
+    orders = [env_spec.amplitude_near(k * f_rot)
+              for k in range(1, max(min(k_max, max(3 * z, 8)), z) + 1)]
+    amps = [amp for amp, _ in orders]
+    carrier = amps[z - 1]
+    inconclusive = carrier <= cfg.min_carrier * float(np.median(amps))
 
-    def ratio_of(amp: float) -> float:
-        return amp / carrier if carrier > 0.0 else 0.0
+    def spectral(kind: str, order: int, threshold: float, gate: bool) -> Finding:
+        amp, freq = orders[order - 1]
+        r = amp / carrier if carrier > 0.0 else 0.0
+        return Finding(kind, freq, r, threshold,
+                       triggered=bool(not inconclusive and gate
+                                      and r >= threshold))
 
     findings: list[Finding] = []
-
-    # sub-tooth-order harmonics k/rev, k = 1 .. z-1
     if z >= 2:
-        amps = [env_spec.amplitude_near(k * f_rot) for k in range(1, z)]
-        best = int(np.argmax([a for a, _ in amps]))
-        amp_k, freq_k = amps[best]
-        r = ratio_of(amp_k)
-        findings.append(Finding(
-            "tooth_asymmetry", freq_k, r, cfg.asym_ratio,
-            triggered=bool(not inconclusive and r >= cfg.asym_ratio)))
+        findings.append(spectral("tooth_asymmetry",
+                                 1 + int(np.argmax(amps[:z - 1])),
+                                 cfg.asym_ratio, True))
 
+    # every weak tooth, or else the least loaded one, untriggered
     drops = -tooth_profile.asymmetry_index
-    weak = np.flatnonzero(drops >= cfg.weak_tooth_drop)
-    any_weak = weak.size > 0
-    if any_weak:
-        for i in weak.tolist():
-            findings.append(Finding(
-                "weak_tooth", f_rot, float(drops[i]), cfg.weak_tooth_drop,
-                triggered=True, tooth_index=int(i)))
-    else:
-        worst = int(np.argmax(drops))
+    weak = np.flatnonzero(drops >= cfg.weak_tooth_drop).tolist()
+    any_weak = bool(weak)
+    for i in weak or [int(np.argmax(drops))]:
         findings.append(Finding(
-            "weak_tooth", f_rot, max(float(drops[worst]), 0.0),
-            cfg.weak_tooth_drop, triggered=False, tooth_index=worst))
+            "weak_tooth", f_rot, max(float(drops[i]), 0.0),
+            cfg.weak_tooth_drop, triggered=any_weak, tooth_index=i))
 
     if z >= 2:
-        amp1, freq1 = env_spec.amplitude_near(1.0 * f_rot)
-        r1 = ratio_of(amp1)
-        findings.append(Finding(
-            "imbalance_or_eccentricity", freq1, r1, cfg.ecc_ratio,
-            triggered=bool(not inconclusive and not any_weak
-                           and r1 >= cfg.ecc_ratio)))
-        if z >= 3:
-            amp2, freq2 = env_spec.amplitude_near(2.0 * f_rot)
-            r2 = ratio_of(amp2)
-            findings.append(Finding(
-                "misalignment", freq2, r2, cfg.misalign_ratio,
-                triggered=bool(not inconclusive and amp2 > amp1
-                               and r2 >= cfg.misalign_ratio)))
-
+        findings.append(spectral("imbalance_or_eccentricity", 1,
+                                 cfg.ecc_ratio, not any_weak))
+    if z >= 3:
+        findings.append(spectral("misalignment", 2, cfg.misalign_ratio,
+                                 amps[1] > amps[0]))
     return tuple(findings), bool(inconclusive)
 
 

@@ -31,6 +31,15 @@ def write_config(path, **overrides):
     return path
 
 
+def config_with(tmp_path, section, key, value):
+    """The test config with one key of one section set to value."""
+    path = write_config(tmp_path / "c.json")
+    doc = json.loads(path.read_text())
+    doc.setdefault(section, {})[key] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     return write_config(tmp_path / "run.json")
@@ -58,13 +67,39 @@ class TestSimulateCommand:
         ("sync", "samples_per_rev", 1152.5),
         ("sync", "tooth0_offset_frac", "x"),
         ("io", "sample_rate_hz", "fast"),
+        ("cutter", "z", 6.5),
+        ("thresholds", "min_revs", 20.5),
+        ("sim", "seed", 1.5),
+        ("sim", "duration_s", float("nan")),
     ])
     def test_bad_number_is_config_error_naming_key(self, tmp_path, capsys,
                                                     section, key, value):
-        cfg = write_config(tmp_path / "c.json", **{section: {key: value}})
+        cfg = config_with(tmp_path, section, key, value)
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 3
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("section, key, value", [
+        ("cutter", "z", 0),
+        ("thresholds", "asym_ratio", -1),
+        ("thresholds", "asym_ratio", float("nan")),
+        ("sim", "seed", -1),
+        ("bands", "default", {"f_lo_hz": 3000.0, "f_hi_hz": 2500.0}),
+        ("bands", "default", {"f_lo_hz": 1500.0, "f_hi_hz": 2500.0,
+                              "taper_hz": 900.0}),
+        ("bands", "default", {"f_lo_hz": 1500.0, "f_hi_hz": 2500.0,
+                              "taper_hz": float("nan")}),
+    ])
+    def test_out_of_range_value_is_config_error_naming_section(
+            self, tmp_path, capsys, command, section, key, value):
+        cfg = config_with(tmp_path, section, key, value)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "x")]
+        if command == "analyze":  # the config fails before the input is read
+            argv += ["--in", str(tmp_path / "missing.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"invalid {section}" in err
 
 
 class TestAnalyzeCommand:
@@ -139,6 +174,17 @@ class TestAnalyzeCommand:
         expected = dump_report(report_document(
             results, errors, config_echo=json.loads(config_path.read_text())))
         assert (tmp_path / "run" / "report.json").read_text() == expected
+
+    def test_report_echoes_metadata(self, tmp_path):
+        metadata = {"depth_of_cut_mm": 0.5, "material": {"grade": "E24-2"}}
+        config_path = write_config(tmp_path / "run.json", metadata=metadata)
+        sim_dir = tmp_path / "sim"
+        main(["simulate", "--config", str(config_path), "--out", str(sim_dir)])
+        assert main(["analyze", "--config", str(config_path),
+                     "--in", str(sim_dir / "recording.csv"),
+                     "--out", str(tmp_path / "run")]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["config"]["metadata"] == metadata
 
     def test_missing_input_file(self, tmp_path, config_path):
         assert main(["analyze", "--config", str(config_path),

@@ -442,16 +442,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown channel"):
             config_from_dict(bad)
 
-    def test_metadata_section_is_free_form(self):
-        doc = {**BASE_CONFIG, "metadata": {"depth_of_cut_mm": 0.5,
-                                           "material": {"grade": "E24-2"}}}
-        before = json.dumps(doc, sort_keys=True)
+    def test_metadata_section_loads_and_must_be_object(self):
+        nested = {"depth_of_cut_mm": 0.5, "material": {"grade": "E24-2"}}
+        assert config_from_dict({**BASE_CONFIG, "metadata": nested}) == \
+            config_from_dict(BASE_CONFIG)
+        with pytest.raises(ConfigError, match="metadata"):
+            config_from_dict({**BASE_CONFIG, "metadata": [0.5]})
+
+    def test_whole_float_counts_read_as_int(self):
+        doc = {**BASE_CONFIG,
+               "cutter": {**BASE_CONFIG["cutter"], "z": 6.0},
+               "thresholds": {"min_revs": 20.0},
+               "sim": {"rpm": 1352.8, "seed": 7.0}}
         cfg = config_from_dict(doc)
-        assert cfg.metadata["depth_of_cut_mm"] == 0.5
-        # the config owns its copy: editing it leaves the caller's dict alone
-        cfg.metadata["b"] = 2
-        cfg.metadata["material"]["grade"] = "S355"
-        assert json.dumps(doc, sort_keys=True) == before
+        assert [type(v) for v in (cfg.cutter.z, cfg.thresholds.min_revs,
+                                  cfg.sim.seed)] == [int, int, int]
+        assert cfg.sim.per_tooth_gain == (1.0,) * 6
 
     def test_sim_section_builds_simconfig(self):
         doc = {**BASE_CONFIG,

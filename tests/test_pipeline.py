@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from millenv import (Band, CoverageError, Cutter, InputError, RangeError,
-                     SizeError, Spectrum, TachoTrack, Thresholds, analyze,
-                     analyze_all_channels, averaged_rev_spectrum, classify,
-                     slice_time, tooth_segmentation)
+                     SizeError, Spectrum, TachoTrack, Thresholds, ToothProfile,
+                     analyze, analyze_all_channels, averaged_rev_spectrum,
+                     classify, slice_time, tooth_segmentation)
 from millenv.fileio import dump_report, report_document
 from conftest import BAND, analyze_channel, run_simulation
+from reference_pipeline import reference_classify
 
 
 class TestCutter:
@@ -98,6 +100,63 @@ class TestClassify:
             assert asym.triggered == (asym.amplitude_ratio >= asym.threshold)
             weak = next(f for f in findings if f.kind == "weak_tooth")
             assert weak.triggered == (weak.amplitude_ratio >= weak.threshold)
+
+
+AMPLITUDES = st.sampled_from([0.0, 1e-300, 1e-12, 0.05, 0.2, 1.0, 3.0])
+
+
+@st.composite
+def sparse_spectra(draw):
+    """A sparse spectrum, a tooth profile and f_rot for `classify`.
+
+    Every order up to max(3z, 8) + 2 gets a peak of 0, 0.2 or 1 (so ties
+    are common) on or next to its bin, and a few stray bins get one too.
+    Then the carrier (order z) is set on its bin, possibly to zero, with
+    its neighbours cleared. Bins per order is fractional, and the spectrum
+    may end below order 3z.
+    """
+    z = draw(st.integers(1, 8))
+    f_rot = draw(st.floats(5.0, 100.0))
+    bins_per_order = draw(st.floats(3.0, 12.0))
+    n_fft = draw(st.integers(2 * int(np.ceil((z + 1) * bins_per_order)), 800))
+    amps = np.zeros(n_fft // 2 + 1)
+    n_orders = max(3 * z, 8) + 2
+    for k, (offset, amp) in enumerate(draw(st.lists(
+            st.tuples(st.integers(-1, 1), st.sampled_from([0.0, 0.2, 1.0])),
+            min_size=n_orders, max_size=n_orders)), start=1):
+        amps[min(max(int(round(k * bins_per_order)) + offset, 0),
+                 amps.size - 1)] = amp
+    for i, amp in draw(st.lists(st.tuples(
+            st.integers(0, amps.size - 1), AMPLITUDES), max_size=6)):
+        amps[i] = amp
+    k = int(round(z * bins_per_order))
+    amps[max(k - 1, 0):k + 2] = 0.0
+    amps[k] = draw(st.sampled_from([0.0, 1e-300, 1.0, 3.0, 10.0]))
+    loads = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0]),
+                          min_size=z, max_size=z))
+    spec = Spectrum(amps, f_rot / bins_per_order, "rectangular", n_fft)
+    return spec, tooth_segmentation(np.repeat(loads, 16), z), f_rot
+
+
+class TestClassifyMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(sparse_spectra(), st.sampled_from([0.5, 2.0, 10.0]),
+           st.sampled_from([0.05, 0.2, 1.0]))
+    def test_same_findings_and_flag(self, case, min_carrier, ratio):
+        spec, profile, f_rot = case
+        cfg = Thresholds(asym_ratio=ratio, ecc_ratio=ratio,
+                         misalign_ratio=ratio, min_carrier=min_carrier)
+        assert (classify(spec, profile, f_rot, cfg)
+                == reference_classify(spec, profile, f_rot, cfg))
+
+    @pytest.mark.parametrize("z", range(1, 9))
+    def test_zero_carrier_inconclusive_like_reference(self, z):
+        spec = synthetic_spectrum(
+            22.55, z, {k: 1.0 / k for k in range(1, 3 * z + 1) if k != z})
+        profile = ToothProfile(np.ones(z))
+        got = classify(spec, profile, 22.55)
+        assert got[1]
+        assert got == reference_classify(spec, profile, 22.55)
 
 
 class TestAnalyzeOnSimulator:
