@@ -26,7 +26,9 @@ Schema (all sections except "cutter" optional):
 The numbers of "cutter", "sync", "io" and "sim" must be finite, and the
 counts (cutter.z, thresholds.min_revs, sim.seed, sync.samples_per_rev)
 whole: 6.0 reads as 6. A value out of range, such as a taper_hz above half
-its band, is a ConfigError at load.
+its band, an infinite threshold, a non-positive io.sample_rate_hz, or a band
+above half of io.sample_rate_hz when that rate is set, is a ConfigError at
+load.
 "sync.samples_per_rev" must be a positive multiple of the tooth count z.
 Without it, `analyze` uses the smallest multiple of z at or above 1024.
 "metadata" must be an object; it is never read (reports echo the file).
@@ -39,8 +41,8 @@ import math
 from dataclasses import dataclass, field
 
 from .core import CHANNELS
-from .dsp import Band, _checked_taper
-from .errors import ConfigError
+from .dsp import Band, _check_below_nyquist, _checked_taper
+from .errors import ConfigError, RangeError
 from .millsim import SimConfig
 from .pipeline import Cutter, Thresholds
 
@@ -83,6 +85,15 @@ class RunConfig:
             if ch not in CHANNELS and ch != "time_s":
                 raise ConfigError(f"unknown channel {ch!r} in io.columns; "
                                   f"expected one of {CHANNELS}")
+        if self.sample_rate_hz is not None:
+            if not self.sample_rate_hz > 0.0:
+                raise ConfigError("invalid io settings: sample_rate_hz must be "
+                                  f"positive, got {self.sample_rate_hz}")
+            for ch, bs in self.bands.items():
+                try:
+                    _check_below_nyquist(bs.band, self.sample_rate_hz)
+                except RangeError as err:
+                    raise ConfigError(f"invalid bands.{ch} settings: {err}") from None
 
     def band_settings(self, channel: str) -> BandSettings:
         bs = self.bands.get(channel) or self.bands.get("default")

@@ -107,13 +107,18 @@ def _band_mask(freqs: np.ndarray, b: Band, taper_hz: float) -> np.ndarray:
 def _checked_band_mask(x: TimeSeries, b: Band,
                        taper_hz: float | None) -> np.ndarray:
     """`_band_mask` over x's rfft bins, after checking b and taper_hz."""
-    nyq = x.sample_rate_hz / 2.0
+    _check_below_nyquist(b, x.sample_rate_hz)
+    freqs = np.fft.rfftfreq(len(x), 1.0 / x.sample_rate_hz)
+    return _band_mask(freqs, b, _checked_taper(b, taper_hz))
+
+
+def _check_below_nyquist(b: Band, sample_rate_hz: float) -> None:
+    """Raise RangeError if b reaches above half of sample_rate_hz."""
+    nyq = sample_rate_hz / 2.0
     if b.f_hi_hz > nyq * (1 + 1e-12):
         raise RangeError(
             f"band [{b.f_lo_hz}, {b.f_hi_hz}] Hz exceeds the Nyquist frequency "
             f"{nyq} Hz; valid bands lie within (0, {nyq}]")
-    freqs = np.fft.rfftfreq(len(x), 1.0 / x.sample_rate_hz)
-    return _band_mask(freqs, b, _checked_taper(b, taper_hz))
 
 
 def _checked_taper(b: Band, taper_hz: float | None) -> float:

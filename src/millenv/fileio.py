@@ -6,10 +6,13 @@ Floats are written with Python's shortest round-trip representation, so a
 write/read cycle reproduces sample values exactly. Reports are JSON with
 sorted keys; re-serializing a report is byte-identical.
 
-Plot data goes out twice: a two-column `.txt` file with every point, and an
-SVG rendering. A long SVG line over sorted x keeps only the first, last,
-min-y and max-y point of each pixel column, which draws the same line
-(M4 aggregation). CSVs and `.txt` plot data keep every sample.
+Plot data goes out twice: a two-column `.txt` file with every point, each
+value formatted with `%.9g`, and an SVG rendering whose polyline points are
+pixel coordinates formatted with `%.2f`. A long SVG line over sorted x keeps
+only the first, last, min-y and max-y point of each pixel column, which
+draws the same line (M4 aggregation). CSVs and `.txt` plot data keep every
+sample. The points of a plot file are formatted by one `%` over all their
+values, not by one call per point.
 """
 
 from __future__ import annotations
@@ -259,6 +262,11 @@ def write_report(doc: dict, path) -> None:
         fh.write(dump_report(doc))
 
 
+def _format_pairs(fmt: str, a: np.ndarray, b: np.ndarray) -> str:
+    """fmt, a template for two floats, filled with each (a[i], b[i]) in turn."""
+    return (fmt * a.size) % tuple(np.column_stack((a, b)).ravel().tolist())
+
+
 def write_xy(path, x, y, x_label: str, y_label: str) -> None:
     """Two-column plot-data text file with a one-line header."""
     x = np.asarray(x, dtype=float)
@@ -267,7 +275,7 @@ def write_xy(path, x, y, x_label: str, y_label: str) -> None:
         raise InputError("x and y must have the same length")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {x_label} {y_label}\n")
-        fh.write("".join(map("{:.9g} {:.9g}\n".format, x.tolist(), y.tolist())))
+        fh.write(_format_pairs("%.9g %.9g\n", x, y))
 
 
 def _m4_indices(x: np.ndarray, y: np.ndarray, x0: float, xs: float,
@@ -276,15 +284,18 @@ def _m4_indices(x: np.ndarray, y: np.ndarray, x0: float, xs: float,
 
     M4 aggregation (Jugel et al., VLDB 2014): a line through these points
     rasterizes like the line through all of them. Returns None, meaning
-    draw every point, unless x is non-decreasing, y is finite and there are
-    more than 4 points per pixel column on average.
+    draw every point, unless x is non-decreasing, x, y and the pixel span of
+    x are finite and there are more than 4 points per pixel column on average.
     """
     if (x.size <= 4 * n_px or not np.isfinite(x).all()
-            or not np.isfinite(y).all() or np.any(x[1:] < x[:-1])):
+            or not np.isfinite(y).all() or np.any(x[1:] < x[:-1])
+            or not math.isfinite((x[-1] - x0) * xs)):
         return None
     col = np.minimum(((x - x0) * xs).astype(np.int64), n_px - 1)
     # x is sorted, so each pixel column is one run of consecutive points
-    _, first, run = np.unique(col, return_index=True, return_inverse=True)
+    starts = np.concatenate(([True], col[1:] != col[:-1]))
+    first = np.flatnonzero(starts)
+    run = np.cumsum(starts) - 1
     last = np.append(first[1:] - 1, x.size - 1)
 
     def first_hit(hit):
@@ -318,7 +329,7 @@ def write_svg(path, x, y, title: str, x_label: str, y_label: str) -> None:
         x, y = x[keep], y[keep]
     px = ml + (x - x0) * xs
     py = mt + ph - (y - y0) * ys
-    points = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
+    points = _format_pairs("%.2f,%.2f ", px, py)[:-1]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',

@@ -106,8 +106,9 @@ class Thresholds:
     def __post_init__(self):
         for name in ("asym_ratio", "weak_tooth_drop", "ecc_ratio",
                      "misalign_ratio", "min_carrier", "max_rpm_drift"):
-            if not getattr(self, name) > 0.0:  # NaN fails too
-                raise RangeError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise RangeError(
+                    f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.min_revs < 1:
             raise RangeError(f"min_revs must be >= 1, got {self.min_revs}")
 

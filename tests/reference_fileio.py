@@ -1,8 +1,9 @@
 """Reference implementations of the CSV reader, the CSV writer and the plot
 writers as they were before they were vectorized: one Python `float()` per
 cell on read, one `repr()` per cell on write and one formatted string per
-plotted point. Tests compare `millenv.fileio` against them for equal arrays,
-equal error messages and byte-identical files.
+plotted point. `m4_indices` picks the points a reduced SVG keeps, one pixel
+column at a time. Tests compare `millenv.fileio` against them for equal
+arrays, equal error messages and byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from millenv.fileio import Recording
 from millenv.sync import detect_pulses
 
 _COLUMN_ORDER = ("time_s",) + CHANNELS
+
+PLOT_WIDTH = 800 - 60 - 20  # write_svg's default width minus its margins
 
 
 def _parse_float(cell: str, lineno: int, column: str) -> float:
@@ -197,3 +200,34 @@ def write_svg(path, x, y, title: str, x_label: str, y_label: str,
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def m4_indices(x, y) -> list[int] | None:
+    """Sorted indices of the points `millenv.fileio.write_svg` draws.
+
+    None means every point: x is not non-decreasing, a value or the pixel
+    span of x is not finite, or there are at most 4 points per pixel column.
+    Otherwise each pixel column keeps its first and last point and the first
+    of its smallest and of its largest y.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size <= 4 * PLOT_WIDTH or not (np.isfinite(x).all()
+                                        and np.isfinite(y).all()):
+        return None
+    if any(b < a for a, b in zip(x.tolist(), x[1:].tolist())):
+        return None
+    x0, x1 = float(x.min()), float(x.max())
+    xs = PLOT_WIDTH / (x1 - x0) if x1 > x0 else 0.0
+    if not math.isfinite((x1 - x0) * xs):
+        return None
+    columns: dict[int, list[int]] = {}
+    for i, xi in enumerate(x.tolist()):
+        col = min(int((xi - x0) * xs), PLOT_WIDTH - 1)
+        columns.setdefault(col, []).append(i)
+    keep = set()
+    for members in columns.values():
+        ys = [y[i] for i in members]
+        keep |= {members[0], members[-1], members[ys.index(min(ys))],
+                 members[ys.index(max(ys))]}
+    return sorted(keep)

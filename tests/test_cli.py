@@ -84,12 +84,17 @@ class TestSimulateCommand:
         ("cutter", "z", 0),
         ("thresholds", "asym_ratio", -1),
         ("thresholds", "asym_ratio", float("nan")),
+        ("thresholds", "asym_ratio", float("inf")),
+        ("thresholds", "min_carrier", float("inf")),
         ("sim", "seed", -1),
+        ("io", "sample_rate_hz", 0),
         ("bands", "default", {"f_lo_hz": 3000.0, "f_hi_hz": 2500.0}),
         ("bands", "default", {"f_lo_hz": 1500.0, "f_hi_hz": 2500.0,
                               "taper_hz": 900.0}),
         ("bands", "default", {"f_lo_hz": 1500.0, "f_hi_hz": 2500.0,
                               "taper_hz": float("nan")}),
+        # above io.sample_rate_hz / 2 = 12 500 Hz
+        ("bands", "default", {"f_lo_hz": 1500.0, "f_hi_hz": 20000.0}),
     ])
     def test_out_of_range_value_is_config_error_naming_section(
             self, tmp_path, capsys, command, section, key, value):

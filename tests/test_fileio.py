@@ -301,7 +301,7 @@ class TestPlotData:
                 == (tmp_path / "old.txt").read_bytes())
 
 
-PLOT_WIDTH = 800 - 60 - 20  # write_svg's default width minus its margins
+PLOT_WIDTH = ref.PLOT_WIDTH
 
 
 def _svg_pair(tmp_path, x, y):
@@ -407,6 +407,17 @@ class TestRecordingSlice:
 
 
 class TestConfig:
+    def test_band_checked_against_declared_rate_only(self):
+        at_nyquist = {"f_lo_hz": 1500.0, "f_hi_hz": 12500.0}
+        above = {"f_lo_hz": 1500.0, "f_hi_hz": 12600.0}
+        config_from_dict({**BASE_CONFIG, "bands": {"ax": at_nyquist}})
+        with pytest.raises(ConfigError, match=r"invalid bands\.ay settings: "
+                           "band .* exceeds the Nyquist frequency 12500.0 Hz"):
+            config_from_dict({**BASE_CONFIG, "bands": {"ax": at_nyquist,
+                                                       "ay": above}})
+        # without a declared rate the recording's rate is checked at analysis
+        config_from_dict({**BASE_CONFIG, "io": {}, "bands": {"ay": above}})
+
     def test_minimal_config(self):
         cfg = config_from_dict(BASE_CONFIG)
         assert cfg.cutter.z == 6

@@ -1,10 +1,16 @@
-"""Property tests for values stored once and derived everywhere else."""
+"""Property tests for values stored once and derived everywhere else, and
+for plot files that keep the bytes of the per-point writers."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import reference_fileio as ref
 from millenv import AngularSeries, DefectReport, SizeError, ToothProfile
+from millenv.fileio import write_svg, write_xy
 
 TEETH = st.integers(1, 16)
 
@@ -36,3 +42,66 @@ def test_report_frequencies_follow_mean_rpm(mean_rpm, z):
     report = DefectReport("ax", mean_rpm, (), ToothProfile(np.ones(z)))
     assert report.f_rot_hz == mean_rpm / 60.0
     assert report.f_tooth_hz == z * report.f_rot_hz
+
+
+EXTREMES = (np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310, 1e308, -1e308)
+M4_EDGE = 4 * ref.PLOT_WIDTH  # write_svg reduces only above this many points
+
+
+@st.composite
+def plot_arrays(draw, sizes):
+    """x and y of one plot: bulk values from a seeded generator, with a few
+    arbitrary floats and extremes written over them at drawn positions."""
+    n = draw(st.sampled_from(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sorted", "plateaus", "constant", "unsorted"]))
+    # spans of 1e-320 and 2e308 leave no finite pixel scale
+    x = {"sorted": lambda: np.sort(rng.uniform(-1.0, 1.0, n)) * draw(
+             st.sampled_from([1e-320, 1e-300, 1.0, 1e300, 1e308])),
+         "plateaus": lambda: np.sort(rng.integers(0, max(n // 8, 1), n)) * 0.5,
+         "constant": lambda: np.full(n, draw(st.floats(-1e300, 1e300))),
+         "unsorted": lambda: rng.standard_normal(n)}[kind]()
+    y = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 307, n)
+    special = st.floats() | st.sampled_from(EXTREMES)
+    for arr, sort_after in ((x, kind in ("sorted", "plateaus")), (y, False)):
+        if n and draw(st.booleans()):
+            for value in draw(st.lists(special, min_size=1, max_size=4)):
+                arr[draw(st.integers(0, n - 1))] = value
+            if sort_after:
+                arr.sort()
+    if kind != "unsorted":
+        # x.min() may return -0.0 or 0.0 when both are present, and not the
+        # same one for a kept subset as for the whole plot
+        x += 0.0
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(plot_arrays(sizes=(0, 1, 2, 3, 17, M4_EDGE - 1, M4_EDGE, M4_EDGE + 1)))
+def test_write_xy_matches_per_point_writer(xy):
+    x, y = xy
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new.txt"), Path(tmp, "old.txt")
+        write_xy(new, x, y, "f", "a")
+        ref.write_xy(old, x, y, "f", "a")
+        assert new.read_bytes() == old.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(plot_arrays(sizes=(1, 2, 3, 17, M4_EDGE - 1, M4_EDGE, M4_EDGE + 1,
+                          2 * M4_EDGE + 3)))
+def test_write_svg_matches_per_point_writer(xy):
+    """A reduced SVG is the per-point SVG of the points `m4_indices` keeps:
+    those include the first and last x and the extreme y values, so the
+    axis labels and scales are the same."""
+    x, y = xy
+    keep = ref.m4_indices(x, y)
+    if keep is not None:
+        x_ref, y_ref = x[keep], y[keep]
+    else:
+        x_ref, y_ref = x, y
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        new, old = Path(tmp, "new.svg"), Path(tmp, "old.svg")
+        write_svg(new, x, y, "t", "x", "y")
+        ref.write_svg(old, x_ref, y_ref, "t", "x", "y")
+        assert new.read_bytes() == old.read_bytes()
