@@ -59,9 +59,7 @@ def _cmd_simulate(args) -> int:
                     for t, i in zip(result.truth.impact_times_s,
                                     result.truth.impact_tooth)],
     }
-    with open(out / "truth.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(truth, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_report(truth, out / "truth.json")
     print(f"wrote {out / 'recording.csv'} "
           f"({len(result.truth.pulse_times_s)} revolutions, "
           f"{result.truth.rpm:.1f} rpm) and {out / 'truth.json'}")
@@ -181,7 +179,7 @@ def _cmd_spectrum(args) -> int:
     top = top[spec.amplitudes[top] > 0]
     print(f"{args.channel}: {len(ts)} samples @ {ts.sample_rate_hz:.6g} Hz, "
           f"df = {spec.df_hz:.6g} Hz")
-    for k in sorted(top.tolist(), key=lambda i: -spec.amplitudes[i]):
+    for k in top:
         print(f"  {k * spec.df_hz:10.3f} Hz  {spec.amplitudes[k]:.6g}")
     if args.out:
         out = _out_dir(args.out)

@@ -23,12 +23,14 @@ Schema (all sections except "cutter" optional):
       "metadata":   {"depth_of_cut_mm": 0.5}    # free-form, echoed in reports
     }
 
-The numbers of "cutter", "sync", "io" and "sim" must be finite, and the
-counts (cutter.z, thresholds.min_revs, sim.seed, sync.samples_per_rev)
-whole: 6.0 reads as 6. A value out of range, such as a taper_hz above half
-its band, an infinite threshold, a non-positive io.sample_rate_hz, or a band
-above half of io.sample_rate_hz when that rate is set, is a ConfigError at
-load.
+The numbers of "cutter", "sync", "io" and "sim", sim.per_tooth_gain's
+included, must be finite JSON numbers ("6" is not one), and the counts
+(cutter.z, thresholds.min_revs, sim.seed, sync.samples_per_rev) whole: 6.0
+reads as 6. io.columns must map channels to column-name strings. A value
+out of range, such as a taper_hz above half its band, a band edge that is
+infinite, an infinite threshold, a non-positive io.sample_rate_hz, or a
+band above half of io.sample_rate_hz when that rate is set, is a
+ConfigError at load.
 "sync.samples_per_rev" must be a positive multiple of the tooth count z.
 Without it, `analyze` uses the smallest multiple of z at or above 1024.
 "metadata" must be an object; it is never read (reports echo the file).
@@ -121,22 +123,26 @@ def _build(cls, kwargs: dict, what: str):
         raise ConfigError(f"invalid {what} settings: {err}") from None
 
 
-def _number(sec: dict, key: str, what: str, integral: bool = False):
-    """sec[key] as a finite float, or an int if `integral`; None if unset."""
-    value = sec.get(key)
-    if value is None:
-        return None
+def _finite(value, name: str, integral: bool = False):
+    """A JSON number as a finite float, or an int if `integral`."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if isinstance(value, bool) or not math.isfinite(number):
-        raise ConfigError(f"{what}.{key} must be a finite number, got {value!r}")
+        number = float(value) if is_number else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if not integral:
         return number
     if not number.is_integer():
-        raise ConfigError(f"{what}.{key} must be a whole number, got {value!r}")
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return int(number)
+
+
+def _number(sec: dict, key: str, what: str, integral: bool = False):
+    """sec[key] through `_finite`; None if unset."""
+    value = sec.get(key)
+    return None if value is None else _finite(value, f"{what}.{key}", integral)
 
 
 def _numbers(sec: dict, what: str, counts: tuple[str, ...],
@@ -173,6 +179,13 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     sync = _section(doc, "sync")
     io_sec = _section(doc, "io")
+    columns = io_sec.get("columns")
+    if columns is None:
+        columns = {}
+    elif not (isinstance(columns, dict)
+              and all(isinstance(c, str) for c in columns.values())):
+        raise ConfigError("io.columns must be an object of column names, "
+                          f"got {columns!r}")
 
     sim = None
     sim_sec = _numbers(_section(doc, "sim"), "sim", ("seed",), (
@@ -182,6 +195,10 @@ def config_from_dict(doc: dict) -> RunConfig:
         gains = sim_sec.pop("per_tooth_gain", None)
         if gains is None:
             gains = [1.0] * cutter.z
+        elif not isinstance(gains, (list, tuple)):
+            raise ConfigError(
+                f"sim.per_tooth_gain must be a list of numbers, got {gains!r}")
+        gains = [_finite(g, f"sim.per_tooth_gain[{i}]") for i, g in enumerate(gains)]
         sim = _build(SimConfig, {"cutter": cutter,
                                  "per_tooth_gain": tuple(gains), **sim_sec}, "sim")
 
@@ -192,7 +209,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         samples_per_rev=_number(sync, "samples_per_rev", "sync", integral=True),
         tooth0_offset_frac=_number(sync, "tooth0_offset_frac", "sync"),
         sample_rate_hz=_number(io_sec, "sample_rate_hz", "io"),
-        columns=dict(io_sec.get("columns", {})),
+        columns=dict(columns),
         sim=sim)
 
 

@@ -81,7 +81,6 @@ class Spectrum:
 
     amplitudes: np.ndarray
     df_hz: float
-    window: str
     n_fft: int
 
     def __post_init__(self):

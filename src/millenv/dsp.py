@@ -53,9 +53,9 @@ class Band:
     f_hi_hz: float
 
     def __post_init__(self):
-        if not (0.0 <= self.f_lo_hz < self.f_hi_hz):
-            raise RangeError(
-                f"band requires 0 <= f_lo < f_hi, got [{self.f_lo_hz}, {self.f_hi_hz}]")
+        if not (0.0 <= self.f_lo_hz < self.f_hi_hz < np.inf):
+            raise RangeError("band requires 0 <= f_lo < f_hi < inf, "
+                             f"got [{self.f_lo_hz}, {self.f_hi_hz}]")
 
     @property
     def width_hz(self) -> float:
@@ -77,7 +77,7 @@ def amplitude_spectrum(x: TimeSeries, w: Window = HANN) -> Spectrum:
     if scale <= 0.0:
         raise SizeError(f"{w.kind} window of length {n} has zero gain")
     return Spectrum(_one_sided_amplitudes(x.samples * taps, scale),
-                    x.sample_rate_hz / n, w.kind, n)
+                    x.sample_rate_hz / n, n)
 
 
 def _one_sided_amplitudes(samples: np.ndarray, scale: float) -> np.ndarray:

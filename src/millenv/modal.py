@@ -166,22 +166,17 @@ def estimate_frf(impacts, *, force_gate_frac: float | None = 0.01,
 def _half_power_edges(mag: np.ndarray, peak: int, df: float) -> tuple[float, float]:
     """-3 dB band edges around the peak bin, linearly interpolated."""
     target = mag[peak] / np.sqrt(2.0)
-    lo = peak * df
-    for j in range(peak - 1, -1, -1):
-        if mag[j] < target:
-            frac = (mag[j + 1] - target) / (mag[j + 1] - mag[j])
-            lo = (j + 1 - frac) * df
-            break
-    else:
-        lo = 0.0
-    hi = peak * df
-    for j in range(peak + 1, mag.size):
-        if mag[j] < target:
-            frac = (mag[j - 1] - target) / (mag[j - 1] - mag[j])
-            hi = (j - 1 + frac) * df
-            break
-    else:
-        hi = (mag.size - 1) * df
+    below = np.flatnonzero(mag < target)
+    left, right = below[below < peak], below[below > peak]
+    lo, hi = 0.0, (mag.size - 1) * df
+    if left.size:
+        j = left[-1]
+        frac = (mag[j + 1] - target) / (mag[j + 1] - mag[j])
+        lo = (j + 1 - frac) * df
+    if right.size:
+        j = right[0]
+        frac = (mag[j - 1] - target) / (mag[j - 1] - mag[j])
+        hi = (j - 1 + frac) * df
     return lo, hi
 
 

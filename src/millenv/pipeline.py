@@ -155,9 +155,6 @@ class DefectReport:
     def f_tooth_hz(self) -> float:
         return self.tooth_profile.z * self.f_rot_hz
 
-    def triggered(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.triggered)
-
 
 @dataclass(frozen=True)
 class AnalysisResult:
@@ -198,7 +195,7 @@ def averaged_rev_spectrum(avg_rev, f_rot_hz: float) -> Spectrum:
     tiled = np.tile(avg - avg.mean(), SPECTRUM_TILE)
     n_fft = tiled.size
     return Spectrum(_one_sided_amplitudes(tiled, n_fft),
-                    f_rot_hz / SPECTRUM_TILE, "rectangular", n_fft)
+                    f_rot_hz / SPECTRUM_TILE, n_fft)
 
 
 def classify(env_spec: Spectrum, tooth_profile: ToothProfile, f_rot: float,

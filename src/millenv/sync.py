@@ -108,26 +108,17 @@ def detect_pulses(tacho: TimeSeries, threshold: float,
     x = tacho.samples
     above = x >= threshold
     rearm_level = threshold - hysteresis
-    candidates = np.flatnonzero(above[1:] & ~above[:-1]) + 1
+    rising = np.flatnonzero(above[1:] & ~above[:-1]) + 1
     rearm_idx = np.flatnonzero(x < rearm_level)
-
-    times = []
-    last_fire = -1
-    for i in candidates:
-        # armed only if the signal dropped below the re-arm level since the
-        # previous firing (or since the start of the record)
-        j = np.searchsorted(rearm_idx, i)
-        armed = j > 0 and rearm_idx[j - 1] > last_fire
-        if not armed:
-            continue
-        frac = (threshold - x[i - 1]) / (x[i] - x[i - 1])
-        times.append((i - 1 + frac) / tacho.sample_rate_hz)
-        last_fire = i
+    # an unfired edge saw no re-arm, so count re-arms since the previous edge
+    fired = rising[np.diff(np.searchsorted(rearm_idx, rising), prepend=0) > 0]
+    frac = (threshold - x[fired - 1]) / (x[fired] - x[fired - 1])
+    times = (fired - 1 + frac) / tacho.sample_rate_hz
     if len(times) < 2:
         raise PulseDetectionError(
             f"found {len(times)} pulse(s) at threshold {threshold}; "
             "need at least 2 for a speed estimate")
-    return TachoTrack(np.asarray(times))
+    return TachoTrack(times)
 
 
 def speed_profile(t: TachoTrack) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 Each function's parameter names and each dataclass's init fields are
 listed here, so a new option or stored field shows up as a diff of this
-table. Update the table together with the API change it records.
+table. Update the table together with the API change it records. README's
+library example is run as written, so it cannot drift from the API.
 """
 
 import dataclasses
 import inspect
+from pathlib import Path
 
 import millenv
 from millenv import fileio
@@ -56,7 +58,7 @@ INIT_FIELDS = {
                  "sample_rate_hz seed",
     "SimOutput": "channels truth",
     "SimTruth": "impact_times_s impact_tooth pulse_times_s per_tooth_gain rpm",
-    "Spectrum": "amplitudes df_hz window n_fft",
+    "Spectrum": "amplitudes df_hz n_fft",
     "TachoTrack": "pulse_times_s",
     "Thresholds": "asym_ratio weak_tooth_drop ecc_ratio misalign_ratio "
                   "min_carrier min_revs max_rpm_drift",
@@ -89,3 +91,13 @@ def test_dataclass_init_fields():
     actual = {name: " ".join(f.name for f in dataclasses.fields(cls) if f.init)
               for name, cls in _exported(_is_dataclass_type).items()}
     assert actual == INIT_FIELDS
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    assert len(namespace["results"]) == 6
+    assert namespace["errors"] == {}

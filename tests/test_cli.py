@@ -71,6 +71,15 @@ class TestSimulateCommand:
         ("thresholds", "min_revs", 20.5),
         ("sim", "seed", 1.5),
         ("sim", "duration_s", float("nan")),
+        # a number must be a JSON number, not a numeric string
+        ("sim", "rpm", "1352.8"),
+        ("sync", "samples_per_rev", "1152"),
+        ("thresholds", "min_revs", "20"),
+        ("cutter", "z", "6"),
+        ("sim", "rpm", 10 ** 400),  # an int no float can hold
+        ("sim", "per_tooth_gain", [1, 1, 1, float("nan"), 1, 1]),
+        ("sim", "per_tooth_gain", ["1", "1", "1", "0.5", "1", "1"]),
+        ("sim", "per_tooth_gain", "111111"),
     ])
     def test_bad_number_is_config_error_naming_key(self, tmp_path, capsys,
                                                     section, key, value):
@@ -203,6 +212,23 @@ class TestAnalyzeCommand:
                      "--in", str(tmp_path / "x.csv"),
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("columns", ["ax", ["ax"], {"ax": 1}])
+    def test_columns_must_be_object_of_names(self, tmp_path, capsys, columns):
+        cfg = config_with(tmp_path, "io", "columns", columns)
+        assert main(["analyze", "--config", str(cfg),
+                     "--in", str(tmp_path / "x.csv"),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "io.columns must be an object" in capsys.readouterr().err
+
+    def test_infinite_band_edge_without_io_rate(self, tmp_path, capsys):
+        # with io.sample_rate_hz the Nyquist check would catch it
+        cfg = write_config(tmp_path / "c.json", io=None, bands={
+            "default": {"f_lo_hz": 1500.0, "f_hi_hz": float("inf")}})
+        assert main(["analyze", "--config", str(cfg),
+                     "--in", str(tmp_path / "x.csv"),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "invalid bands.default" in capsys.readouterr().err
+
     def test_inconclusive_exits_2(self, tmp_path):
         # nearly silent cutter: envelope spectrum never rises above noise
         cfg = write_config(tmp_path / "c.json",
@@ -275,6 +301,18 @@ class TestSpectrumCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "100.000 Hz" in out
+
+    def test_peaks_listed_by_falling_amplitude(self, tmp_path, capsys):
+        t = np.arange(25000) / FS
+        x = sum(a * np.sin(2 * np.pi * f * t)
+                for f, a in ((100.0, 2.0), (200.0, 1.0), (300.0, 3.0)))
+        path = tmp_path / "tones.csv"
+        write_recording({"ax": TimeSeries(x, FS, "ax")}, path)
+        assert main(["spectrum", "--in", str(path), "--channel", "ax",
+                     "--window", "rectangular", "--peaks", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split()[0] for line in lines] == ["300.000", "100.000",
+                                                       "200.000"]
 
     def test_unknown_channel(self, tmp_path):
         path = tmp_path / "tone.csv"

@@ -114,18 +114,18 @@ class TestRms:
 class TestSpectrumType:
     def test_rejects_negative_amplitudes(self):
         with pytest.raises(RangeError):
-            Spectrum([1.0, -0.1, 0.0], 1.0, "rectangular", 4)
+            Spectrum([1.0, -0.1, 0.0], 1.0, 4)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(SizeError):
-            Spectrum([1.0, 0.0], 1.0, "rectangular", 8)
+            Spectrum([1.0, 0.0], 1.0, 8)
 
     def test_bin_frequencies(self):
-        sp = Spectrum([0.0, 1.0, 0.0], 2.5, "hann", 4)
+        sp = Spectrum([0.0, 1.0, 0.0], 2.5, 4)
         assert np.array_equal(sp.frequencies_hz, [0.0, 2.5, 5.0])
 
     def test_amplitude_near_picks_neighbour(self):
-        sp = Spectrum([0.0, 0.0, 0.7, 0.1, 0.0], 1.0, "rectangular", 8)
+        sp = Spectrum([0.0, 0.0, 0.7, 0.1, 0.0], 1.0, 8)
         amp, freq = sp.amplitude_near(3.0)
         assert (amp, freq) == (0.7, 2.0)
 

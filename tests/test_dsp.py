@@ -80,6 +80,15 @@ class TestAmplitudeSpectrum:
         assert rms(back - x) <= 1e-9 * rms(x)
 
 
+class TestBand:
+    @pytest.mark.parametrize("lo, hi", [
+        (-1.0, 2500.0), (2500.0, 1500.0), (1500.0, 1500.0),
+        (1500.0, np.inf), (np.nan, 2500.0), (1500.0, np.nan)])
+    def test_edges_must_be_ordered_and_finite(self, lo, hi):
+        with pytest.raises(RangeError):
+            Band(lo, hi)
+
+
 class TestBandFilter:
     def test_stopband_and_passband(self):
         t = np.arange(25000) / FS

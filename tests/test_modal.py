@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from millenv import (Band, Frf, ImpactRecord, InputError, RangeError,
                      TimeSeries, estimate_frf, propose_bands, split_impacts)
+from millenv.modal import _half_power_edges
 from conftest import FS
+from reference_modal import reference_half_power_edges
 
 
 def force_pulse(n, at, width=12, amp=1.0):
@@ -189,6 +192,43 @@ class TestProposeBands:
         frf = Frf(np.ones(10, dtype=complex), np.ones(10), 1.0)
         with pytest.raises(RangeError):
             propose_bands(frf, n_bands=0)
+
+
+@st.composite
+def magnitude_cases(draw):
+    """|H1| of 2 to 2000 bins, a peak bin and a bin width.
+
+    Resonances may peak at either end; small integers give ties and
+    plateaus; some bins may sit exactly on the -3 dB level, and the chosen
+    peak is the maximum, either end or any bin.
+    """
+    n = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["resonance", "noise", "levels"]))
+    if kind == "resonance":
+        center = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+        width = draw(st.floats(0.5, 2.0 * n))
+        mag = 1.0 / (1.0 + ((np.arange(n) - center) / width) ** 2)
+        mag += draw(st.sampled_from([0.0, 0.01, 0.2])) * rng.random(n)
+    else:
+        mag = rng.random(n) if kind == "noise" else rng.integers(0, 4, n) * 1.0
+    peak = draw(st.sampled_from(["max", "first", "last", "any"]))
+    peak = {"max": int(np.argmax(mag)), "first": 0, "last": n - 1,
+            "any": int(rng.integers(n))}[peak]
+    if draw(st.booleans()):
+        at_level = rng.integers(0, n, draw(st.integers(1, 8)))
+        mag[at_level[at_level != peak]] = mag[peak] / np.sqrt(2.0)
+    df = draw(st.sampled_from([1.0, 0.1, 2.5, FS / 2048]))
+    return mag, peak, df
+
+
+class TestHalfPowerEdgesMatchesBinWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(magnitude_cases())
+    def test_same_bits(self, case):
+        edges = np.array(_half_power_edges(*case))
+        expected = np.array(reference_half_power_edges(*case))
+        assert edges.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 class TestSplitImpacts:

@@ -32,7 +32,7 @@ def synthetic_spectrum(f_rot, z, order_amps, tile=8, spr=1152):
     amps = np.zeros(tile * spr // 2 + 1)
     for order, amp in order_amps.items():
         amps[order * tile] = amp
-    return Spectrum(amps, f_rot / tile, "rectangular", tile * spr)
+    return Spectrum(amps, f_rot / tile, tile * spr)
 
 
 def flat_profile(z=6):
@@ -88,7 +88,7 @@ class TestClassify:
         assert "tooth_asymmetry" in kinds
 
     def test_resolution_precondition(self):
-        spec = Spectrum(np.zeros(33), 10.0, "rectangular", 64)
+        spec = Spectrum(np.zeros(33), 10.0, 64)
         with pytest.raises(RangeError):
             classify(spec, flat_profile(), 22.55)
 
@@ -134,7 +134,7 @@ def sparse_spectra(draw):
     amps[k] = draw(st.sampled_from([0.0, 1e-300, 1.0, 3.0, 10.0]))
     loads = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0]),
                           min_size=z, max_size=z))
-    spec = Spectrum(amps, f_rot / bins_per_order, "rectangular", n_fft)
+    spec = Spectrum(amps, f_rot / bins_per_order, n_fft)
     return spec, tooth_segmentation(np.repeat(loads, 16), z), f_rot
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from millenv import (CoverageError, InputError, PulseDetectionError,
                      PulseQualityError, RangeError, SizeError, TachoTrack,
@@ -7,6 +8,7 @@ from millenv import (CoverageError, InputError, PulseDetectionError,
                      resample_to_angle, rms, speed_profile,
                      synchronous_average, tooth_segmentation)
 from conftest import FS, sector_peaks
+from reference_sync import reference_detect_pulses
 
 
 def square_wave(freq_hz, duration_s=1.0, fs=FS):
@@ -88,6 +90,48 @@ class TestDetectPulses:
         true_times = (k + 0.5) / f_saw
         err_samples = np.abs(track.pulse_times_s - true_times) * FS
         assert err_samples.max() < 0.1
+
+
+@st.composite
+def tacho_cases(draw):
+    """A tacho record of 2 to 2000 samples with a threshold and hysteresis.
+
+    Noise and random walks chatter around any level; noisy squares and
+    sines give evenly spaced pulses; rounding to 0.1 puts samples exactly
+    on the threshold and on the re-arm level.
+    """
+    n = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "walk", "square", "sine"]))
+    period = draw(st.integers(2, max(2, n // 3)))
+    phase = np.arange(n) % period / period
+    x = {"noise": lambda: rng.standard_normal(n),
+         "walk": lambda: np.cumsum(rng.standard_normal(n)) * 0.2,
+         "square": lambda: (phase < 0.5).astype(float),
+         "sine": lambda: 0.5 + 0.5 * np.sin(2.0 * np.pi * phase)}[kind]()
+    x = x + draw(st.sampled_from([0.0, 0.02, 0.1, 0.3])) * rng.standard_normal(n)
+    if draw(st.booleans()):
+        x = np.round(x, 1)
+    threshold = draw(st.sampled_from([0.0, 0.3, 0.5, 0.7]) | st.floats(-2.0, 2.0))
+    hysteresis = draw(st.sampled_from([0.1, 0.2, 0.4]) | st.floats(-0.05, 2.0))
+    rate = draw(st.sampled_from([1.0, 1000.0, FS]))
+    return TimeSeries(x, rate, "tacho"), threshold, hysteresis
+
+
+def pulse_outcome(detect, case):
+    """Pulse times as float64 bits, or the error class and message."""
+    try:
+        return detect(*case).pulse_times_s.view(np.int64).tolist()
+    except Exception as err:
+        return type(err), str(err)
+
+
+class TestDetectPulsesMatchesEdgeWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(tacho_cases())
+    def test_same_bits_or_same_error(self, case):
+        assert (pulse_outcome(detect_pulses, case)
+                == pulse_outcome(reference_detect_pulses, case))
 
 
 class TestSpeedProfile:
