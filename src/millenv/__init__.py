@@ -17,19 +17,18 @@ from .errors import (AnalysisError, ConfigError, CoverageError, InputError,
                      RangeError, SizeError)
 from .millsim import SimConfig, SimOutput, SimTruth, simulate
 from .modal import Frf, ImpactRecord, estimate_frf, propose_bands, split_impacts
-from .pipeline import (AnalysisResult, Cutter, DefectReport, Finding,
-                       Thresholds, analyze, analyze_all_channels,
-                       averaged_rev_spectrum, classify)
+from .pipeline import (AnalysisResult, Cutter, Finding, Thresholds, analyze,
+                       analyze_all_channels, averaged_rev_spectrum, classify)
 from .sync import (TachoTrack, ToothProfile, detect_pulses, resample_to_angle,
                    speed_profile, synchronous_average, tooth_segmentation)
 
 __all__ = [
     "AnalysisError", "AnalysisResult", "AngularSeries", "Band", "CHANNELS",
-    "ConfigError", "CoverageError", "Cutter", "DefectReport", "Finding",
-    "Frf", "HANN", "ImpactRecord", "InputError", "ParseError",
-    "PulseDetectionError", "PulseQualityError", "RECTANGULAR", "RangeError",
-    "SimConfig", "SimOutput", "SimTruth", "SizeError", "Spectrum",
-    "TachoTrack", "Thresholds", "TimeSeries", "ToothProfile", "Window",
+    "ConfigError", "CoverageError", "Cutter", "Finding", "Frf", "HANN",
+    "ImpactRecord", "InputError", "ParseError", "PulseDetectionError",
+    "PulseQualityError", "RECTANGULAR", "RangeError", "SimConfig",
+    "SimOutput", "SimTruth", "SizeError", "Spectrum", "TachoTrack",
+    "Thresholds", "TimeSeries", "ToothProfile", "Window",
     "amplitude_spectrum", "analytic_signal", "analyze",
     "analyze_all_channels", "averaged_rev_spectrum", "band_filter",
     "classify", "detect_pulses", "detrend", "envelope", "envelope_spectrum",

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .dsp import HANN, RECTANGULAR, amplitude_spectrum
-from .errors import AnalysisError, ConfigError
+from .errors import AnalysisError, ConfigError, RangeError
 from .fileio import (Recording, emit_plot_data, read_recording,
                      report_document, write_recording, write_report)
 from .millsim import simulate
@@ -114,14 +114,14 @@ def _cmd_analyze(args) -> int:
         emit_plot_data(out / f"envelope_spectrum_{ch}", spec.frequencies_hz,
                        spec.amplitudes, f"Envelope spectrum [{ch}]",
                        "frequency_hz", "amplitude")
-        profile = res.report.tooth_profile
+        profile = res.tooth_profile
         emit_plot_data(out / f"tooth_profile_{ch}",
                        np.arange(profile.z, dtype=float), profile.mean_load,
                        f"Per-tooth load [{ch}]", "tooth_index", "mean_load")
 
     for ch, err in errors.items():
         print(f"channel {ch}: {type(err).__name__}: {err}", file=sys.stderr)
-    n_ok = sum(1 for r in results.values() if not r.report.inconclusive)
+    n_ok = sum(1 for r in results.values() if not r.inconclusive)
     print(f"analyzed {len(results)}/{len(channels)} channel(s), "
           f"{n_ok} conclusive; report at {out / 'report.json'}")
     if results and n_ok == 0:
@@ -166,6 +166,8 @@ def _cmd_impact(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.peaks < 0:
+        raise RangeError(f"--peaks must be >= 0, got {args.peaks}")
     rec = read_recording(args.in_path, sample_rate_hz=args.rate,
                          detect_tacho=False)
     if args.channel not in rec.channels:

@@ -26,11 +26,13 @@ Schema (all sections except "cutter" optional):
 The numbers of "cutter", "sync", "io" and "sim", sim.per_tooth_gain's
 included, must be finite JSON numbers ("6" is not one), and the counts
 (cutter.z, thresholds.min_revs, sim.seed, sync.samples_per_rev) whole: 6.0
-reads as 6. io.columns must map channels to column-name strings. A value
-out of range, such as a taper_hz above half its band, a band edge that is
-infinite, an infinite threshold, a non-positive io.sample_rate_hz, or a
-band above half of io.sample_rate_hz when that rate is set, is a
-ConfigError at load.
+reads as 6. The six "thresholds" ratios and each band's f_lo_hz, f_hi_hz
+and taper_hz must be finite JSON numbers too (true and "0.2" are not), and
+are kept as written: a threshold of 10 is reported as 10. io.columns must
+map channels to column-name strings. A value out of range, such as a
+taper_hz above half its band, a non-positive threshold, a non-positive
+io.sample_rate_hz, or a band above half of io.sample_rate_hz when that rate
+is set, is a ConfigError at load.
 "sync.samples_per_rev" must be a positive multiple of the tooth count z.
 Without it, `analyze` uses the smallest multiple of z at or above 1024.
 "metadata" must be an object; it is never read (reports echo the file).
@@ -116,8 +118,13 @@ def _section(doc: dict, name: str, required: bool = False) -> dict:
     return sec
 
 
-def _build(cls, kwargs: dict, what: str):
+def _build(cls, kwargs: dict, what: str, checked: tuple[str, ...] = ()):
+    """cls(**kwargs), after each set `checked` key passes `_finite`; the
+    values go in as written, so a threshold of 1 is reported as 1."""
     try:
+        for key in checked:
+            if kwargs.get(key) is not None:
+                _finite(kwargs[key], f"{what}.{key}")
         return cls(**kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid {what} settings: {err}") from None
@@ -172,10 +179,13 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"band configured for unknown channel {ch!r}")
         if not isinstance(entry, dict):
             raise ConfigError(f"band for {ch!r} must be an object")
-        bands[ch] = _build(BandSettings, entry, f"bands.{ch}")
+        bands[ch] = _build(BandSettings, entry, f"bands.{ch}",
+                           ("f_lo_hz", "f_hi_hz", "taper_hz"))
 
     thresholds = _build(Thresholds, _numbers(
-        _section(doc, "thresholds"), "thresholds", ("min_revs",)), "thresholds")
+        _section(doc, "thresholds"), "thresholds", ("min_revs",)), "thresholds",
+        ("asym_ratio", "weak_tooth_drop", "ecc_ratio", "misalign_ratio",
+         "min_carrier", "max_rpm_drift"))
 
     sync = _section(doc, "sync")
     io_sec = _section(doc, "io")

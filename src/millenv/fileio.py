@@ -229,22 +229,21 @@ def report_document(results: dict[str, AnalysisResult],
     if config_echo is not None:
         doc["config"] = config_echo
     for ch, res in results.items():
-        rep = res.report
         doc["channels"][ch] = {
-            "f_rot_hz": rep.f_rot_hz,
-            "f_tooth_hz": rep.f_tooth_hz,
+            "f_rot_hz": res.f_rot_hz,
+            "f_tooth_hz": res.f_tooth_hz,
             "mean_rpm": res.mean_rpm,
             "samples_per_rev": res.samples_per_rev,
-            "inconclusive": rep.inconclusive,
-            "warnings": list(rep.warnings),
+            "inconclusive": res.inconclusive,
+            "warnings": list(res.warnings),
             # tooth_index is None except on weak-tooth findings
             "findings": [{k: v for k, v in asdict(f).items() if v is not None}
-                         for f in rep.findings],
+                         for f in res.findings],
             "tooth_profile": {
-                "z": rep.tooth_profile.z,
-                "mean_load": [float(v) for v in rep.tooth_profile.mean_load],
+                "z": res.tooth_profile.z,
+                "mean_load": [float(v) for v in res.tooth_profile.mean_load],
                 "asymmetry_index": [float(v) for v in
-                                    rep.tooth_profile.asymmetry_index],
+                                    res.tooth_profile.asymmetry_index],
             },
         }
     for ch, err in (errors or {}).items():

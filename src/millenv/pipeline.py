@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import Spectrum, TimeSeries, detrend
+from .core import Spectrum, TimeSeries, _readonly_1d, detrend
 # `band_filter` and `envelope` are not called here; bench/spans.py patches
 # them by these names
 from .dsp import (Band, _one_sided_amplitudes, band_envelope, band_filter,
@@ -137,15 +137,22 @@ class Finding:
 
 
 @dataclass(frozen=True)
-class DefectReport:
-    """Classified findings for one channel at mean spindle speed mean_rpm."""
+class AnalysisResult:
+    """One channel's verdict at mean spindle speed mean_rpm: the classified
+    findings, the tooth profile and the averaged revolution behind them."""
 
     channel: str
     mean_rpm: float
     findings: tuple[Finding, ...]
     tooth_profile: ToothProfile
+    envelope_spectrum: Spectrum
+    averaged_envelope: np.ndarray
     warnings: tuple[str, ...] = ()
     inconclusive: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "averaged_envelope", _readonly_1d(
+            self.averaged_envelope, "averaged_envelope"))
 
     @property
     def f_rot_hz(self) -> float:
@@ -155,22 +162,9 @@ class DefectReport:
     def f_tooth_hz(self) -> float:
         return self.tooth_profile.z * self.f_rot_hz
 
-
-@dataclass(frozen=True)
-class AnalysisResult:
-    """Everything one channel's analysis produced."""
-
-    report: DefectReport
-    envelope_spectrum: Spectrum
-    averaged_envelope: np.ndarray
-
     @property
     def samples_per_rev(self) -> int:
         return self.averaged_envelope.size
-
-    @property
-    def mean_rpm(self) -> float:
-        return self.report.mean_rpm
 
 
 def default_samples_per_rev(z: int) -> int:
@@ -320,11 +314,9 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
     f_rot = mean_rpm / 60.0
     env_spec = averaged_rev_spectrum(avg, f_rot)
     findings, inconclusive = classify(env_spec, profile, f_rot, cfg)
-    report = DefectReport(
-        channel=x.channel, mean_rpm=mean_rpm, findings=findings,
-        tooth_profile=profile, warnings=tuple(warnings),
-        inconclusive=inconclusive)
-    return AnalysisResult(report, env_spec, avg)
+    return AnalysisResult(
+        x.channel, mean_rpm, findings, profile, env_spec, avg,
+        tuple(warnings), inconclusive)
 
 
 def _for_channel(setting, channel: str, what: str):

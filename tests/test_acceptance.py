@@ -40,7 +40,7 @@ def test_criterion_1_symmetric_cutter_signature(cutter):
     assert abs(f_peak - 135.28) <= spec.df_hz, "dominant peak off f_tooth"
     carrier = spec.amplitudes[k]
     for order in range(1, 6):
-        amp, _ = spec.amplitude_near(order * res.report.f_rot_hz)
+        amp, _ = spec.amplitude_near(order * res.f_rot_hz)
         assert amp < 0.10 * carrier, f"order {order} above 10% of carrier"
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s exceeds 5s"
     _passed(1, f"single peak at {f_peak:.2f} Hz, sub-tooth orders < 10%, "
@@ -50,7 +50,7 @@ def test_criterion_1_symmetric_cutter_signature(cutter):
 def test_criterion_2_asymmetric_cutter_signature(cutter):
     out, track = run_simulation(cutter, [1.0, 1.0, 1.0, 0.5, 1.0, 1.0])
     res = analyze_channel(out, track, cutter)
-    rep = res.report
+    rep = res
     df = res.envelope_spectrum.df_hz
 
     asym = next(f for f in rep.findings if f.kind == "tooth_asymmetry")
@@ -190,7 +190,7 @@ def test_criterion_7_invariant_suite(cutter):
     scaled_ts = out.channels["ax"].with_samples(1e3 * out.channels["ax"].samples)
     scaled = analyze(scaled_ts, track, cutter, BAND, Thresholds(),
                      samples_per_rev=SAMPLES_PER_REV)
-    for fa, fb in zip(base.report.findings, scaled.report.findings):
+    for fa, fb in zip(base.findings, scaled.findings):
         assert fa.triggered == fb.triggered
         assert fb.amplitude_ratio == pytest.approx(fa.amplitude_ratio, rel=1e-9)
 
@@ -216,7 +216,7 @@ def test_criterion_8_cross_channel_consistency(cutter):
     indices = {}
     for ch in ("ax", "ay", "az", "fx", "fy", "fz"):
         res = analyze_channel(out, track, cutter, channel=ch)
-        weak = [f.tooth_index for f in res.report.findings
+        weak = [f.tooth_index for f in res.findings
                 if f.kind == "weak_tooth" and f.triggered]
         indices[ch] = tuple(weak)
     assert set(indices.values()) == {(3,)}, f"weak-tooth mismatch: {indices}"

@@ -10,8 +10,11 @@ import dataclasses
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import millenv
 from millenv import fileio
+from conftest import BAND, FS, SAMPLES_PER_REV, run_simulation
 
 PARAMETERS = {
     "amplitude_spectrum": "x w",
@@ -43,12 +46,12 @@ PARAMETERS = {
 }
 
 INIT_FIELDS = {
-    "AnalysisResult": "report envelope_spectrum averaged_envelope",
+    "AnalysisResult": "channel mean_rpm findings tooth_profile "
+                      "envelope_spectrum averaged_envelope warnings "
+                      "inconclusive",
     "AngularSeries": "samples samples_per_rev",
     "Band": "f_lo_hz f_hi_hz",
     "Cutter": "z diameter_mm feed_per_tooth_mm cutting_speed_m_min",
-    "DefectReport": "channel mean_rpm findings tooth_profile warnings "
-                    "inconclusive",
     "Finding": "kind evidence_freq_hz amplitude_ratio threshold triggered "
                "tooth_index",
     "Frf": "h1 coherence df_hz n_averages force_power response_decay_per_s",
@@ -101,3 +104,46 @@ def test_readme_library_example_runs():
     exec(code, namespace)
     assert len(namespace["results"]) == 6
     assert namespace["errors"] == {}
+
+
+def _arrays(value, path):
+    """(path, array) for every numpy array inside value, through dataclass
+    fields (private ones included), tuples, lists and dict values."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            yield from _arrays(item, f"{path}[{i}]")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _arrays(item, f"{path}[{key!r}]")
+
+
+def test_results_hold_only_read_only_arrays(cutter):
+    # README: every public type is a frozen dataclass over read-only arrays
+    out, track = run_simulation(cutter, [1.0, 1.0, 1.0, 0.5, 1.0, 1.0])
+    x = out.channels["ax"]
+    angular = millenv.resample_to_angle(x, track, SAMPLES_PER_REV)
+    result = millenv.analyze(x, track, cutter, BAND,
+                             samples_per_rev=SAMPLES_PER_REV)
+    n = 4096
+    force = np.zeros(n)
+    force[400:412] = np.hanning(14)[1:-1]
+    t = np.arange(n) / FS
+    response = np.convolve(force, np.exp(-300.0 * t)
+                           * np.sin(2 * np.pi * 800.0 * t))[:n]
+    frf = millenv.estimate_frf([millenv.ImpactRecord(
+        millenv.TimeSeries(force, FS, "hammer"),
+        millenv.TimeSeries(response, FS, "ax"))] * 2)
+    values = {"simulate": out, "detect_pulses": track, "analyze": result,
+              "resample_to_angle": angular, "estimate_frf": frf}
+    found = {path: arr.flags.writeable
+             for name, value in values.items()
+             for path, arr in _arrays(value, name)}
+    # the track's resampling plan is among them once analyze has run
+    assert any(path.startswith("detect_pulses._plans") for path in found)
+    assert "analyze.averaged_envelope" in found
+    assert [path for path, writeable in found.items() if writeable] == []

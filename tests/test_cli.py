@@ -80,6 +80,14 @@ class TestSimulateCommand:
         ("sim", "per_tooth_gain", [1, 1, 1, float("nan"), 1, 1]),
         ("sim", "per_tooth_gain", ["1", "1", "1", "0.5", "1", "1"]),
         ("sim", "per_tooth_gain", "111111"),
+        # the threshold ratios are kept as written, but must be numbers
+        ("thresholds", "asym_ratio", True),
+        ("thresholds", "asym_ratio", "0.2"),
+        ("thresholds", "weak_tooth_drop", False),
+        ("thresholds", "ecc_ratio", "0.2"),
+        ("thresholds", "misalign_ratio", [0.2]),
+        ("thresholds", "min_carrier", "10"),
+        ("thresholds", "max_rpm_drift", 10 ** 400),
     ])
     def test_bad_number_is_config_error_naming_key(self, tmp_path, capsys,
                                                     section, key, value):
@@ -87,6 +95,24 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 3
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("channel", ["default", "fz"])
+    @pytest.mark.parametrize("key, value", [
+        ("f_lo_hz", False),
+        ("f_lo_hz", "1500"),
+        ("f_hi_hz", True),
+        ("f_hi_hz", "2500"),
+        ("f_hi_hz", 10 ** 400),
+        ("taper_hz", True),
+        ("taper_hz", "50"),
+    ])
+    def test_bad_band_number_is_config_error_naming_key(
+            self, tmp_path, capsys, channel, key, value):
+        band = {"f_lo_hz": 1500.0, "f_hi_hz": 2500.0, "taper_hz": 50.0}
+        cfg = config_with(tmp_path, "bands", channel, {**band, key: value})
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 3
+        assert f"bands.{channel}.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     @pytest.mark.parametrize("section, key, value", [
@@ -313,6 +339,15 @@ class TestSpectrumCommand:
         lines = capsys.readouterr().out.splitlines()[1:]
         assert [line.split()[0] for line in lines] == ["300.000", "100.000",
                                                        "200.000"]
+
+    def test_peak_count_must_not_be_negative(self, tmp_path, capsys):
+        path = tmp_path / "tone.csv"
+        write_recording({"ax": TimeSeries(np.ones(100), FS, "ax")}, path)
+        argv = ["spectrum", "--in", str(path), "--channel", "ax", "--peaks"]
+        assert main(argv + ["-1"]) == 1
+        assert "--peaks" in capsys.readouterr().err
+        assert main(argv + ["0"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
 
     def test_unknown_channel(self, tmp_path):
         path = tmp_path / "tone.csv"

@@ -80,16 +80,16 @@ class TestSimulate:
             out, track = run_simulation(cutter, gains, duration_s=1.0,
                                         noise_rms=0.0)
             res = analyze_channel(out, track, cutter)
-            loads.append(res.report.tooth_profile.mean_load[2])
+            loads.append(res.tooth_profile.mean_load[2])
         assert np.all(np.diff(loads) > 0.0)
 
     def test_gain_rotation_rotates_profile(self, cutter):
         base_gains = [1.0, 1.0, 1.0, 0.5, 1.0, 1.0]
         out0, tr0 = run_simulation(cutter, base_gains, noise_rms=0.0)
-        prof0 = analyze_channel(out0, tr0, cutter).report.tooth_profile
+        prof0 = analyze_channel(out0, tr0, cutter).tooth_profile
         rolled = list(np.roll(base_gains, 2))
         out1, tr1 = run_simulation(cutter, rolled, noise_rms=0.0)
-        prof1 = analyze_channel(out1, tr1, cutter).report.tooth_profile
+        prof1 = analyze_channel(out1, tr1, cutter).tooth_profile
         assert prof1.weakest_tooth == (prof0.weakest_tooth + 2) % 6
         assert np.allclose(prof1.mean_load, np.roll(prof0.mean_load, 2),
                            rtol=0.02)

@@ -162,30 +162,28 @@ class TestClassifyMatchesReference:
 class TestAnalyzeOnSimulator:
     def test_symmetric_run_clean(self, symmetric_run, cutter):
         _, _, res = symmetric_run
-        rep = res.report
-        assert not rep.inconclusive
-        assert all(not f.triggered for f in rep.findings)
+        assert not res.inconclusive
+        assert all(not f.triggered for f in res.findings)
         spec = res.envelope_spectrum
         k = int(np.argmax(spec.amplitudes))
         assert k * spec.df_hz == pytest.approx(cutter.tooth_passing_hz,
                                                abs=spec.df_hz)
         # every sub-tooth order is tiny next to the tooth-passing line
         for order in range(1, 6):
-            amp, _ = spec.amplitude_near(order * rep.f_rot_hz)
+            amp, _ = spec.amplitude_near(order * res.f_rot_hz)
             assert amp < 0.10 * spec.amplitudes[k]
 
     def test_asymmetric_run_flags_tooth_three(self, asymmetric_run):
         _, _, res = asymmetric_run
-        rep = res.report
-        triggered = {f.kind: f for f in rep.findings if f.triggered}
+        triggered = {f.kind: f for f in res.findings if f.triggered}
         assert "tooth_asymmetry" in triggered
         asym = triggered["tooth_asymmetry"]
         assert asym.evidence_freq_hz == pytest.approx(
-            rep.f_rot_hz, abs=res.envelope_spectrum.df_hz)
+            res.f_rot_hz, abs=res.envelope_spectrum.df_hz)
         assert asym.amplitude_ratio >= 0.2
-        weak = [f for f in rep.findings if f.kind == "weak_tooth" and f.triggered]
+        weak = [f for f in res.findings if f.kind == "weak_tooth" and f.triggered]
         assert len(weak) == 1 and weak[0].tooth_index == 3
-        assert rep.tooth_profile.weakest_tooth == 3
+        assert res.tooth_profile.weakest_tooth == 3
         # 1/rev energy explained by the weak tooth, not reported as runout
         assert "imbalance_or_eccentricity" not in triggered
 
@@ -194,20 +192,20 @@ class TestAnalyzeOnSimulator:
         out, track = run_simulation(cutter, [1.0] * 6, eccentricity=0.1,
                                     damping_ratio=0.01)
         res = analyze_channel(out, track, cutter)
-        triggered = {f.kind for f in res.report.findings if f.triggered}
+        triggered = {f.kind for f in res.findings if f.triggered}
         assert "imbalance_or_eccentricity" in triggered
         assert "weak_tooth" not in triggered
 
     def test_f_tooth_is_exactly_z_times_f_rot(self, symmetric_run):
-        rep = symmetric_run[2].report
-        assert rep.f_tooth_hz == rep.tooth_profile.z * rep.f_rot_hz
+        res = symmetric_run[2]
+        assert res.f_tooth_hz == res.tooth_profile.z * res.f_rot_hz
 
     def test_scale_invariance_of_decisions(self, asymmetric_run, cutter):
         out, track, base = asymmetric_run
         scaled = out.channels["ax"].with_samples(37.0 * out.channels["ax"].samples)
         res = analyze(scaled, track, cutter, BAND, Thresholds(),
                       samples_per_rev=1152)
-        for fa, fb in zip(base.report.findings, res.report.findings):
+        for fa, fb in zip(base.findings, res.findings):
             assert fa.kind == fb.kind
             assert fa.triggered == fb.triggered
             assert fb.amplitude_ratio == pytest.approx(fa.amplitude_ratio,
@@ -220,7 +218,7 @@ class TestAnalyzeOnSimulator:
             gains[3] = 1.0 - deficit
             out, track = run_simulation(cutter, gains, noise_rms=0.0,
                                         duration_s=1.0)
-            profile = analyze_channel(out, track, cutter).report.tooth_profile
+            profile = analyze_channel(out, track, cutter).tooth_profile
             drops.append(-profile.asymmetry_index[3])
         assert np.all(np.diff(drops) > 0.0)
 
@@ -234,13 +232,12 @@ class TestAnalyzeOnSimulator:
 
     def test_evidence_frequencies_on_rotation_harmonics(self, asymmetric_run):
         res = asymmetric_run[2]
-        rep = res.report
         df = res.envelope_spectrum.df_hz
-        for f in rep.findings:
+        for f in res.findings:
             if f.kind in ("tooth_asymmetry", "imbalance_or_eccentricity",
                           "misalignment") and f.triggered:
-                order = f.evidence_freq_hz / rep.f_rot_hz
-                assert abs(order - round(order)) * rep.f_rot_hz <= df
+                order = f.evidence_freq_hz / res.f_rot_hz
+                assert abs(order - round(order)) * res.f_rot_hz <= df
 
     def test_too_few_revolutions(self, cutter):
         out, track = run_simulation(cutter, [1.0] * 6, duration_s=0.5)
@@ -260,13 +257,13 @@ class TestAnalyzeOnSimulator:
         np.testing.assert_array_equal(early.averaged_envelope,
                                       trimmed.averaged_envelope)
         assert early.mean_rpm == trimmed.mean_rpm
-        assert early.report.warnings == trimmed.report.warnings
+        assert early.warnings == trimmed.warnings
 
     def test_speed_drift_warning_on_ramp(self, cutter):
         out, track = run_simulation(cutter, [1.0] * 6, rpm=1200.0,
                                     rpm_end=1500.0, duration_s=1.2)
         res = analyze_channel(out, track, cutter)
-        assert any("drift" in w for w in res.report.warnings)
+        assert any("drift" in w for w in res.warnings)
 
     def test_indivisible_samples_per_rev_names_fix(self, symmetric_run, cutter):
         out, track, _ = symmetric_run
@@ -282,7 +279,7 @@ class TestAnalyzeOnSimulator:
 
     def test_spectrum_tile_keeps_resolution_fine(self, symmetric_run):
         res = symmetric_run[2]
-        assert res.report.f_rot_hz >= 3.0 * res.envelope_spectrum.df_hz
+        assert res.f_rot_hz >= 3.0 * res.envelope_spectrum.df_hz
 
 
 class TestAnalyzeAllChannels:
@@ -294,7 +291,7 @@ class TestAnalyzeAllChannels:
         assert not errors
         indices = set()
         for res in results.values():
-            weak = [f.tooth_index for f in res.report.findings
+            weak = [f.tooth_index for f in res.findings
                     if f.kind == "weak_tooth" and f.triggered]
             indices.add(tuple(weak))
         assert indices == {(3,)}

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_fileio as ref
-from millenv import AngularSeries, DefectReport, SizeError, ToothProfile
+from millenv import (AnalysisResult, AngularSeries, SizeError, Spectrum,
+                     ToothProfile)
 from millenv.fileio import write_svg, write_xy
 
 TEETH = st.integers(1, 16)
@@ -39,9 +40,11 @@ def test_angular_series_holds_whole_revolutions(size, samples_per_rev):
 
 @given(st.floats(1.0, 1e5), TEETH)
 def test_report_frequencies_follow_mean_rpm(mean_rpm, z):
-    report = DefectReport("ax", mean_rpm, (), ToothProfile(np.ones(z)))
-    assert report.f_rot_hz == mean_rpm / 60.0
-    assert report.f_tooth_hz == z * report.f_rot_hz
+    result = AnalysisResult("ax", mean_rpm, (), ToothProfile(np.ones(z)),
+                            Spectrum(np.zeros(2), 1.0, 2), np.ones(z))
+    assert result.f_rot_hz == mean_rpm / 60.0
+    assert result.f_tooth_hz == z * result.f_rot_hz
+    assert result.samples_per_rev == z
 
 
 EXTREMES = (np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310, 1e308, -1e308)
