@@ -23,12 +23,13 @@ Schema (all sections except "cutter" optional):
       "metadata":   {"depth_of_cut_mm": 0.5}    # free-form, echoed in reports
     }
 
-The numbers of "cutter", "sync", "io" and "sim", sim.per_tooth_gain's
-included, must be finite JSON numbers ("6" is not one), and the counts
-(cutter.z, thresholds.min_revs, sim.seed, sync.samples_per_rev) whole: 6.0
-reads as 6. The six "thresholds" ratios and each band's f_lo_hz, f_hi_hz
-and taper_hz must be finite JSON numbers too (true and "0.2" are not), and
-are kept as written: a threshold of 10 is reported as 10. io.columns must
+Every number, sim.per_tooth_gain's included, must be a finite JSON number
+("6", "0.2" and true are not) and is kept as written: a threshold of 10 is
+reported as 10. The counts (cutter.z, thresholds.min_revs, sim.seed,
+sync.samples_per_rev) must be whole: 6.0 reads as 6. A null means "unset"
+only for keys whose default is unset (bands taper_hz, sim.rpm, sim.rpm_end,
+sync and io numbers, sim.per_tooth_gain); elsewhere it is an error naming
+the key. "sync" and "io" accept only the keys shown above. io.columns must
 map channels to column-name strings. A value out of range, such as a
 taper_hz above half its band, a non-positive threshold, a non-positive
 io.sample_rate_hz, or a band above half of io.sample_rate_hz when that rate
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import CHANNELS
 from .dsp import Band, _check_below_nyquist, _checked_taper
@@ -107,7 +108,8 @@ class RunConfig:
         return bs
 
 
-def _section(doc: dict, name: str, required: bool = False) -> dict:
+def _section(doc: dict, name: str, required: bool = False,
+             keys: tuple[str, ...] | None = None) -> dict:
     sec = doc.get(name)
     if sec is None:
         if required:
@@ -115,23 +117,29 @@ def _section(doc: dict, name: str, required: bool = False) -> dict:
         return {}
     if not isinstance(sec, dict):
         raise ConfigError(f"config section {name!r} must be an object")
+    unknown = sorted(set(sec) - set(keys)) if keys is not None else []
+    if unknown:
+        raise ConfigError(f"unknown {name} key(s): {unknown}")
     return sec
 
 
-def _build(cls, kwargs: dict, what: str, checked: tuple[str, ...] = ()):
-    """cls(**kwargs), after each set `checked` key passes `_finite`; the
-    values go in as written, so a threshold of 1 is reported as 1."""
+def _build(cls, sec: dict, what: str, counts: tuple[str, ...] = (),
+           numbers: tuple[str, ...] = (), **fixed):
+    """cls(**sec, **fixed), each set count (as an int) and number (as
+    written) through `_finite`; a null only where cls's default is None."""
+    unset = {f.name for f in fields(cls) if f.default is None}
+    kwargs = dict(sec)
     try:
-        for key in checked:
-            if kwargs.get(key) is not None:
-                _finite(kwargs[key], f"{what}.{key}")
-        return cls(**kwargs)
+        for key in counts + numbers:
+            if key in sec and not (sec[key] is None and key in unset):
+                kwargs[key] = _finite(sec[key], f"{what}.{key}", key in counts)
+        return cls(**kwargs, **fixed)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid {what} settings: {err}") from None
 
 
 def _finite(value, name: str, integral: bool = False):
-    """A JSON number as a finite float, or an int if `integral`."""
+    """A finite JSON number as written, or as an int if `integral`."""
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
         number = float(value) if is_number else math.nan
@@ -139,27 +147,15 @@ def _finite(value, name: str, integral: bool = False):
         number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if not integral:
-        return number
-    if not number.is_integer():
+    if integral and not number.is_integer():
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    return int(number)
+    return int(value) if integral else value
 
 
 def _number(sec: dict, key: str, what: str, integral: bool = False):
     """sec[key] through `_finite`; None if unset."""
     value = sec.get(key)
     return None if value is None else _finite(value, f"{what}.{key}", integral)
-
-
-def _numbers(sec: dict, what: str, counts: tuple[str, ...],
-             floats: tuple[str, ...] = ()) -> dict:
-    """A copy of sec with each set count and float passed through `_number`."""
-    out = dict(sec)
-    for key in counts + floats:
-        if sec.get(key) is not None:
-            out[key] = _number(sec, key, what, integral=key in counts)
-    return out
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -169,9 +165,8 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
     _section(doc, "metadata")  # free-form, but an object
 
-    cutter = _build(Cutter, _numbers(
-        _section(doc, "cutter", required=True), "cutter", ("z",),
-        ("diameter_mm", "feed_per_tooth_mm", "cutting_speed_m_min")), "cutter")
+    cutter = _build(Cutter, _section(doc, "cutter", required=True), "cutter", ("z",),
+                    ("diameter_mm", "feed_per_tooth_mm", "cutting_speed_m_min"))
 
     bands = {}
     for ch, entry in _section(doc, "bands").items():
@@ -179,16 +174,15 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"band configured for unknown channel {ch!r}")
         if not isinstance(entry, dict):
             raise ConfigError(f"band for {ch!r} must be an object")
-        bands[ch] = _build(BandSettings, entry, f"bands.{ch}",
+        bands[ch] = _build(BandSettings, entry, f"bands.{ch}", (),
                            ("f_lo_hz", "f_hi_hz", "taper_hz"))
 
-    thresholds = _build(Thresholds, _numbers(
-        _section(doc, "thresholds"), "thresholds", ("min_revs",)), "thresholds",
-        ("asym_ratio", "weak_tooth_drop", "ecc_ratio", "misalign_ratio",
-         "min_carrier", "max_rpm_drift"))
+    thresholds = _build(Thresholds, _section(doc, "thresholds"), "thresholds",
+                        ("min_revs",), ("asym_ratio", "weak_tooth_drop", "ecc_ratio",
+                                        "misalign_ratio", "min_carrier", "max_rpm_drift"))
 
-    sync = _section(doc, "sync")
-    io_sec = _section(doc, "io")
+    sync = _section(doc, "sync", keys=("samples_per_rev", "tooth0_offset_frac"))
+    io_sec = _section(doc, "io", keys=("sample_rate_hz", "columns"))
     columns = io_sec.get("columns")
     if columns is None:
         columns = {}
@@ -198,9 +192,7 @@ def config_from_dict(doc: dict) -> RunConfig:
                           f"got {columns!r}")
 
     sim = None
-    sim_sec = _numbers(_section(doc, "sim"), "sim", ("seed",), (
-        "rpm", "rpm_end", "resonance_hz", "damping_ratio", "eccentricity",
-        "noise_rms", "duration_s", "sample_rate_hz"))
+    sim_sec = dict(_section(doc, "sim"))
     if sim_sec:
         gains = sim_sec.pop("per_tooth_gain", None)
         if gains is None:
@@ -209,8 +201,10 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(
                 f"sim.per_tooth_gain must be a list of numbers, got {gains!r}")
         gains = [_finite(g, f"sim.per_tooth_gain[{i}]") for i, g in enumerate(gains)]
-        sim = _build(SimConfig, {"cutter": cutter,
-                                 "per_tooth_gain": tuple(gains), **sim_sec}, "sim")
+        sim = _build(SimConfig, sim_sec, "sim", ("seed",), (
+            "rpm", "rpm_end", "resonance_hz", "damping_ratio", "eccentricity",
+            "noise_rms", "duration_s", "sample_rate_hz"),
+            cutter=cutter, per_tooth_gain=tuple(gains))
 
     return RunConfig(
         cutter=cutter,

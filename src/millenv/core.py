@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError, SizeError
+from .errors import InputError, RangeError, SizeError
 
 #: Physical channel labels accepted at ingestion and their units: triaxial
 #: acceleration and cutting force, the 1/rev tachometer and the hammer.
@@ -28,6 +28,15 @@ def _readonly_1d(values, what: str = "samples") -> np.ndarray:
         raise SizeError(f"{what} must be one-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _require_finite(x: "TimeSeries") -> None:
+    """InputError naming x's channel, its non-finite count and the first index."""
+    bad = np.flatnonzero(~np.isfinite(x.samples))
+    if bad.size:
+        raise InputError(
+            f"channel {x.channel!r} has {bad.size} non-finite sample(s), "
+            f"the first at index {bad[0]}")
 
 
 @dataclass(frozen=True)

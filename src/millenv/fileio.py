@@ -36,6 +36,9 @@ _COLUMN_ORDER = ("time_s",) + CHANNELS
 #: the Python strings of one block.
 _WRITE_BLOCK_ROWS = 4096
 
+#: XML's escapes for the text of an SVG title or axis label.
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
 
 @dataclass
 class Recording:
@@ -329,6 +332,7 @@ def write_svg(path, x, y, title: str, x_label: str, y_label: str) -> None:
     px = ml + (x - x0) * xs
     py = mt + ph - (y - y0) * ys
     points = _format_pairs("%.2f,%.2f ", px, py)[:-1]
+    title, x_label, y_label = (s.translate(_XML_TEXT) for s in (title, x_label, y_label))
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import Spectrum, TimeSeries, _readonly_1d, detrend
+from .core import Spectrum, TimeSeries, _readonly_1d, _require_finite, detrend
 # `band_filter` and `envelope` are not called here; bench/spans.py patches
 # them by these names
 from .dsp import (Band, _one_sided_amplitudes, band_envelope, band_filter,
@@ -275,11 +275,7 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
     A non-finite sample is an InputError that names the channel and the
     first bad sample index.
     """
-    bad = np.flatnonzero(~np.isfinite(x.samples))
-    if bad.size:
-        raise InputError(
-            f"channel {x.channel!r} has {bad.size} non-finite sample(s), "
-            f"the first at index {bad[0]}")
+    _require_finite(x)
     z = cutter.z
     if tooth0_offset_frac is None:
         tooth0_offset_frac = (1.0 - 0.5 / z) % 1.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AngularSeries, TimeSeries, _readonly_1d
+from .core import AngularSeries, TimeSeries, _readonly_1d, _require_finite
 from .errors import (CoverageError, InputError, PulseDetectionError,
                      PulseQualityError, RangeError, SizeError)
 
@@ -39,8 +39,8 @@ class TachoTrack:
             raise PulseDetectionError(
                 f"need at least 2 tachometer pulses, found {times.size}")
         gaps = np.diff(times)
-        if np.any(gaps <= 0.0):
-            raise InputError("pulse times must be strictly increasing")
+        if not (np.isfinite(times).all() and np.all(gaps > 0.0)):
+            raise InputError("pulse times must be finite and strictly increasing")
         median_gap = float(np.median(gaps))
         bad = np.flatnonzero((gaps < 0.5 * median_gap) | (gaps > 1.5 * median_gap))
         if bad.size:
@@ -101,10 +101,12 @@ def detect_pulses(tacho: TimeSeries, threshold: float,
     A crossing fires when the signal rises through `threshold` after having
     dropped below ``threshold - hysteresis`` (re-arming), which rejects
     chatter on slow edges. Each crossing time is refined by linear
-    interpolation between the bracketing samples.
+    interpolation between the bracketing samples. A non-finite sample is an
+    InputError naming the first bad index.
     """
     if hysteresis <= 0.0:
         raise RangeError(f"hysteresis must be positive, got {hysteresis}")
+    _require_finite(tacho)
     x = tacho.samples
     above = x >= threshold
     rearm_level = threshold - hysteresis

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from millenv.cli import main
 from millenv.fileio import (dump_report, read_recording, report_document,
                             write_recording)
 from conftest import FS
+
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 
 
 def write_config(path, **overrides):
@@ -88,6 +91,13 @@ class TestSimulateCommand:
         ("thresholds", "misalign_ratio", [0.2]),
         ("thresholds", "min_carrier", "10"),
         ("thresholds", "max_rpm_drift", 10 ** 400),
+        # null is "unset" only where the default is unset
+        ("cutter", "z", None),
+        ("cutter", "diameter_mm", None),
+        ("thresholds", "asym_ratio", None),
+        ("thresholds", "min_revs", None),
+        ("sim", "resonance_hz", None),
+        ("sim", "seed", None),
     ])
     def test_bad_number_is_config_error_naming_key(self, tmp_path, capsys,
                                                     section, key, value):
@@ -105,6 +115,8 @@ class TestSimulateCommand:
         ("f_hi_hz", 10 ** 400),
         ("taper_hz", True),
         ("taper_hz", "50"),
+        ("f_lo_hz", None),
+        ("f_hi_hz", None),
     ])
     def test_bad_band_number_is_config_error_naming_key(
             self, tmp_path, capsys, channel, key, value):
@@ -114,6 +126,50 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x")]) == 3
         assert f"bands.{channel}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [
+        ("sync", "samples_per_revs"), ("io", "sample_rate")])
+    def test_unknown_sync_or_io_key_is_config_error(self, tmp_path, capsys,
+                                                    section, key):
+        cfg = config_with(tmp_path, section, key, 1152)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"unknown {section} key" in err and key in err
+
+    def test_whole_numbers_written_as_ints_give_same_outputs(self, tmp_path):
+        # numbers are kept as written, so cutter, io and sim numbers may
+        # reach the simulator and the reader as ints; no output may differ
+        with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["sim"].update(rpm=1352.0, duration_s=2.0)
+
+        def as_ints(value):
+            if isinstance(value, dict):
+                return {k: as_ints(v) for k, v in value.items()}
+            if isinstance(value, list):
+                return [as_ints(v) for v in value]
+            if isinstance(value, float) and value.is_integer():
+                return int(value)
+            return value
+
+        int_doc = {**doc, **{s: as_ints(doc[s]) for s in ("cutter", "io", "sim")}}
+        assert type(int_doc["sim"]["duration_s"]) is int
+        outputs = []
+        for name, d in (("float", doc), ("int", int_doc)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(d))
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+            assert main(["analyze", "--config", str(cfg),
+                         "--in", str(tmp_path / name / "recording.csv"),
+                         "--out", str(tmp_path / name / "out")]) == 0
+            report = json.loads((tmp_path / name / "out" / "report.json")
+                                .read_text())
+            outputs.append(((tmp_path / name / "truth.json").read_bytes(),
+                            report["channels"]))
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     @pytest.mark.parametrize("section, key, value", [
         ("cutter", "z", 0),
@@ -122,6 +178,8 @@ class TestSimulateCommand:
         ("thresholds", "asym_ratio", float("inf")),
         ("thresholds", "min_carrier", float("inf")),
         ("sim", "seed", -1),
+        # the cutter comes from the "cutter" section only
+        ("sim", "cutter", {"z": 6}),
         ("io", "sample_rate_hz", 0),
         ("bands", "default", {"f_lo_hz": 3000.0, "f_hi_hz": 2500.0}),
         ("bands", "default", {"f_lo_hz": 1500.0, "f_hi_hz": 2500.0,

@@ -1,4 +1,5 @@
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -323,6 +324,15 @@ def _pixel_columns(x):
     return np.minimum(((x - x.min()) * scale).astype(int), PLOT_WIDTH - 1)
 
 
+def test_svg_text_is_escaped(tmp_path):
+    path = tmp_path / "p.svg"
+    write_svg(path, [0, 1, 2], [1, 2, 3], "a<b & c", "x > 0", "y & z")
+    ns = {"svg": "http://www.w3.org/2000/svg"}
+    texts = [t.text for t in ElementTree.parse(path).getroot()
+             .iterfind("svg:text", ns)]
+    assert texts[:3] == ["a<b & c", "x > 0", "y & z"]
+
+
 class TestSvgReduction:
     @pytest.mark.parametrize("kind", ["uniform", "plateaus", "constant_x"])
     def test_reduced_polyline_keeps_column_extremes(self, tmp_path, kind):
@@ -459,6 +469,18 @@ class TestConfig:
             config_from_dict(BASE_CONFIG)
         with pytest.raises(ConfigError, match="metadata"):
             config_from_dict({**BASE_CONFIG, "metadata": [0.5]})
+
+    def test_null_leaves_optional_numbers_unset(self):
+        doc = {**BASE_CONFIG,
+               "bands": {"default": {"f_lo_hz": 1500.0, "f_hi_hz": 2500.0,
+                                     "taper_hz": None}},
+               "sync": {"samples_per_rev": None},
+               "io": {"sample_rate_hz": None},
+               "sim": {"rpm": None, "rpm_end": None}}
+        cfg = config_from_dict(doc)
+        assert cfg.band_settings("ax").taper_hz is None
+        assert cfg.samples_per_rev is None and cfg.sample_rate_hz is None
+        assert cfg.sim.rpm is None and cfg.sim.rpm_end is None
 
     def test_whole_float_counts_read_as_int(self):
         doc = {**BASE_CONFIG,

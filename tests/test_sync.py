@@ -35,6 +35,13 @@ class TestTachoTrack:
         with pytest.raises(InputError):
             TachoTrack([0.0, 0.2, 0.2, 0.4])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            TachoTrack([0.0, 0.1, bad, 0.3])
+        with pytest.raises(InputError, match="finite"):
+            TachoTrack([0.0, bad])
+
     def test_gap_consistency(self):
         with pytest.raises(PulseQualityError):
             TachoTrack([0.0, 0.1, 0.2, 0.4])  # one 2x gap
@@ -58,6 +65,13 @@ class TestDetectPulses:
         oracle = scan_crossings(ts.samples, 0.5)
         assert oracle.size == track.pulse_times_s.size
         assert np.allclose(track.pulse_times_s, oracle, atol=1e-12)
+
+    def test_non_finite_sample_named(self):
+        x = square_wave(22.5)
+        x[1000] = np.nan
+        with pytest.raises(InputError, match=r"'tacho' has 1 non-finite "
+                           r"sample\(s\), the first at index 1000"):
+            detect_pulses(TimeSeries(x, FS, "tacho"), 0.5, 0.1)
 
     def test_constant_signal_fails(self):
         with pytest.raises(PulseDetectionError):
