@@ -187,7 +187,7 @@ def _cmd_spectrum(args) -> int:
         out = _out_dir(args.out)
         emit_plot_data(out / f"spectrum_{args.channel}", spec.frequencies_hz,
                        spec.amplitudes, f"Amplitude spectrum [{args.channel}]",
-                       "frequency_hz", "amplitude")
+                       "frequency_hz", f"amplitude_{ts.unit or 'au'}")
     return EXIT_OK
 
 

@@ -110,22 +110,6 @@ class Spectrum:
     def frequencies_hz(self) -> np.ndarray:
         return np.arange(self.amplitudes.size) * self.df_hz
 
-    def amplitude_near(self, f_hz: float) -> tuple[float, float]:
-        """Largest amplitude within +-1 bin of the bin closest to f_hz.
-
-        Returns ``(amplitude, bin_frequency_hz)`` of the winning bin. No
-        sub-bin interpolation is applied; synchronous records put order
-        components exactly on bins.
-        """
-        k = int(round(f_hz / self.df_hz))
-        lo = max(k - 1, 0)
-        hi = min(k + 1, self.amplitudes.size - 1)
-        if hi < lo:
-            raise RangeError(f"frequency {f_hz} Hz outside the spectrum")
-        window = self.amplitudes[lo:hi + 1]
-        j = lo + int(np.argmax(window))
-        return float(self.amplitudes[j]), j * self.df_hz
-
 
 @dataclass(frozen=True)
 class AngularSeries:

@@ -3,8 +3,8 @@
 The processing order is fixed: detrend, band-pass around a structural
 resonance, Hilbert envelope, resample to shaft angle, synchronous average,
 then in parallel (a) per-tooth segmentation of the averaged revolution and
-(b) its amplitude spectrum. Classification reads harmonic amplitude ratios
-off that spectrum:
+(b) its amplitude spectrum, whose bin k is rotation order k. Classification
+reads harmonic amplitude ratios straight off those order bins:
 
 * sub-tooth-order harmonics k/rev (k < z) vs the tooth-passing component
   indicate tooth asymmetry,
@@ -37,12 +37,6 @@ from .sync import (TachoTrack, ToothProfile, covered_revolutions,
                    tooth_segmentation)
 
 MAX_SPINDLE_RPM = 8000.0
-
-#: Resolution refinement of the averaged-revolution spectrum: the single
-#: averaged revolution is tiled this many times before the FFT, so order k
-#: lands on bin k*TILE and a +-1 bin readout never touches a neighbouring
-#: order.
-SPECTRUM_TILE = 8
 
 #: Finding kinds and the evidence each reads: a convention, not a measured
 #: fact, so reports carry it for readers to audit each evidence frequency.
@@ -176,31 +170,28 @@ def averaged_rev_spectrum(avg_rev, f_rot_hz: float) -> Spectrum:
     """Amplitude spectrum of one synchronously averaged revolution.
 
     The revolution is exactly periodic in angle, so a rectangular window is
-    exact. The mean (envelope DC) is removed first. Tiling the revolution
-    SPECTRUM_TILE times refines the bin grid to f_rot/SPECTRUM_TILE without
-    interpolation; order k keeps its exact amplitude at bin k*SPECTRUM_TILE
-    and intermediate bins are zero up to roundoff.
+    exact and bin k holds rotation order k: ``df_hz`` is ``f_rot_hz``. The
+    mean (envelope DC) is removed first.
     """
     avg = np.asarray(avg_rev, dtype=float)
     if avg.size < 2:
         raise SizeError("averaged revolution needs at least 2 samples")
     if f_rot_hz <= 0.0:
         raise RangeError(f"f_rot_hz must be positive, got {f_rot_hz}")
-    tiled = np.tile(avg - avg.mean(), SPECTRUM_TILE)
-    n_fft = tiled.size
-    return Spectrum(_one_sided_amplitudes(tiled, n_fft),
-                    f_rot_hz / SPECTRUM_TILE, n_fft)
+    return Spectrum(_one_sided_amplitudes(avg - avg.mean(), avg.size),
+                    f_rot_hz, avg.size)
 
 
-def classify(env_spec: Spectrum, tooth_profile: ToothProfile, f_rot: float,
+def classify(env_spec: Spectrum, tooth_profile: ToothProfile,
              cfg: Thresholds = Thresholds()
              ) -> tuple[tuple[Finding, ...], bool]:
-    """Findings from an envelope spectrum plus tooth profile.
+    """Findings from an averaged-revolution spectrum plus tooth profile.
 
-    The tooth count z is the profile's. The spectrum is read once, into a
-    table of rotation orders k = 1 .. max(min(k_max, max(3z, 8)), z), k_max
-    being the highest order in the spectrum; each entry is the maximum over
-    +-1 bin around k * f_rot, which requires f_rot >= 3 bin widths. The
+    `env_spec` is `averaged_rev_spectrum`'s: bin k is rotation order k, so
+    f_rot is its bin width. The tooth count z is the profile's; a carrier
+    order z beyond the last bin is a RangeError. The order table is bins
+    1 .. max(min((n_fft - 1) // 2, max(3z, 8)), z): the orders below the
+    revolution's Nyquist order, capped at max(3z, 8) but never below z. The
     carrier is order z; tooth asymmetry reads the largest order below z,
     imbalance order 1 and misalignment order 2. Returns ``(findings,
     inconclusive)``: inconclusive when the carrier does not exceed the noise
@@ -209,23 +200,20 @@ def classify(env_spec: Spectrum, tooth_profile: ToothProfile, f_rot: float,
     off at high orders, so the orders near the carrier set the floor).
     Spectrum-based findings are then reported untriggered.
     """
-    df = env_spec.df_hz
-    if f_rot < 3.0 * df - 1e-12:
-        raise RangeError(
-            f"spectrum resolution {df} Hz too coarse for f_rot {f_rot} Hz; "
-            "need f_rot >= 3 bins")
+    f_rot = env_spec.df_hz
     z = tooth_profile.z
-    k_max = int((env_spec.amplitudes.size - 2) * df / f_rot)
-    orders = [env_spec.amplitude_near(k * f_rot)
-              for k in range(1, max(min(k_max, max(3 * z, 8)), z) + 1)]
-    amps = [amp for amp, _ in orders]
+    if z >= env_spec.amplitudes.size:
+        raise RangeError(
+            f"carrier order {z} lies beyond the spectrum's last order "
+            f"{env_spec.amplitudes.size - 1}")
+    n_orders = max(min((env_spec.n_fft - 1) // 2, max(3 * z, 8)), z)
+    amps = env_spec.amplitudes[1:n_orders + 1].tolist()
     carrier = amps[z - 1]
     inconclusive = carrier <= cfg.min_carrier * float(np.median(amps))
 
     def spectral(kind: str, order: int, threshold: float, gate: bool) -> Finding:
-        amp, freq = orders[order - 1]
-        r = amp / carrier if carrier > 0.0 else 0.0
-        return Finding(kind, freq, r, threshold,
+        r = amps[order - 1] / carrier if carrier > 0.0 else 0.0
+        return Finding(kind, order * f_rot, r, threshold,
                        triggered=bool(not inconclusive and gate
                                       and r >= threshold))
 
@@ -307,9 +295,8 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
             f"(limit {100 * cfg.max_rpm_drift:.1f}%); order tracking absorbs "
             "the drift but Hz readings use the mean speed")
 
-    f_rot = mean_rpm / 60.0
-    env_spec = averaged_rev_spectrum(avg, f_rot)
-    findings, inconclusive = classify(env_spec, profile, f_rot, cfg)
+    env_spec = averaged_rev_spectrum(avg, mean_rpm / 60.0)
+    findings, inconclusive = classify(env_spec, profile, cfg)
     return AnalysisResult(
         x.channel, mean_rpm, findings, profile, env_spec, avg,
         tuple(warnings), inconclusive)

@@ -24,7 +24,7 @@ PARAMETERS = {
     "analyze_all_channels": "channels tacho cutter bands cfg taper_hz kwargs",
     "averaged_rev_spectrum": "avg_rev f_rot_hz",
     "band_filter": "x b taper_hz",
-    "classify": "env_spec tooth_profile f_rot cfg",
+    "classify": "env_spec tooth_profile cfg",
     "detect_pulses": "tacho threshold hysteresis",
     "detrend": "x",
     "envelope": "x",

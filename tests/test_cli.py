@@ -407,6 +407,19 @@ class TestSpectrumCommand:
         assert main(argv + ["0"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
 
+    def test_out_files_match_analyze_raw_spectrum(self, tmp_path):
+        config = str(REFERENCE_CONFIG)
+        recording = str(tmp_path / "sim" / "recording.csv")
+        assert main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "sim")]) == 0
+        assert main(["analyze", "--config", config, "--in", recording,
+                     "--out", str(tmp_path / "analyze")]) == 0
+        assert main(["spectrum", "--in", recording, "--channel", "ax",
+                     "--out", str(tmp_path / "spectrum")]) == 0
+        for name in ("spectrum_ax.txt", "spectrum_ax.svg"):
+            assert ((tmp_path / "spectrum" / name).read_bytes()
+                    == (tmp_path / "analyze" / name).read_bytes())
+
     def test_unknown_channel(self, tmp_path):
         path = tmp_path / "tone.csv"
         write_recording({"ax": TimeSeries(np.zeros(100), FS, "ax")}, path)

@@ -124,11 +124,6 @@ class TestSpectrumType:
         sp = Spectrum([0.0, 1.0, 0.0], 2.5, 4)
         assert np.array_equal(sp.frequencies_hz, [0.0, 2.5, 5.0])
 
-    def test_amplitude_near_picks_neighbour(self):
-        sp = Spectrum([0.0, 0.0, 0.7, 0.1, 0.0], 1.0, 8)
-        amp, freq = sp.amplitude_near(3.0)
-        assert (amp, freq) == (0.7, 2.0)
-
 
 class TestAngularSeries:
     def test_length_invariant(self):

@@ -11,7 +11,6 @@ import pytest
 from millenv import (TachoTrack, TimeSeries, analyze, analytic_signal,
                      detrend, resample_to_angle)
 from millenv.dsp import band_envelope
-from millenv.pipeline import SPECTRUM_TILE
 from conftest import BAND, FS, SAMPLES_PER_REV
 from reference_dsp import (reference_analytic_signal, reference_band_envelope,
                            reference_resample_to_angle)
@@ -124,4 +123,4 @@ def test_analyze_runs_two_full_length_ffts(asymmetric_run, cutter,
         monkeypatch.setattr(np.fft, name, counted(name, length))
     analyze(x, track, cutter, BAND, samples_per_rev=SAMPLES_PER_REV)
     assert sorted(lengths) == sorted([("rfft", len(x)), ("ifft", len(x)),
-                                      ("rfft", SPECTRUM_TILE * SAMPLES_PER_REV)])
+                                      ("rfft", SAMPLES_PER_REV)])

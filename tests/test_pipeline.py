@@ -8,7 +8,8 @@ from millenv import (Band, CoverageError, Cutter, InputError, RangeError,
                      classify, slice_time, tooth_segmentation)
 from millenv.fileio import dump_report, report_document
 from conftest import BAND, analyze_channel, run_simulation
-from reference_pipeline import reference_classify
+from reference_pipeline import (amplitude_near, reference_classify,
+                                reference_rev_spectrum)
 
 
 class TestCutter:
@@ -27,8 +28,12 @@ class TestCutter:
                    cutting_speed_m_min=340.0)
 
 
-def synthetic_spectrum(f_rot, z, order_amps, tile=8, spr=1152):
-    """Spectrum with given amplitudes at integer orders, zeros elsewhere."""
+def synthetic_spectrum(f_rot, z, order_amps, tile=1, spr=1152):
+    """Spectrum with given amplitudes at integer orders, zeros elsewhere.
+
+    With the default tile=1 bin k is order k, as `averaged_rev_spectrum`
+    builds it; tile=8 gives the reference's tiled grid.
+    """
     amps = np.zeros(tile * spr // 2 + 1)
     for order, amp in order_amps.items():
         amps[order * tile] = amp
@@ -44,34 +49,35 @@ class TestClassify:
 
     def test_single_tooth_order_peak_all_untriggered(self):
         spec = synthetic_spectrum(self.F_ROT, 6, {6: 1.0})
-        findings, inconclusive = classify(spec, flat_profile(), self.F_ROT)
+        findings, inconclusive = classify(spec, flat_profile())
         assert not inconclusive
         assert findings
         assert all(not f.triggered for f in findings)
 
     def test_equal_subharmonic_triggers_asymmetry_ratio_one(self):
         spec = synthetic_spectrum(self.F_ROT, 6, {6: 1.0, 1: 1.0})
-        findings, _ = classify(spec, flat_profile(), self.F_ROT)
+        findings, _ = classify(spec, flat_profile())
         asym = next(f for f in findings if f.kind == "tooth_asymmetry")
         assert asym.triggered
         assert asym.amplitude_ratio == pytest.approx(1.0)
-        assert asym.evidence_freq_hz == pytest.approx(self.F_ROT, abs=spec.df_hz)
+        assert asym.evidence_freq_hz == pytest.approx(self.F_ROT,
+                                                      abs=self.F_ROT / 8)
 
     def test_all_zero_spectrum_inconclusive(self):
         spec = synthetic_spectrum(self.F_ROT, 6, {})
-        findings, inconclusive = classify(spec, flat_profile(), self.F_ROT)
+        findings, inconclusive = classify(spec, flat_profile())
         assert inconclusive
         assert all(not f.triggered for f in findings)
 
     def test_misalignment_needs_second_harmonic_dominance(self):
         spec = synthetic_spectrum(self.F_ROT, 6, {6: 1.0, 1: 0.1, 2: 0.4})
-        findings, _ = classify(spec, flat_profile(), self.F_ROT)
+        findings, _ = classify(spec, flat_profile())
         mis = next(f for f in findings if f.kind == "misalignment")
         assert mis.triggered
         assert mis.amplitude_ratio == pytest.approx(0.4)
         # swap: 1/rev above 2/rev suppresses the misalignment verdict
         spec2 = synthetic_spectrum(self.F_ROT, 6, {6: 1.0, 1: 0.5, 2: 0.4})
-        findings2, _ = classify(spec2, flat_profile(), self.F_ROT)
+        findings2, _ = classify(spec2, flat_profile())
         mis2 = next(f for f in findings2 if f.kind == "misalignment")
         assert not mis2.triggered
 
@@ -80,83 +86,138 @@ class TestClassify:
         weak = tooth_segmentation(
             np.concatenate([np.full(192, 1.0)] * 3
                            + [np.full(192, 0.2)] + [np.full(192, 1.0)] * 2), 6)
-        findings, _ = classify(spec, weak, self.F_ROT)
+        findings, _ = classify(spec, weak)
         kinds = {f.kind: f for f in findings if f.triggered}
         assert "weak_tooth" in kinds
         assert kinds["weak_tooth"].tooth_index == 3
         assert "imbalance_or_eccentricity" not in kinds
         assert "tooth_asymmetry" in kinds
 
-    def test_resolution_precondition(self):
-        spec = Spectrum(np.zeros(33), 10.0, 64)
-        with pytest.raises(RangeError):
-            classify(spec, flat_profile(), 22.55)
+    def test_carrier_order_beyond_spectrum_is_range_error(self):
+        # 11 samples per revolution reach order 5; the z=6 carrier is absent
+        with pytest.raises(RangeError, match="carrier order 6"):
+            classify(averaged_rev_spectrum(np.arange(11.0), 22.55),
+                     flat_profile())
+        # 12 samples reach order 6, the Nyquist bin
+        classify(averaged_rev_spectrum(np.arange(12.0), 22.55), flat_profile())
 
     def test_triggered_iff_threshold_for_pure_ratio_kinds(self):
         for a1 in (0.05, 0.19, 0.2, 0.21, 0.9):
             spec = synthetic_spectrum(self.F_ROT, 6, {6: 1.0, 1: a1})
-            findings, _ = classify(spec, flat_profile(), self.F_ROT)
+            findings, _ = classify(spec, flat_profile())
             asym = next(f for f in findings if f.kind == "tooth_asymmetry")
             assert asym.triggered == (asym.amplitude_ratio >= asym.threshold)
             weak = next(f for f in findings if f.kind == "weak_tooth")
             assert weak.triggered == (weak.amplitude_ratio >= weak.threshold)
 
 
-AMPLITUDES = st.sampled_from([0.0, 1e-300, 1e-12, 0.05, 0.2, 1.0, 3.0])
+#: Order amplitudes relative to the carrier's 1.0: zero, the ratio
+#: thresholds drawn below, the carrier's own level and above it.
+LEVELS = (0.0, 0.05, 0.2, 1.0, 3.0)
+TIE_STEP = 1e-6
+
+
+def order_table_size(spr, z):
+    """The orders `classify` reads: max(min((spr - 1)//2, max(3z, 8)), z)."""
+    return max(min((spr - 1) // 2, max(3 * z, 8)), z)
 
 
 @st.composite
-def sparse_spectra(draw):
-    """A sparse spectrum, a tooth profile and f_rot for `classify`.
+def averaged_revolutions(draw):
+    """An averaged revolution, its f_rot, a tooth profile and thresholds.
 
-    Every order up to max(3z, 8) + 2 gets a peak of 0, 0.2 or 1 (so ties
-    are common) on or next to its bin, and a few stray bins get one too.
-    Then the carrier (order z) is set on its bin, possibly to zero, with
-    its neighbours cleared. Bins per order is fractional, and the spectrum
-    may end below order 3z.
+    z is 1 .. 10 and the revolution holds 2z, 3z or 1152 samples. Each
+    order up to the Nyquist order and max(3z, 8) + 2 is a cosine of random
+    phase (zero phase on the Nyquist bin) whose amplitude comes from LEVELS;
+    the carrier, order z, is 1.0. Order k != z is scaled by 1 + k*TIE_STEP,
+    so equal levels, a level and an equal ratio threshold, or a carrier and
+    min_carrier times the median sit TIE_STEP apart: far above FFT roundoff,
+    which would otherwise break such ties differently in the two spectra.
+    Orders 1 and 2 are nonzero wherever a finding reports them: a zero
+    order reads as roundoff, and the tiled readout may then take a
+    neighbouring bin. min_carrier is drawn, or set TIE_STEP below or above
+    carrier / median of the order table, so the median gate sits on its
+    threshold.
     """
-    z = draw(st.integers(1, 8))
+    z = draw(st.integers(1, 10))
+    spr = draw(st.sampled_from([2 * z, 3 * z, 1152]))
     f_rot = draw(st.floats(5.0, 100.0))
-    bins_per_order = draw(st.floats(3.0, 12.0))
-    n_fft = draw(st.integers(2 * int(np.ceil((z + 1) * bins_per_order)), 800))
-    amps = np.zeros(n_fft // 2 + 1)
-    n_orders = max(3 * z, 8) + 2
-    for k, (offset, amp) in enumerate(draw(st.lists(
-            st.tuples(st.integers(-1, 1), st.sampled_from([0.0, 0.2, 1.0])),
-            min_size=n_orders, max_size=n_orders)), start=1):
-        amps[min(max(int(round(k * bins_per_order)) + offset, 0),
-                 amps.size - 1)] = amp
-    for i, amp in draw(st.lists(st.tuples(
-            st.integers(0, amps.size - 1), AMPLITUDES), max_size=6)):
-        amps[i] = amp
-    k = int(round(z * bins_per_order))
-    amps[max(k - 1, 0):k + 2] = 0.0
-    amps[k] = draw(st.sampled_from([0.0, 1e-300, 1.0, 3.0, 10.0]))
+    orders = np.arange(1, min(spr // 2, max(3 * z, 8) + 2) + 1)
+    levels = np.array([
+        1.0 if k == z else draw(st.sampled_from(
+            LEVELS[1:] if k <= 2 and k < z else LEVELS))
+        for k in orders])
+    amps = np.where(orders == z, 1.0, levels * (1.0 + orders * TIE_STEP))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phases = np.where(2 * orders == spr, 0.0,
+                      rng.uniform(0.0, 2 * np.pi, orders.size))
+    theta = 2 * np.pi * np.arange(spr) / spr
+    avg = draw(st.sampled_from([0.0, 5.0])) + np.cos(
+        np.outer(theta, orders) + phases) @ amps
+
+    median = float(np.median(amps[:order_table_size(spr, z)]))
+    gate = draw(st.sampled_from(["drawn", "below", "above"]))
+    if gate == "drawn" or median == 0.0:
+        min_carrier = draw(st.sampled_from([0.5, 2.0, 10.0]))
+    else:
+        side = -1.0 if gate == "below" else 1.0
+        min_carrier = (1.0 + side * TIE_STEP) / median
+    ratio = draw(st.sampled_from([0.05, 0.2, 1.0]))
+    cfg = Thresholds(asym_ratio=ratio, ecc_ratio=ratio,
+                     misalign_ratio=ratio, min_carrier=min_carrier)
     loads = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0]),
                           min_size=z, max_size=z))
-    spec = Spectrum(amps, f_rot / bins_per_order, n_fft)
-    return spec, tooth_segmentation(np.repeat(loads, 16), z), f_rot
+    return avg, f_rot, tooth_segmentation(np.repeat(loads, 16), z), cfg
+
+
+def assert_same_verdicts(got, want):
+    """Same flag and findings; evidence bit-equal, ratios to 1e-12."""
+    assert got[1] == want[1]
+    assert len(got[0]) == len(want[0])
+    for g, w in zip(got[0], want[0]):
+        assert (g.kind, g.triggered, g.tooth_index, g.threshold,
+                g.evidence_freq_hz) == (w.kind, w.triggered, w.tooth_index,
+                                        w.threshold, w.evidence_freq_hz)
+        assert g.amplitude_ratio == pytest.approx(w.amplitude_ratio,
+                                                  rel=1e-12, abs=0.0)
 
 
 class TestClassifyMatchesReference:
+    """`classify` on the averaged revolution's own spectrum against the
+    reference readout of the 8x tiled spectrum of the same revolution."""
+
     @settings(max_examples=400, deadline=None)
-    @given(sparse_spectra(), st.sampled_from([0.5, 2.0, 10.0]),
-           st.sampled_from([0.05, 0.2, 1.0]))
-    def test_same_findings_and_flag(self, case, min_carrier, ratio):
-        spec, profile, f_rot = case
-        cfg = Thresholds(asym_ratio=ratio, ecc_ratio=ratio,
-                         misalign_ratio=ratio, min_carrier=min_carrier)
-        assert (classify(spec, profile, f_rot, cfg)
-                == reference_classify(spec, profile, f_rot, cfg))
+    @given(averaged_revolutions())
+    def test_same_findings_and_flag(self, case):
+        avg, f_rot, profile, cfg = case
+        assert_same_verdicts(
+            classify(averaged_rev_spectrum(avg, f_rot), profile, cfg),
+            reference_classify(reference_rev_spectrum(avg, f_rot), profile,
+                               f_rot, cfg))
 
     @pytest.mark.parametrize("z", range(1, 9))
     def test_zero_carrier_inconclusive_like_reference(self, z):
-        spec = synthetic_spectrum(
-            22.55, z, {k: 1.0 / k for k in range(1, 3 * z + 1) if k != z})
+        orders = {k: 1.0 / k for k in range(1, 3 * z + 1) if k != z}
         profile = ToothProfile(np.ones(z))
-        got = classify(spec, profile, 22.55)
+        got = classify(synthetic_spectrum(22.55, z, orders), profile)
         assert got[1]
-        assert got == reference_classify(spec, profile, 22.55)
+        assert got == reference_classify(
+            synthetic_spectrum(22.55, z, orders, tile=8), profile, 22.55)
+
+    @pytest.mark.parametrize("z", range(2, 11))
+    def test_revolution_of_z_samples_is_range_error(self, z):
+        avg = np.cos(2 * np.pi * np.arange(z) / z) + 2.0
+        profile = ToothProfile(np.ones(z))
+        with pytest.raises(RangeError):
+            classify(averaged_rev_spectrum(avg, 22.55), profile)
+        with pytest.raises(RangeError):
+            reference_classify(reference_rev_spectrum(avg, 22.55), profile,
+                               22.55)
+
+    def test_reference_readout_picks_neighbour(self):
+        sp = Spectrum([0.0, 0.0, 0.7, 0.1, 0.0], 1.0, 8)
+        amp, freq = amplitude_near(sp, 3.0)
+        assert (amp, freq) == (0.7, 2.0)
 
 
 class TestAnalyzeOnSimulator:
@@ -167,11 +228,10 @@ class TestAnalyzeOnSimulator:
         spec = res.envelope_spectrum
         k = int(np.argmax(spec.amplitudes))
         assert k * spec.df_hz == pytest.approx(cutter.tooth_passing_hz,
-                                               abs=spec.df_hz)
+                                               abs=res.f_rot_hz / 8)
         # every sub-tooth order is tiny next to the tooth-passing line
         for order in range(1, 6):
-            amp, _ = spec.amplitude_near(order * res.f_rot_hz)
-            assert amp < 0.10 * spec.amplitudes[k]
+            assert spec.amplitudes[order] < 0.10 * spec.amplitudes[k]
 
     def test_asymmetric_run_flags_tooth_three(self, asymmetric_run):
         _, _, res = asymmetric_run
@@ -179,7 +239,7 @@ class TestAnalyzeOnSimulator:
         assert "tooth_asymmetry" in triggered
         asym = triggered["tooth_asymmetry"]
         assert asym.evidence_freq_hz == pytest.approx(
-            res.f_rot_hz, abs=res.envelope_spectrum.df_hz)
+            res.f_rot_hz, abs=res.f_rot_hz / 8)
         assert asym.amplitude_ratio >= 0.2
         weak = [f for f in res.findings if f.kind == "weak_tooth" and f.triggered]
         assert len(weak) == 1 and weak[0].tooth_index == 3
@@ -232,7 +292,7 @@ class TestAnalyzeOnSimulator:
 
     def test_evidence_frequencies_on_rotation_harmonics(self, asymmetric_run):
         res = asymmetric_run[2]
-        df = res.envelope_spectrum.df_hz
+        df = res.f_rot_hz / 8
         for f in res.findings:
             if f.kind in ("tooth_asymmetry", "imbalance_or_eccentricity",
                           "misalignment") and f.triggered:
@@ -277,9 +337,11 @@ class TestAnalyzeOnSimulator:
         res = analyze(out.channels["ax"], track, cutter, BAND)
         assert res.samples_per_rev == 1026  # smallest multiple of 6 >= 1024
 
-    def test_spectrum_tile_keeps_resolution_fine(self, symmetric_run):
+    def test_spectrum_bins_are_rotation_orders(self, symmetric_run):
         res = symmetric_run[2]
-        assert res.f_rot_hz >= 3.0 * res.envelope_spectrum.df_hz
+        spec = res.envelope_spectrum
+        assert spec.df_hz == res.f_rot_hz
+        assert spec.amplitudes.size == res.samples_per_rev // 2 + 1
 
 
 class TestAnalyzeAllChannels:
@@ -367,14 +429,14 @@ class TestAveragedRevSpectrum:
         theta = 2 * np.pi * np.arange(spr) / spr
         avg = 3.0 + 0.8 * np.cos(6 * theta + 0.4)
         spec = averaged_rev_spectrum(avg, f_rot_hz=22.55)
-        assert spec.amplitudes[6 * 8] == pytest.approx(0.8, rel=1e-9)
+        assert spec.amplitudes[6] == pytest.approx(0.8, rel=1e-9)
         assert spec.amplitudes[0] == pytest.approx(0.0, abs=1e-12)  # mean removed
-        assert spec.df_hz == pytest.approx(22.55 / 8)
+        assert spec.df_hz == 22.55
 
-    def test_off_order_bins_empty(self):
+    def test_other_orders_empty(self):
         spr = 1152
         avg = np.cos(2 * np.pi * 6 * np.arange(spr) / spr)
         spec = averaged_rev_spectrum(avg, 22.55)
         mask = np.ones(spec.amplitudes.size, bool)
-        mask[6 * 8] = False
+        mask[6] = False
         assert spec.amplitudes[mask].max() <= 1e-9
