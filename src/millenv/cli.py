@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config
+from .config import load_config
 from .dsp import HANN, RECTANGULAR, amplitude_spectrum
 from .errors import AnalysisError, ConfigError, RangeError
 from .fileio import (Recording, emit_plot_data, read_recording,
@@ -66,9 +66,9 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_recording(args, cfg: RunConfig) -> Recording:
-    rec = read_recording(args.in_path, columns=cfg.columns or None,
-                         sample_rate_hz=cfg.sample_rate_hz)
+def _load_recording(path, **options) -> Recording:
+    """`read_recording(path, **options)`, its warnings printed to stderr."""
+    rec = read_recording(path, **options)
     for msg in rec.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     return rec
@@ -76,7 +76,8 @@ def _load_recording(args, cfg: RunConfig) -> Recording:
 
 def _cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    rec = _load_recording(args, cfg)
+    rec = _load_recording(args.in_path, columns=cfg.columns or None,
+                          sample_rate_hz=cfg.sample_rate_hz)
     if rec.tacho is None:
         raise AnalysisError("recording has no usable tacho channel; "
                             "envelope analysis needs a 1/rev reference")
@@ -133,7 +134,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_impact(args) -> int:
     cfg = load_config(args.config)
-    rec = _load_recording(args, cfg)
+    rec = _load_recording(args.in_path, columns=cfg.columns or None,
+                          sample_rate_hz=cfg.sample_rate_hz)
     if "hammer" not in rec.channels:
         raise AnalysisError("impact recording needs a 'hammer' force channel")
     response_ch = args.response
@@ -168,8 +170,8 @@ def _cmd_impact(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.peaks < 0:
         raise RangeError(f"--peaks must be >= 0, got {args.peaks}")
-    rec = read_recording(args.in_path, sample_rate_hz=args.rate,
-                         detect_tacho=False)
+    rec = _load_recording(args.in_path, sample_rate_hz=args.rate,
+                          detect_tacho=False)
     if args.channel not in rec.channels:
         raise AnalysisError(
             f"channel {args.channel!r} not in recording "

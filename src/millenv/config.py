@@ -36,7 +36,9 @@ io.sample_rate_hz, or a band above half of io.sample_rate_hz when that rate
 is set, is a ConfigError at load.
 "sync.samples_per_rev" must be a positive multiple of the tooth count z.
 Without it, `analyze` uses the smallest multiple of z at or above 1024.
-"metadata" must be an object; it is never read (reports echo the file).
+"metadata" must be an object; it is never read (reports echo the file), but
+every number in it, however deeply nested, must be finite, so that the echo
+stays strict JSON: a NaN at metadata.note is a ConfigError naming that path.
 """
 
 from __future__ import annotations
@@ -152,6 +154,18 @@ def _finite(value, name: str, integral: bool = False):
     return int(value) if integral else value
 
 
+def _check_finite_numbers(value, name: str) -> None:
+    """A ConfigError naming the first non-finite float anywhere in value."""
+    if isinstance(value, float):
+        _finite(value, name)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite_numbers(item, f"{name}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite_numbers(item, f"{name}[{i}]")
+
+
 def _number(sec: dict, key: str, what: str, integral: bool = False):
     """sec[key] through `_finite`; None if unset."""
     value = sec.get(key)
@@ -163,7 +177,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
-    _section(doc, "metadata")  # free-form, but an object
+    _check_finite_numbers(_section(doc, "metadata"), "metadata")
 
     cutter = _build(Cutter, _section(doc, "cutter", required=True), "cutter", ("z",),
                     ("diameter_mm", "feed_per_tooth_mm", "cutting_speed_m_min"))

@@ -39,7 +39,7 @@ def _require_finite(x: "TimeSeries") -> None:
             f"the first at index {bad[0]}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """One uniformly sampled real-valued channel.
 
@@ -84,7 +84,7 @@ class TimeSeries:
                           channel if channel is not None else self.channel, self.unit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """One-sided amplitude spectrum; bin k corresponds to k * df_hz."""
 
@@ -111,7 +111,7 @@ class Spectrum:
         return np.arange(self.amplitudes.size) * self.df_hz
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngularSeries:
     """Signal resampled to uniform shaft angle, n_revs complete revolutions."""
 

@@ -46,16 +46,21 @@ class Recording:
 
     channels: dict[str, TimeSeries]
     tacho: TachoTrack | None
-    sample_rate_hz: float
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def sample_rate_hz(self) -> float:
+        """The rate the channels share."""
+        return next(iter(self.channels.values())).sample_rate_hz
 
     def slice(self, t0_s: float | None = None,
               t1_s: float | None = None) -> "Recording":
         """The recording restricted to [t0_s, t1_s), by default all of it.
 
-        Channels are cut with `slice_time`. Tacho pulse times are re-based
-        to the first kept sample, the first at or after t0_s, so that they
-        stay aligned with the samples when t0_s is off the sample grid.
+        Channels are cut with `slice_time`. The whole tacho pulse train is
+        shifted to the first kept sample, the first at or after t0_s, so
+        that it stays aligned with the samples when t0_s is off the sample
+        grid; `covered_revolutions` then picks the revolutions the cut holds.
         """
         t0_s = t0_s or 0.0
         if t1_s is None:
@@ -65,8 +70,7 @@ class Recording:
         tacho = self.tacho
         if tacho is not None:
             start_s = first_sample_index(t0_s, self.sample_rate_hz) / self.sample_rate_hz
-            pulses = tacho.pulse_times_s[tacho.pulse_times_s >= start_s]
-            tacho = TachoTrack(pulses[pulses <= t1_s] - start_s)
+            tacho = TachoTrack(tacho.pulse_times_s - start_s)
         return replace(self, channels=channels, tacho=tacho,
                        warnings=list(self.warnings))
 
@@ -130,12 +134,14 @@ def read_recording(path, *, columns: dict[str, str] | None = None,
     header matching a known channel label is taken as-is. A declared
     `sample_rate_hz` wins over the time_s column; if both are present and
     disagree by more than 0.1% a warning is recorded. A tacho column, when
-    present, is run through pulse detection (threshold at mid-swing).
+    present, is run through pulse detection (threshold at mid-swing). One
+    leading byte-order mark, as spreadsheet exports write, is skipped.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line:
             raise ParseError(f"{path}: empty file")
+        header_line = header_line.removeprefix("\ufeff")
         header = [h.strip() for h in header_line.rstrip("\n").split(",")]
         if columns:
             for ch in columns:
@@ -199,7 +205,7 @@ def read_recording(path, *, columns: dict[str, str] | None = None,
         else:
             warnings.append("tacho channel is constant; no pulses detected")
 
-    return Recording(channels, tacho_track, float(rate), warnings)
+    return Recording(channels, tacho_track, warnings)
 
 
 def write_recording(channels: dict[str, TimeSeries], path) -> None:

@@ -77,7 +77,7 @@ class SimConfig:
         return self.rpm if self.rpm is not None else self.cutter.rpm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTruth:
     """Ground truth: when each tooth struck, and the configured gains."""
 

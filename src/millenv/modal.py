@@ -40,7 +40,7 @@ class ImpactRecord:
             raise InputError("force record carries no impulse (zero energy)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frf:
     """H1 frequency response with coherence.
 

@@ -130,7 +130,7 @@ class Finding:
             raise RangeError("amplitude_ratio must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalysisResult:
     """One channel's verdict at mean spindle speed mean_rpm: the classified
     findings, the tooth profile and the averaged revolution behind them."""
@@ -139,7 +139,6 @@ class AnalysisResult:
     mean_rpm: float
     findings: tuple[Finding, ...]
     tooth_profile: ToothProfile
-    envelope_spectrum: Spectrum
     averaged_envelope: np.ndarray
     warnings: tuple[str, ...] = ()
     inconclusive: bool = False
@@ -159,6 +158,11 @@ class AnalysisResult:
     @property
     def samples_per_rev(self) -> int:
         return self.averaged_envelope.size
+
+    @property
+    def envelope_spectrum(self) -> Spectrum:
+        """The averaged revolution's spectrum, whose bin k is rotation order k."""
+        return averaged_rev_spectrum(self.averaged_envelope, self.f_rot_hz)
 
 
 def default_samples_per_rev(z: int) -> int:
@@ -295,11 +299,10 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
             f"(limit {100 * cfg.max_rpm_drift:.1f}%); order tracking absorbs "
             "the drift but Hz readings use the mean speed")
 
-    env_spec = averaged_rev_spectrum(avg, mean_rpm / 60.0)
-    findings, inconclusive = classify(env_spec, profile, cfg)
-    return AnalysisResult(
-        x.channel, mean_rpm, findings, profile, env_spec, avg,
-        tuple(warnings), inconclusive)
+    findings, inconclusive = classify(
+        averaged_rev_spectrum(avg, mean_rpm / 60.0), profile, cfg)
+    return AnalysisResult(x.channel, mean_rpm, findings, profile, avg,
+                          tuple(warnings), inconclusive)
 
 
 def _for_channel(setting, channel: str, what: str):

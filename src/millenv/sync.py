@@ -18,7 +18,7 @@ from .errors import (CoverageError, InputError, PulseDetectionError,
                      PulseQualityError, RangeError, SizeError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TachoTrack:
     """Ordered 1/rev pulse timestamps with a derived nominal speed.
 
@@ -30,8 +30,7 @@ class TachoTrack:
     # the order-tracking plan of the last (record length, sample rate,
     # samples_per_rev) resampled against this track, shared by every
     # channel that repeats that key; see `resample_to_angle`
-    _plans: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         times = _readonly_1d(self.pulse_times_s, "pulse_times_s")
@@ -61,7 +60,7 @@ class TachoTrack:
         return self.pulse_times_s.size - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToothProfile:
     """Per-tooth mean load over the averaged revolution, one entry per tooth.
 

@@ -1,8 +1,9 @@
 """Write the golden outputs of the reference run.
 
 `generate` runs ``millenv simulate`` on configs/reference.json, then
-``millenv analyze`` of the whole recording and of the cut
-``--t0 0.1 --t1 1.1``. It keeps the truth file, both reports and a sha256
+``millenv analyze`` of the whole recording, of the cut
+``--t0 0.1 --t1 1.1`` and of the cut ``--t0 0.10002 --t1 1.1``, whose start
+falls between samples. It keeps the truth file, every report and a sha256
 manifest of every plot file, stamped with the numpy version that wrote
 them. tests/test_golden.py regenerates the set in a temporary directory
 and compares it with the committed one.
@@ -25,7 +26,8 @@ import numpy as np
 GOLDEN = Path(__file__).resolve().parent
 REFERENCE_CONFIG = GOLDEN.parents[1] / "configs" / "reference.json"
 #: one analyze run per entry: its name and its extra arguments
-RUNS = {"full": [], "cut": ["--t0", "0.1", "--t1", "1.1"]}
+RUNS = {"full": [], "cut": ["--t0", "0.1", "--t1", "1.1"],
+        "cut_frac": ["--t0", "0.10002", "--t1", "1.1"]}
 MANIFEST = "plots.sha256.json"
 
 

@@ -2,8 +2,10 @@
 writers as they were before they were vectorized: one Python `float()` per
 cell on read, one `repr()` per cell on write and one formatted string per
 plotted point. `m4_indices` picks the points a reduced SVG keeps, one pixel
-column at a time. Tests compare `millenv.fileio` against them for equal
-arrays, equal error messages and byte-identical files.
+column at a time. `slice_recording` is the time cut as it was when it kept
+only the tacho pulses inside the cut. Tests compare `millenv.fileio`
+against them for equal arrays, equal error messages, byte-identical files
+and bit-identical analyses.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ import math
 
 import numpy as np
 
-from millenv.core import CHANNELS, TimeSeries
+from millenv.core import CHANNELS, TimeSeries, first_sample_index, slice_time
 from millenv.errors import InputError, ParseError, PulseDetectionError
 from millenv.fileio import Recording
-from millenv.sync import detect_pulses
+from millenv.sync import TachoTrack, detect_pulses
 
 _COLUMN_ORDER = ("time_s",) + CHANNELS
 
@@ -121,7 +123,28 @@ def read_recording(path, *, columns: dict[str, str] | None = None,
         else:
             warnings.append("tacho channel is constant; no pulses detected")
 
-    return Recording(channels, tacho_track, float(rate), warnings)
+    return Recording(channels, tacho_track, warnings)
+
+
+def slice_recording(rec: Recording, t0_s: float | None = None,
+                    t1_s: float | None = None) -> Recording:
+    """`rec` restricted to [t0_s, t1_s), with a tacho track of its own.
+
+    Only the pulses from the first kept sample (the first at or after t0_s)
+    to t1_s are kept, re-based to that sample and validated again as a new
+    track: fewer than 2 of them is a PulseDetectionError.
+    """
+    t0_s = t0_s or 0.0
+    if t1_s is None:
+        t1_s = min(ts.duration_s for ts in rec.channels.values())
+    channels = {ch: slice_time(ts, t0_s, t1_s)
+                for ch, ts in rec.channels.items()}
+    tacho = rec.tacho
+    if tacho is not None:
+        start_s = first_sample_index(t0_s, rec.sample_rate_hz) / rec.sample_rate_hz
+        pulses = tacho.pulse_times_s[tacho.pulse_times_s >= start_s]
+        tacho = TachoTrack(pulses[pulses <= t1_s] - start_s)
+    return Recording(channels, tacho, list(rec.warnings))
 
 
 def write_recording(channels: dict[str, TimeSeries], path,

@@ -6,11 +6,13 @@ table. Update the table together with the API change it records. README's
 library example is run as written, so it cannot drift from the API.
 """
 
+import copy
 import dataclasses
 import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import millenv
 from millenv import fileio
@@ -47,8 +49,7 @@ PARAMETERS = {
 
 INIT_FIELDS = {
     "AnalysisResult": "channel mean_rpm findings tooth_profile "
-                      "envelope_spectrum averaged_envelope warnings "
-                      "inconclusive",
+                      "averaged_envelope warnings inconclusive",
     "AngularSeries": "samples samples_per_rev",
     "Band": "f_lo_hz f_hi_hz",
     "Cutter": "z diameter_mm feed_per_tooth_mm cutting_speed_m_min",
@@ -68,6 +69,7 @@ INIT_FIELDS = {
     "TimeSeries": "samples sample_rate_hz channel unit",
     "ToothProfile": "mean_load",
     "Window": "kind",
+    "fileio.Recording": "channels tacho warnings",
 }
 
 
@@ -91,8 +93,10 @@ def test_function_parameters():
 
 
 def test_dataclass_init_fields():
+    classes = _exported(_is_dataclass_type)
+    classes["fileio.Recording"] = fileio.Recording
     actual = {name: " ".join(f.name for f in dataclasses.fields(cls) if f.init)
-              for name, cls in _exported(_is_dataclass_type).items()}
+              for name, cls in classes.items()}
     assert actual == INIT_FIELDS
 
 
@@ -122,8 +126,9 @@ def _arrays(value, path):
             yield from _arrays(item, f"{path}[{key!r}]")
 
 
-def test_results_hold_only_read_only_arrays(cutter):
-    # README: every public type is a frozen dataclass over read-only arrays
+@pytest.fixture(scope="module")
+def public_values(cutter):
+    """One value of each public result type, keyed by the call that made it."""
     out, track = run_simulation(cutter, [1.0, 1.0, 1.0, 0.5, 1.0, 1.0])
     x = out.channels["ax"]
     angular = millenv.resample_to_angle(x, track, SAMPLES_PER_REV)
@@ -138,12 +143,34 @@ def test_results_hold_only_read_only_arrays(cutter):
     frf = millenv.estimate_frf([millenv.ImpactRecord(
         millenv.TimeSeries(force, FS, "hammer"),
         millenv.TimeSeries(response, FS, "ax"))] * 2)
-    values = {"simulate": out, "detect_pulses": track, "analyze": result,
-              "resample_to_angle": angular, "estimate_frf": frf}
+    return {"simulate": out, "detect_pulses": track, "analyze": result,
+            "resample_to_angle": angular, "estimate_frf": frf}
+
+
+def test_results_hold_only_read_only_arrays(public_values):
+    # README: every public type is a frozen dataclass over read-only arrays
     found = {path: arr.flags.writeable
-             for name, value in values.items()
+             for name, value in public_values.items()
              for path, arr in _arrays(value, name)}
     # the track's resampling plan is among them once analyze has run
     assert any(path.startswith("detect_pulses._plans") for path in found)
     assert "analyze.averaged_envelope" in found
     assert [path for path, writeable in found.items() if writeable] == []
+
+
+def test_array_types_compare_by_identity(public_values):
+    # README: comparing arrays field by field would raise, so these types
+    # are equal only to themselves and hash by identity
+    result = public_values["analyze"]
+    values = [public_values["simulate"].channels["ax"],
+              result.envelope_spectrum, public_values["resample_to_angle"],
+              public_values["detect_pulses"], result.tooth_profile, result,
+              public_values["estimate_frf"], public_values["simulate"].truth]
+    assert [type(x).__name__ for x in values] == [
+        "TimeSeries", "Spectrum", "AngularSeries", "TachoTrack",
+        "ToothProfile", "AnalysisResult", "Frf", "SimTruth"]
+    for x in values:
+        assert x == x
+        assert x != copy.copy(x)
+        assert hash(x) == hash(x)
+        assert x in {x}

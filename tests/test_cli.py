@@ -199,6 +199,24 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"invalid {section}" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("metadata, path", [
+        ({"note": float("nan")}, "metadata.note"),
+        ({"depth_of_cut_mm": float("inf")}, "metadata.depth_of_cut_mm"),
+        ({"tool": {"wear_mm": [0.1, float("-inf")]}},
+         "metadata.tool.wear_mm[1]"),
+    ])
+    def test_non_finite_metadata_is_config_error_naming_path(
+            self, tmp_path, capsys, command, metadata, path):
+        # the report echoes metadata, and strict JSON has no NaN or Infinity
+        cfg = write_config(tmp_path / "c.json", metadata=metadata)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "x")]
+        if command == "analyze":  # the config fails before the input is read
+            argv += ["--in", str(tmp_path / "missing.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and path in err
+
 
 class TestAnalyzeCommand:
     def test_end_to_end_and_deterministic(self, tmp_path, config_path):
@@ -247,6 +265,25 @@ class TestAnalyzeCommand:
                          "--out", str(out), "--t0", t0, "--t1", "1.1"]) == 0
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_window_short_of_min_revs_reports_coverage_errors(
+            self, tmp_path, config_path, capsys):
+        # 0.1 s holds 2 revolutions at 1352.8 rpm, 0.02 s not one pulse pair
+        sim_dir = tmp_path / "sim"
+        main(["simulate", "--config", str(config_path), "--out", str(sim_dir)])
+        for name, t1 in (("a", "0.2"), ("b", "0.12")):
+            out = tmp_path / name
+            assert main(["analyze", "--config", str(config_path),
+                         "--in", str(sim_dir / "recording.csv"),
+                         "--out", str(out), "--t0", "0.1", "--t1", t1]) == 1
+            doc = json.loads((out / "report.json").read_text())
+            assert doc["channels"] == {}
+            assert sorted(doc["channel_errors"]) == ["ax", "ay", "az", "fx",
+                                                     "fy", "fz"]
+            assert all(err.startswith("CoverageError: signal covers ")
+                       and err.endswith("need at least 20")
+                       for err in doc["channel_errors"].values())
+        assert "analyzed 0/6 channel(s)" in capsys.readouterr().out
 
     def test_report_matches_library_path(self, tmp_path):
         bands = {"default": {"f_lo_hz": 1500.0, "f_hi_hz": 2500.0,
@@ -419,6 +456,26 @@ class TestSpectrumCommand:
         for name in ("spectrum_ax.txt", "spectrum_ax.svg"):
             assert ((tmp_path / "spectrum" / name).read_bytes()
                     == (tmp_path / "analyze" / name).read_bytes())
+
+    def test_declared_rate_against_time_column_warns(self, tmp_path, capsys):
+        # the declared rate wins, as before, and the reader's warning is shown
+        t = np.arange(25000) / FS
+        x = TimeSeries(np.sin(2 * np.pi * 100.0 * t), FS, "ax")
+        timed, untimed = tmp_path / "timed.csv", tmp_path / "untimed.csv"
+        write_recording({"ax": x}, timed)
+        untimed.write_text("\n".join(line.split(",")[1] for line in
+                                     timed.read_text().splitlines()) + "\n")
+        outputs = []
+        for path in (timed, untimed):
+            assert main(["spectrum", "--in", str(path), "--channel", "ax",
+                         "--rate", "20000"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out == outputs[1].out
+        assert outputs[0].out.startswith("ax: 25000 samples @ 20000 Hz")
+        assert outputs[0].err == (
+            "warning: declared sample rate 20000.0 Hz differs from the time "
+            "column (25000 Hz) by more than 0.1%; using the declared rate\n")
+        assert outputs[1].err == ""
 
     def test_unknown_channel(self, tmp_path):
         path = tmp_path / "tone.csv"

@@ -1,18 +1,26 @@
+import codecs
 import json
+import math
+from dataclasses import replace
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import millenv.fileio
 import reference_fileio as ref
-from millenv import (ConfigError, ParseError, SimConfig, TimeSeries, simulate,
-                     slice_time)
+from millenv import (AnalysisError, ConfigError, ParseError, SimConfig,
+                     TimeSeries, analyze_all_channels, simulate, slice_time)
+from millenv.cli import ANALYSIS_CHANNELS
 from millenv.config import config_from_dict, load_config
 from millenv.fileio import (Recording, dump_report, emit_plot_data,
                             read_recording, report_document, write_recording,
                             write_svg, write_xy)
 from conftest import FS, RPM, analyze_channel, run_simulation
+
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 
 
 def write_csv(path, header, rows):
@@ -220,6 +228,27 @@ class TestParserEquivalence:
         assert np.array_equal(rec.channels["ax"].samples, 0.5 * np.arange(20))
 
 
+class TestByteOrderMark:
+    # a 20 kHz rate declared against the 25 kHz time column gives a warning
+    # only when the time column is read
+    @pytest.mark.parametrize("time_column, rate", [(True, 20000.0),
+                                                   (False, FS)])
+    def test_bom_copy_reads_like_original(self, tmp_path, cutter,
+                                          time_column, rate):
+        out = simulate(SimConfig(cutter, (1.0, 1.0, 0.5, 1.0, 1.0, 1.0),
+                                 rpm=RPM, duration_s=0.3, seed=5))
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        ref.write_recording(out.channels, plain, include_time=time_column)
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        new, old = (read_recording(path, sample_rate_hz=rate)
+                    for path in (bom, plain))
+        assert_same_recording(new, old)
+        assert list(new.channels) == ["ax", "ay", "az", "fx", "fy", "fz",
+                                      "tacho"]
+        assert np.array_equal(new.tacho.pulse_times_s, old.tacho.pulse_times_s)
+        assert len(old.warnings) == int(time_column)
+
+
 def _random_channels(n, rate):
     rng = np.random.default_rng(11)
     scales = [1.0, 1e-300, 1e300, 3.0e5, 1e-7, 7.0, 1.0]
@@ -390,7 +419,10 @@ class TestRecordingSlice:
     @pytest.fixture()
     def recording(self, symmetric_run):
         out, track, _ = symmetric_run
-        return Recording(dict(out.channels), track, FS, ["kept"])
+        return Recording(dict(out.channels), track, ["kept"])
+
+    def test_sample_rate_is_the_channels(self, recording):
+        assert recording.sample_rate_hz == FS
 
     # at 25 kHz samples lie 40 us apart: 0.10002 s falls between samples
     # 2500 and 2501, so the first kept sample is 2501, as for 0.10004 s
@@ -398,10 +430,9 @@ class TestRecordingSlice:
                                            (0.10004, 2501)])
     def test_pulses_rebased_to_first_kept_sample(self, recording, t0, first):
         part = recording.slice(t0, 1.1)
-        start = first / FS
-        pulses = recording.tacho.pulse_times_s
-        kept = pulses[(pulses >= start) & (pulses <= 1.1)]
-        np.testing.assert_array_equal(part.tacho.pulse_times_s, kept - start)
+        # every pulse stays, the ones outside the cut included
+        np.testing.assert_array_equal(part.tacho.pulse_times_s,
+                                      recording.tacho.pulse_times_s - first / FS)
         for ch, ts in recording.channels.items():
             assert part.channels[ch].samples[0] == ts.samples[first]
             np.testing.assert_array_equal(part.channels[ch].samples,
@@ -414,6 +445,74 @@ class TestRecordingSlice:
                                       recording.tacho.pulse_times_s)
         for ch, ts in recording.channels.items():
             np.testing.assert_array_equal(part.channels[ch].samples, ts.samples)
+
+
+@pytest.fixture(scope="module")
+def reference_recordings(tmp_path_factory):
+    """The reference config and its recording, at constant speed and on a
+    ramp to 1500 rpm, each read back from CSV as `millenv analyze` reads it."""
+    cfg = load_config(REFERENCE_CONFIG)
+    recordings = {}
+    for name, sim in (("constant", cfg.sim),
+                      ("ramp", replace(cfg.sim, rpm_end=1500.0))):
+        path = tmp_path_factory.mktemp(name) / "recording.csv"
+        write_recording(simulate(sim).channels, path)
+        recordings[name] = read_recording(path,
+                                          sample_rate_hz=cfg.sample_rate_hz)
+    return cfg, recordings
+
+
+@st.composite
+def cut_edges(draw, pulses, fs, duration):
+    """(t0, t1) with t0 in the first and t1 in the last 45% of the record,
+    each on the sample grid, between samples or within two samples of a
+    tacho pulse."""
+    def edge(lo, hi):
+        near = pulses[(pulses >= lo) & (pulses <= hi)].tolist()
+        if near and draw(st.booleans()):
+            t = draw(st.sampled_from(near))
+        else:
+            t = draw(st.integers(math.ceil(lo * fs), math.floor(hi * fs))) / fs
+        steps = draw(st.integers(-2, 2)) + draw(
+            st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True))
+        return min(max(t + steps / fs, lo), hi)
+
+    return edge(0.0, 0.45 * duration), edge(0.55 * duration, duration)
+
+
+def _analyze_cut(rec, cfg, min_revs):
+    """`millenv analyze`'s analysis of rec: the report bytes it would write
+    and each averaged revolution's bytes."""
+    bands = {ch: cfg.band_settings(ch) for ch in ANALYSIS_CHANNELS}
+    results, errors = analyze_all_channels(
+        [rec.channels[ch] for ch in ANALYSIS_CHANNELS], rec.tacho, cfg.cutter,
+        {ch: bs.band for ch, bs in bands.items()},
+        replace(cfg.thresholds, min_revs=min_revs),
+        taper_hz={ch: bs.taper_hz for ch, bs in bands.items()},
+        samples_per_rev=cfg.samples_per_rev,
+        tooth0_offset_frac=cfg.tooth0_offset_frac)
+    return (dump_report(report_document(results, errors)),
+            {ch: res.averaged_envelope.tobytes() for ch, res in results.items()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cut_analyses_like_the_filtered_track(reference_recordings, data):
+    """Shifting the whole pulse train gives the analysis of the train cut to
+    the window, wherever that cut gave a track, bit for bit: floats, flags,
+    tooth indices, warnings and per-channel errors."""
+    cfg, recordings = reference_recordings
+    rec = recordings[data.draw(st.sampled_from(sorted(recordings)))]
+    duration = min(ts.duration_s for ts in rec.channels.values())
+    t0, t1 = data.draw(cut_edges(rec.tacho.pulse_times_s, rec.sample_rate_hz,
+                                 duration))
+    min_revs = data.draw(st.sampled_from([1, cfg.thresholds.min_revs]))
+    try:
+        oracle = ref.slice_recording(rec, t0, t1)
+    except AnalysisError:
+        return  # the filtered cut left no valid track to compare with
+    assert (_analyze_cut(rec.slice(t0, t1), cfg, min_revs)
+            == _analyze_cut(oracle, cfg, min_revs))
 
 
 class TestConfig:

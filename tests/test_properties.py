@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_fileio as ref
-from millenv import (AnalysisResult, AngularSeries, SizeError, Spectrum,
-                     ToothProfile)
+from millenv import (AnalysisResult, AngularSeries, SizeError, ToothProfile,
+                     averaged_rev_spectrum)
 from millenv.fileio import write_svg, write_xy
 
 TEETH = st.integers(1, 16)
@@ -38,13 +38,18 @@ def test_angular_series_holds_whole_revolutions(size, samples_per_rev):
             AngularSeries(np.zeros(size), samples_per_rev)
 
 
-@given(st.floats(1.0, 1e5), TEETH)
-def test_report_frequencies_follow_mean_rpm(mean_rpm, z):
-    result = AnalysisResult("ax", mean_rpm, (), ToothProfile(np.ones(z)),
-                            Spectrum(np.zeros(2), 1.0, 2), np.ones(z))
+@given(st.floats(1.0, 1e5), TEETH,
+       st.lists(st.floats(0.0, 1e3), min_size=2, max_size=64))
+def test_report_frequencies_follow_mean_rpm(mean_rpm, z, avg):
+    result = AnalysisResult("ax", mean_rpm, (), ToothProfile(np.ones(z)), avg)
     assert result.f_rot_hz == mean_rpm / 60.0
     assert result.f_tooth_hz == z * result.f_rot_hz
-    assert result.samples_per_rev == z
+    assert result.samples_per_rev == len(avg)
+    # the envelope spectrum is the averaged revolution's, one bin per order
+    spec = result.envelope_spectrum
+    assert (spec.df_hz, spec.n_fft) == (result.f_rot_hz, len(avg))
+    assert (spec.amplitudes.tobytes()
+            == averaged_rev_spectrum(avg, result.f_rot_hz).amplitudes.tobytes())
 
 
 EXTREMES = (np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310, 1e308, -1e308)
