@@ -13,14 +13,13 @@ Exit codes: 0 success, 1 input/parse error, 2 analysis inconclusive,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import load_config
+from .config import _read_document, config_from_dict, load_config
 from .dsp import HANN, RECTANGULAR, amplitude_spectrum
 from .errors import AnalysisError, ConfigError, RangeError
 from .fileio import (Recording, emit_plot_data, read_recording,
@@ -75,7 +74,9 @@ def _load_recording(path, **options) -> Recording:
 
 
 def _cmd_analyze(args) -> int:
-    cfg = load_config(args.config)
+    # one read: the report echoes the document the config was built from
+    config_doc = _read_document(args.config)
+    cfg = config_from_dict(config_doc)
     rec = _load_recording(args.in_path, columns=cfg.columns or None,
                           sample_rate_hz=cfg.sample_rate_hz)
     if rec.tacho is None:
@@ -98,7 +99,7 @@ def _cmd_analyze(args) -> int:
         samples_per_rev=cfg.samples_per_rev,
         tooth0_offset_frac=cfg.tooth0_offset_frac)
 
-    doc = report_document(results, errors, config_echo=_echo(args.config))
+    doc = report_document(results, errors, config_echo=config_doc)
     write_report(doc, out / "report.json")
 
     for ch, ts in channels.items():
@@ -191,11 +192,6 @@ def _cmd_spectrum(args) -> int:
                        spec.amplitudes, f"Amplitude spectrum [{args.channel}]",
                        "frequency_hz", f"amplitude_{ts.unit or 'au'}")
     return EXIT_OK
-
-
-def _echo(config_path) -> dict:
-    with open(config_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def build_parser() -> argparse.ArgumentParser:

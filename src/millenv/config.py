@@ -231,8 +231,8 @@ def config_from_dict(doc: dict) -> RunConfig:
         sim=sim)
 
 
-def load_config(path) -> RunConfig:
-    """Parse and validate a JSON run configuration file."""
+def _read_document(path) -> dict:
+    """The JSON object in the configuration file at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -240,4 +240,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: not valid JSON ({err})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    return config_from_dict(doc)
+    return doc
+
+
+def load_config(path) -> RunConfig:
+    """Parse and validate a JSON run configuration file."""
+    return config_from_dict(_read_document(path))

@@ -5,12 +5,15 @@ amplitude spectrum with window gain correction, an ideal band mask with
 raised-cosine edges (zero phase, no group delay), and the FFT construction of
 the analytic signal whose magnitude is the envelope. The analytic signal is
 built from the one-sided (``rfft``) spectrum at any record length, odd or
-even, without padding; `band_envelope` masks that same spectrum, so a band
-envelope costs one forward and one inverse FFT.
+even, without padding. `band_envelope` masks that same spectrum and
+inverse-transforms only the band's bins: one ``rfft`` of n points, then D
+inverse FFTs of n/D points, where n/D is the smallest divisor of n that
+holds the band (D = 1 at a prime n).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,23 +182,90 @@ def envelope(x: TimeSeries) -> TimeSeries:
     return x.with_samples(np.abs(analytic_signal(x)), channel=x.channel + "_env")
 
 
+#: rows of one running twiddle product in `band_envelope`; further rows are
+#: built by doubling, each block from one `exp`, so rounding grows with the
+#: log of the row count rather than with the count itself
+_TWIDDLE_RUN = 32
+
+
+def _band_bins(x: TimeSeries, b: Band,
+               taper_hz: float | None) -> tuple[int, np.ndarray]:
+    """First bin k0 and the mask over the bins where the band mask is nonzero.
+
+    The mask is computed only over the bins around b, at the frequencies
+    `rfftfreq` gives them, so it equals ``_checked_band_mask(x, b,
+    taper_hz)[k0:k0 + mask.size]`` bit for bit, and the full mask is zero
+    outside that range. An empty band gives an empty mask.
+    """
+    _check_below_nyquist(b, x.sample_rate_hz)
+    taper_hz = _checked_taper(b, taper_hz)
+    n = len(x)
+    df = 1.0 / (n * (1.0 / x.sample_rate_hz))  # rfftfreq's bin spacing
+    lo = max(int(b.f_lo_hz / df) - 1, 0)
+    hi = min(int(b.f_hi_hz / df) + 2, n // 2 + 1)
+    mask = _band_mask(np.arange(lo, hi) * df, b, taper_hz)
+    nonzero = np.flatnonzero(mask)
+    if nonzero.size == 0:
+        return lo, mask[:0]
+    return lo + int(nonzero[0]), mask[nonzero[0]:nonzero[-1] + 1]
+
+
+def _smallest_divisor_at_least(n: int, m: int) -> int:
+    """The smallest divisor of n that is at least m (m <= n)."""
+    low = np.arange(1, math.isqrt(n) + 1)
+    low = low[n % low == 0]
+    divisors = np.concatenate([low, n // low])
+    return int(divisors[divisors >= m].min())
+
+
 def band_envelope(x: TimeSeries, b: Band,
                   taper_hz: float | None = None) -> TimeSeries:
-    """``envelope(band_filter(x, b, taper_hz))`` in one rfft and one ifft.
+    """``envelope(band_filter(x, b, taper_hz))`` from the band's bins only.
 
-    The band mask and the analytic-signal weights are applied to the same
-    one-sided spectrum, which skips the real band-passed signal in between.
-    At even lengths the result equals the two-step chain to rounding; the
-    same edge caveat as for `envelope` applies.
+    The band mask and the analytic-signal weights are applied to the
+    ``rfft`` bins [k0, k0 + B) where the mask is nonzero; every other bin of
+    the analytic spectrum is zero. With L the smallest divisor of n that is
+    at least B and D = n / L, sample q*D + p of the analytic signal is, up
+    to the phase of the shift by k0, the length-L inverse FFT of the band
+    bins k times exp(2*pi*i*(k - k0)*p/n), at q. So one rfft of n points and
+    one batch of D inverse FFTs of L points replace the inverse FFT of n
+    points; a prime n gives D = 1, that single transform. At even lengths
+    the result equals the two-step chain to rounding; the same edge caveat
+    as for `envelope` applies.
     """
-    mask = _checked_band_mask(x, b, taper_hz)
+    k0, mask = _band_bins(x, b, taper_hz)
     n = len(x)
     if n < 4:
         raise SizeError(f"band_envelope needs at least 4 samples, got {n}")
     spec = np.fft.rfft(x.samples)
-    spec *= mask
-    return x.with_samples(np.abs(_analytic_from_rfft(spec, n)),
-                          channel=x.channel + "_env")
+    band = spec[k0:k0 + mask.size] * mask
+    del spec
+    # analytic weights: 2 strictly between DC and n/2, 1 at DC and at the
+    # Nyquist bin of an even n
+    band[max(1 - k0, 0):(n + 1) // 2 - k0] *= 2.0
+    band *= 1.0 / n  # the inverse transforms below are unscaled
+
+    width = band.size
+    cols = _smallest_divisor_at_least(n, width)
+    rows = n // cols
+    phases = np.zeros((rows, cols), dtype=complex)
+    phases[0, :width] = band
+    bins = np.arange(width)
+    step = np.exp((2j * np.pi / n) * bins)
+    done = min(rows, _TWIDDLE_RUN)
+    for p in range(1, done):
+        np.multiply(phases[p - 1, :width], step, out=phases[p, :width])
+    while done < rows:
+        m = min(done, rows - done)
+        np.multiply(phases[:m, :width], np.exp((2j * np.pi * done / n) * bins),
+                    out=phases[done:done + m, :width])
+        done += m
+
+    analytic = np.fft.ifft(phases, axis=1, norm="forward")
+    del phases
+    env = np.empty(n)
+    np.abs(analytic.T, out=env.reshape(cols, rows))  # env[q*rows + p]
+    return x.with_samples(env, channel=x.channel + "_env")
 
 
 def envelope_spectrum(x: TimeSeries, b: Band, taper_hz: float | None = None,

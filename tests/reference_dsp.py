@@ -4,15 +4,17 @@ These are the straightforward forms the library's fused kernels replace,
 kept as test oracles: `reference_band_envelope` band-passes with an
 rfft/irfft pair, then builds the analytic signal with an fft/ifft pair
 (zero-padding odd lengths by one sample), then takes its magnitude.
-`reference_resample_to_angle` evaluates the Catmull-Rom polynomial on the
-samples for every call. `millenv.dsp.band_envelope` and
+`reference_fused_band_envelope` masks one rfft and inverse-transforms all
+n points at once. `reference_resample_to_angle` evaluates the Catmull-Rom
+polynomial on the samples for every call. `millenv.dsp.band_envelope` and
 `millenv.sync.resample_to_angle` are compared against them.
 """
 
 import numpy as np
 
 from millenv import TimeSeries
-from millenv.dsp import _band_mask
+from millenv.dsp import _band_mask, _checked_band_mask
+from millenv.errors import SizeError
 
 
 def reference_band_filter(x: TimeSeries, b, taper_hz: float) -> np.ndarray:
@@ -36,6 +38,19 @@ def reference_analytic_signal(a: np.ndarray) -> np.ndarray:
 
 def reference_band_envelope(x: TimeSeries, b, taper_hz: float) -> np.ndarray:
     return np.abs(reference_analytic_signal(reference_band_filter(x, b, taper_hz)))
+
+
+def reference_fused_band_envelope(x: TimeSeries, b,
+                                  taper_hz: float | None) -> np.ndarray:
+    """One rfft, the band mask and the analytic weights, one ifft of n points."""
+    mask = _checked_band_mask(x, b, taper_hz)
+    n = len(x)
+    if n < 4:
+        raise SizeError(f"band_envelope needs at least 4 samples, got {n}")
+    spec = np.fft.rfft(x.samples)
+    spec *= mask
+    spec[1:(n + 1) // 2] *= 2.0
+    return np.abs(np.fft.ifft(spec, n))
 
 
 def cubic_interp(a: np.ndarray, s: np.ndarray) -> np.ndarray:

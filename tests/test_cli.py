@@ -321,6 +321,24 @@ class TestAnalyzeCommand:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["config"]["metadata"] == metadata
 
+    def test_reads_config_once(self, tmp_path, config_path, monkeypatch):
+        # the report echoes the very document the run config was built from
+        sim_dir = tmp_path / "sim"
+        main(["simulate", "--config", str(config_path), "--out", str(sim_dir)])
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(config_path):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert main(["analyze", "--config", str(config_path),
+                     "--in", str(sim_dir / "recording.csv"),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert len(opened) == 1
+
     def test_missing_input_file(self, tmp_path, config_path):
         assert main(["analyze", "--config", str(config_path),
                      "--in", str(tmp_path / "nope.csv"),

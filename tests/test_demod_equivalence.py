@@ -7,12 +7,14 @@ straightforward forms are kept in `reference_dsp.py`.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from millenv import (TachoTrack, TimeSeries, analyze, analytic_signal,
+from millenv import (Band, TachoTrack, TimeSeries, analyze, analytic_signal,
                      detrend, resample_to_angle)
-from millenv.dsp import band_envelope
+from millenv.dsp import _band_bins, _checked_band_mask, band_envelope
 from conftest import BAND, FS, SAMPLES_PER_REV
 from reference_dsp import (reference_analytic_signal, reference_band_envelope,
+                           reference_fused_band_envelope,
                            reference_resample_to_angle)
 
 LABELS = ("ax", "ay", "az", "fx", "fy", "fz")
@@ -42,7 +44,8 @@ def test_band_envelope_matches_reference_at_even_lengths(asymmetric_run, n):
 # signal, the kernel does not pad, so the two differ near the circular
 # edges (up to 17% there) and slightly inside them. Measured inside: at most
 # 9.6e-5 on the acceleration channels and 1.2e-3 on the force channels.
-@pytest.mark.parametrize("n", [24989, 25001, 29989])  # 25001 is prime
+# 24989 and 29989 are prime, 25001 = 23 * 1087
+@pytest.mark.parametrize("n", [24989, 25001, 29989])
 @pytest.mark.parametrize("labels, bound", [(("ax", "ay", "az"), 2e-4),
                                            (("fx", "fy", "fz"), 2e-3)])
 def test_band_envelope_near_reference_at_odd_lengths(asymmetric_run, n,
@@ -97,8 +100,67 @@ def test_one_tacho_serves_any_record_length_and_grid(asymmetric_run):
                 resample_to_angle(x, shared, spr).samples, fresh.samples)
 
 
-def test_analyze_runs_two_full_length_ffts(asymmetric_run, cutter,
-                                           monkeypatch):
+# n/D, the length of each inverse FFT, is the smallest divisor of n that
+# holds the band: lengths with few divisors (primes, 2 * prime, 2**k +- 1)
+# and 5-smooth ones with many.
+LENGTHS = (4, 5, 6, 7,
+           11, 101, 1009, 24989, 25013,
+           22, 202, 2018, 49978,
+           25001,  # 23 * 1087: n/D = 1087 holds the reference band
+           15, 17, 255, 257, 4095, 4097,
+           8, 60, 1000, 1200, 24000, 30000)
+
+
+@st.composite
+def band_cases(draw):
+    n = draw(st.sampled_from(LENGTHS))
+    df, nyq = FS / n, FS / 2.0
+    u = draw(st.floats(0.0, 1.0))
+    v = draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["dc", "nyquist", "sub-bin", "reference",
+                                 "any"]))
+    if kind == "dc":
+        band = Band(0.0, nyq * (0.01 + 0.99 * u))
+    elif kind == "nyquist":
+        band = Band(0.99 * nyq * u, nyq)
+    elif kind == "sub-bin":
+        # narrower than a bin: holds bin k only when it starts on it
+        k = min(int(u * (n // 2)), n // 2 - 1)
+        f_lo = (k + 0.5 * v) * df
+        band = Band(f_lo, f_lo + 0.4 * df)
+    elif kind == "reference":
+        band = BAND
+    else:
+        f_lo = 0.99 * nyq * u
+        band = Band(f_lo, f_lo + (nyq - f_lo) * max(v, 0.01))
+    taper_hz = draw(st.sampled_from([0.0, band.width_hz / 2.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = TimeSeries(np.random.default_rng(seed).normal(size=n), FS)
+    return x, band, taper_hz
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_cases())
+def test_band_envelope_matches_fused_reference(case):
+    x, band, taper_hz = case
+    k0, mask = _band_bins(x, band, taper_hz)
+    full = _checked_band_mask(x, band, taper_hz)
+    k1 = k0 + mask.size
+    assert full[k0:k1].tobytes() == mask.tobytes()
+    assert not full[:k0].any() and not full[k1:].any()
+    assert mask.size == 0 or (mask[0] != 0.0 and mask[-1] != 0.0)
+
+    env = band_envelope(x, band, taper_hz).samples
+    ref = reference_fused_band_envelope(x, band, taper_hz)
+    assert env.shape == ref.shape
+    # an empty band gives all zeros on both sides
+    assert np.abs(env - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_analyze_runs_one_rfft_and_one_band_limited_inverse_fft(
+        asymmetric_run, cutter, monkeypatch):
+    # band_envelope's inverse transform is one batch of D rows of n/D
+    # points, so it is counted by the points it outputs
     out, track, _ = asymmetric_run
     x = out.channels["ax"]
     lengths = []
@@ -115,11 +177,11 @@ def test_analyze_runs_two_full_length_ffts(asymmetric_run, cutter,
     def signal_length(a, args, kwargs, result):
         return kwargs.get("n", args[0] if args else None) or np.shape(a)[-1]
 
-    def output_length(a, args, kwargs, result):
-        return result.shape[-1]
+    def output_points(a, args, kwargs, result):
+        return result.size
 
-    for name, length in (("rfft", signal_length), ("irfft", output_length),
-                         ("fft", output_length), ("ifft", output_length)):
+    for name, length in (("rfft", signal_length), ("irfft", output_points),
+                         ("fft", output_points), ("ifft", output_points)):
         monkeypatch.setattr(np.fft, name, counted(name, length))
     analyze(x, track, cutter, BAND, samples_per_rev=SAMPLES_PER_REV)
     assert sorted(lengths) == sorted([("rfft", len(x)), ("ifft", len(x)),
