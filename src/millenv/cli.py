@@ -103,10 +103,7 @@ def _cmd_analyze(args) -> int:
     write_report(doc, out / "report.json")
 
     for ch, ts in channels.items():
-        raw = amplitude_spectrum(ts, HANN)
-        emit_plot_data(out / f"spectrum_{ch}", raw.frequencies_hz,
-                       raw.amplitudes, f"Amplitude spectrum [{ch}]",
-                       "frequency_hz", f"amplitude_{ts.unit or 'au'}")
+        _emit_spectrum(out, ch, ts, amplitude_spectrum(ts, HANN))
     for ch, res in results.items():
         angle = np.arange(res.samples_per_rev) * (360.0 / res.samples_per_rev)
         emit_plot_data(out / f"envelope_{ch}", angle, res.averaged_envelope,
@@ -187,11 +184,15 @@ def _cmd_spectrum(args) -> int:
     for k in top:
         print(f"  {k * spec.df_hz:10.3f} Hz  {spec.amplitudes[k]:.6g}")
     if args.out:
-        out = _out_dir(args.out)
-        emit_plot_data(out / f"spectrum_{args.channel}", spec.frequencies_hz,
-                       spec.amplitudes, f"Amplitude spectrum [{args.channel}]",
-                       "frequency_hz", f"amplitude_{ts.unit or 'au'}")
+        _emit_spectrum(_out_dir(args.out), args.channel, ts, spec)
     return EXIT_OK
+
+
+def _emit_spectrum(out: Path, ch: str, ts, spec) -> None:
+    """Plot files `spectrum_<ch>` of channel ch's raw amplitude spectrum."""
+    emit_plot_data(out / f"spectrum_{ch}", spec.frequencies_hz, spec.amplitudes,
+                   f"Amplitude spectrum [{ch}]", "frequency_hz",
+                   f"amplitude_{ts.unit or 'au'}")
 
 
 def build_parser() -> argparse.ArgumentParser:

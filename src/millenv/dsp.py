@@ -3,12 +3,12 @@
 The demodulation chain is built from frequency-domain primitives: a one-sided
 amplitude spectrum with window gain correction, an ideal band mask with
 raised-cosine edges (zero phase, no group delay), and the FFT construction of
-the analytic signal whose magnitude is the envelope. The analytic signal is
-built from the one-sided (``rfft``) spectrum at any record length, odd or
-even, without padding. `band_envelope` masks that same spectrum and
-inverse-transforms only the band's bins: one ``rfft`` of n points, then D
-inverse FFTs of n/D points, where n/D is the smallest divisor of n that
-holds the band (D = 1 at a prime n).
+the analytic signal whose magnitude is the envelope. There is one mask
+evaluation, over the band's own ``rfft`` bins, and one analytic inverse, from
+one-sided bins at any length, odd or even, without padding: D inverse FFTs of
+n/D points, n/D the smallest divisor of n that holds the bins. `band_envelope`
+passes the band's bins (D = 1 at a prime n); `analytic_signal` and `envelope`
+pass all n/2 + 1, which always gives D = 1, one inverse FFT of n points.
 """
 
 from __future__ import annotations
@@ -107,12 +107,27 @@ def _band_mask(freqs: np.ndarray, b: Band, taper_hz: float) -> np.ndarray:
     return mask
 
 
-def _checked_band_mask(x: TimeSeries, b: Band,
-                       taper_hz: float | None) -> np.ndarray:
-    """`_band_mask` over x's rfft bins, after checking b and taper_hz."""
+def _band_bins(x: TimeSeries, b: Band,
+               taper_hz: float | None) -> tuple[int, np.ndarray]:
+    """First bin k0 and the mask over the bins where the band mask is nonzero.
+
+    This is the one place a band mask is evaluated, after checking b and
+    taper_hz. It is computed only over the bins around b, at the frequencies
+    `rfftfreq` gives them, so it equals `_band_mask` over all of x's rfft
+    bins, sliced to [k0, k0 + mask.size), bit for bit, and that full mask is
+    zero outside the slice. An empty band gives an empty mask.
+    """
     _check_below_nyquist(b, x.sample_rate_hz)
-    freqs = np.fft.rfftfreq(len(x), 1.0 / x.sample_rate_hz)
-    return _band_mask(freqs, b, _checked_taper(b, taper_hz))
+    taper_hz = _checked_taper(b, taper_hz)
+    n = len(x)
+    df = 1.0 / (n * (1.0 / x.sample_rate_hz))  # rfftfreq's bin spacing
+    lo = max(int(b.f_lo_hz / df) - 1, 0)
+    hi = min(int(b.f_hi_hz / df) + 2, n // 2 + 1)
+    mask = _band_mask(np.arange(lo, hi) * df, b, taper_hz)
+    nonzero = np.flatnonzero(mask)
+    if nonzero.size == 0:
+        return lo, mask[:0]
+    return lo + int(nonzero[0]), mask[nonzero[0]:nonzero[-1] + 1]
 
 
 def _check_below_nyquist(b: Band, sample_rate_hz: float) -> None:
@@ -142,19 +157,12 @@ def band_filter(x: TimeSeries, b: Band, taper_hz: float | None = None) -> TimeSe
     5% of the band width. Being a real, symmetric mask the filter has exactly
     zero phase, which preserves impact timing.
     """
-    spec = np.fft.rfft(x.samples) * _checked_band_mask(x, b, taper_hz)
+    k0, mask = _band_bins(x, b, taper_hz)
+    spec = np.fft.rfft(x.samples)
+    spec[:k0] = 0.0
+    spec[k0 + mask.size:] = 0.0
+    spec[k0:k0 + mask.size] *= mask
     return x.with_samples(np.fft.irfft(spec, len(x)))
-
-
-def _analytic_from_rfft(spec: np.ndarray, n: int) -> np.ndarray:
-    """Analytic signal of length n from the rfft of a real signal.
-
-    Bins strictly between DC and n/2 are doubled in place; DC and, for
-    even n, the Nyquist bin keep unit weight; the negative frequencies are
-    the zeros `ifft` pads with.
-    """
-    spec[1:(n + 1) // 2] *= 2.0
-    return np.fft.ifft(spec, n)
 
 
 def analytic_signal(x: TimeSeries) -> np.ndarray:
@@ -163,12 +171,11 @@ def analytic_signal(x: TimeSeries) -> np.ndarray:
     The spectrum is multiplied by h with h[0]=1, h[k]=2 for 0<k<N/2,
     h[N/2]=1 (even N only) and h[k]=0 above, then inverse transformed. The
     real part equals the input; the imaginary part is its Hilbert
-    transform. Odd and even lengths take the same path, with no padding.
+    transform. Odd and even lengths take the same path, with no padding:
+    `band_envelope`'s inverse over all n/2 + 1 bins, so D = 1.
     """
     n = len(x)
-    if n < 4:
-        raise SizeError(f"analytic_signal needs at least 4 samples, got {n}")
-    return _analytic_from_rfft(np.fft.rfft(x.samples), n)
+    return _analytic(np.fft.rfft(x.samples), 0, n).reshape(n)
 
 
 def envelope(x: TimeSeries) -> TimeSeries:
@@ -182,32 +189,10 @@ def envelope(x: TimeSeries) -> TimeSeries:
     return x.with_samples(np.abs(analytic_signal(x)), channel=x.channel + "_env")
 
 
-#: rows of one running twiddle product in `band_envelope`; further rows are
+#: rows of one running twiddle product in `_analytic`; further rows are
 #: built by doubling, each block from one `exp`, so rounding grows with the
 #: log of the row count rather than with the count itself
 _TWIDDLE_RUN = 32
-
-
-def _band_bins(x: TimeSeries, b: Band,
-               taper_hz: float | None) -> tuple[int, np.ndarray]:
-    """First bin k0 and the mask over the bins where the band mask is nonzero.
-
-    The mask is computed only over the bins around b, at the frequencies
-    `rfftfreq` gives them, so it equals ``_checked_band_mask(x, b,
-    taper_hz)[k0:k0 + mask.size]`` bit for bit, and the full mask is zero
-    outside that range. An empty band gives an empty mask.
-    """
-    _check_below_nyquist(b, x.sample_rate_hz)
-    taper_hz = _checked_taper(b, taper_hz)
-    n = len(x)
-    df = 1.0 / (n * (1.0 / x.sample_rate_hz))  # rfftfreq's bin spacing
-    lo = max(int(b.f_lo_hz / df) - 1, 0)
-    hi = min(int(b.f_hi_hz / df) + 2, n // 2 + 1)
-    mask = _band_mask(np.arange(lo, hi) * df, b, taper_hz)
-    nonzero = np.flatnonzero(mask)
-    if nonzero.size == 0:
-        return lo, mask[:0]
-    return lo + int(nonzero[0]), mask[nonzero[0]:nonzero[-1] + 1]
 
 
 def _smallest_divisor_at_least(n: int, m: int) -> int:
@@ -218,36 +203,28 @@ def _smallest_divisor_at_least(n: int, m: int) -> int:
     return int(divisors[divisors >= m].min())
 
 
-def band_envelope(x: TimeSeries, b: Band,
-                  taper_hz: float | None = None) -> TimeSeries:
-    """``envelope(band_filter(x, b, taper_hz))`` from the band's bins only.
+def _analytic(band: np.ndarray, k0: int, n: int) -> np.ndarray:
+    """Analytic signal of length n from the rfft bins [k0, k0 + B) in band.
 
-    The band mask and the analytic-signal weights are applied to the
-    ``rfft`` bins [k0, k0 + B) where the mask is nonzero; every other bin of
-    the analytic spectrum is zero. With L the smallest divisor of n that is
-    at least B and D = n / L, sample q*D + p of the analytic signal is, up
-    to the phase of the shift by k0, the length-L inverse FFT of the band
-    bins k times exp(2*pi*i*(k - k0)*p/n), at q. So one rfft of n points and
-    one batch of D inverse FFTs of L points replace the inverse FFT of n
-    points; a prime n gives D = 1, that single transform. At even lengths
-    the result equals the two-step chain to rounding; the same edge caveat
-    as for `envelope` applies.
+    Every other bin of the analytic spectrum is zero. The analytic weights
+    are applied to band in place: 2 strictly between DC and n/2, 1 at DC
+    and at the Nyquist bin of an even n. With L the smallest divisor of n
+    that is at least B and D = n / L, sample q*D + p is, up to the phase of
+    the shift by k0, the length-L inverse FFT of the band bins k times
+    exp(2*pi*i*(k - k0)*p/n), at q. Returns an (L, D) view whose entry
+    [q, p] is sample q*D + p; D = 1 is the single inverse FFT of n points,
+    which a band holding more than half the bins always takes.
     """
-    k0, mask = _band_bins(x, b, taper_hz)
-    n = len(x)
     if n < 4:
-        raise SizeError(f"band_envelope needs at least 4 samples, got {n}")
-    spec = np.fft.rfft(x.samples)
-    band = spec[k0:k0 + mask.size] * mask
-    del spec
-    # analytic weights: 2 strictly between DC and n/2, 1 at DC and at the
-    # Nyquist bin of an even n
+        raise SizeError(f"the analytic signal needs at least 4 samples, got {n}")
     band[max(1 - k0, 0):(n + 1) // 2 - k0] *= 2.0
     band *= 1.0 / n  # the inverse transforms below are unscaled
-
     width = band.size
     cols = _smallest_divisor_at_least(n, width)
     rows = n // cols
+    if rows == 1:
+        return np.fft.ifft(band, n, norm="forward")[:, None]
+
     phases = np.zeros((rows, cols), dtype=complex)
     phases[0, :width] = band
     bins = np.arange(width)
@@ -260,11 +237,27 @@ def band_envelope(x: TimeSeries, b: Band,
         np.multiply(phases[:m, :width], np.exp((2j * np.pi * done / n) * bins),
                     out=phases[done:done + m, :width])
         done += m
+    return np.fft.ifft(phases, axis=1, norm="forward").T
 
-    analytic = np.fft.ifft(phases, axis=1, norm="forward")
-    del phases
-    env = np.empty(n)
-    np.abs(analytic.T, out=env.reshape(cols, rows))  # env[q*rows + p]
+
+def band_envelope(x: TimeSeries, b: Band,
+                  taper_hz: float | None = None) -> TimeSeries:
+    """``envelope(band_filter(x, b, taper_hz))`` from the band's bins only.
+
+    The band mask is applied to the ``rfft`` bins [k0, k0 + B) where it is
+    nonzero, and `_analytic` inverse-transforms those bins alone: one rfft
+    of n points and one batch of D inverse FFTs of n/D points replace the
+    inverse FFT of n points; a prime n gives D = 1, that single transform.
+    At even lengths the result equals the two-step chain to rounding; the
+    same edge caveat as for `envelope` applies.
+    """
+    k0, mask = _band_bins(x, b, taper_hz)
+    spec = np.fft.rfft(x.samples)
+    band = spec[k0:k0 + mask.size] * mask
+    del spec
+    analytic = _analytic(band, k0, len(x))
+    env = np.empty(len(x))
+    np.abs(analytic, out=env.reshape(analytic.shape))
     return x.with_samples(env, channel=x.channel + "_env")
 
 

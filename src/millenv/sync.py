@@ -101,8 +101,12 @@ def detect_pulses(tacho: TimeSeries, threshold: float,
     dropped below ``threshold - hysteresis`` (re-arming), which rejects
     chatter on slow edges. Each crossing time is refined by linear
     interpolation between the bracketing samples. A non-finite sample is an
-    InputError naming the first bad index.
+    InputError naming the first bad index; a non-finite threshold or
+    hysteresis is a RangeError.
     """
+    if not (np.isfinite(threshold) and np.isfinite(hysteresis)):
+        raise RangeError("threshold and hysteresis must be finite, got "
+                         f"{threshold} and {hysteresis}")
     if hysteresis <= 0.0:
         raise RangeError(f"hysteresis must be positive, got {hysteresis}")
     _require_finite(tacho)

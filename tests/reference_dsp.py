@@ -5,23 +5,39 @@ kept as test oracles: `reference_band_envelope` band-passes with an
 rfft/irfft pair, then builds the analytic signal with an fft/ifft pair
 (zero-padding odd lengths by one sample), then takes its magnitude.
 `reference_fused_band_envelope` masks one rfft and inverse-transforms all
-n points at once. `reference_resample_to_angle` evaluates the Catmull-Rom
-polynomial on the samples for every call. `millenv.dsp.band_envelope` and
+n points at once. `reference_band_mask` evaluates the checked band mask over
+every rfft bin, and `reference_rfft_analytic_signal` inverse-transforms the
+weighted rfft with one ifft of n points. `reference_resample_to_angle`
+evaluates the Catmull-Rom polynomial on the samples for every call.
+`millenv.dsp.band_envelope`, `band_filter`, `analytic_signal` and
 `millenv.sync.resample_to_angle` are compared against them.
 """
 
 import numpy as np
 
 from millenv import TimeSeries
-from millenv.dsp import _band_mask, _checked_band_mask
+from millenv.dsp import _band_mask, _check_below_nyquist, _checked_taper
 from millenv.errors import SizeError
 
 
-def reference_band_filter(x: TimeSeries, b, taper_hz: float) -> np.ndarray:
-    n = len(x)
-    freqs = np.fft.rfftfreq(n, 1.0 / x.sample_rate_hz)
-    spec = np.fft.rfft(x.samples) * _band_mask(freqs, b, float(taper_hz))
-    return np.fft.irfft(spec, n)
+def reference_band_mask(x: TimeSeries, b, taper_hz: float | None) -> np.ndarray:
+    """`_band_mask` over all of x's rfft bins, after checking b and taper_hz."""
+    _check_below_nyquist(b, x.sample_rate_hz)
+    freqs = np.fft.rfftfreq(len(x), 1.0 / x.sample_rate_hz)
+    return _band_mask(freqs, b, _checked_taper(b, taper_hz))
+
+
+def reference_band_filter(x: TimeSeries, b, taper_hz: float | None) -> np.ndarray:
+    spec = np.fft.rfft(x.samples) * reference_band_mask(x, b, taper_hz)
+    return np.fft.irfft(spec, len(x))
+
+
+def reference_rfft_analytic_signal(a: np.ndarray) -> np.ndarray:
+    """The weighted rfft of a, inverse-transformed by one ifft of n points."""
+    n = a.size
+    spec = np.fft.rfft(a)
+    spec[1:(n + 1) // 2] *= 2.0
+    return np.fft.ifft(spec, n)
 
 
 def reference_analytic_signal(a: np.ndarray) -> np.ndarray:
@@ -43,7 +59,7 @@ def reference_band_envelope(x: TimeSeries, b, taper_hz: float) -> np.ndarray:
 def reference_fused_band_envelope(x: TimeSeries, b,
                                   taper_hz: float | None) -> np.ndarray:
     """One rfft, the band mask and the analytic weights, one ifft of n points."""
-    mask = _checked_band_mask(x, b, taper_hz)
+    mask = reference_band_mask(x, b, taper_hz)
     n = len(x)
     if n < 4:
         raise SizeError(f"band_envelope needs at least 4 samples, got {n}")

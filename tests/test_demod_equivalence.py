@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from millenv import (Band, TachoTrack, TimeSeries, analyze, analytic_signal,
-                     detrend, resample_to_angle)
-from millenv.dsp import _band_bins, _checked_band_mask, band_envelope
+                     band_filter, detrend, resample_to_angle)
+from millenv.dsp import _band_bins, band_envelope
 from conftest import BAND, FS, SAMPLES_PER_REV
 from reference_dsp import (reference_analytic_signal, reference_band_envelope,
+                           reference_band_filter, reference_band_mask,
                            reference_fused_band_envelope,
-                           reference_resample_to_angle)
+                           reference_resample_to_angle,
+                           reference_rfft_analytic_signal)
 
 LABELS = ("ax", "ay", "az", "fx", "fy", "fz")
 TAPER_HZ = 50.0
@@ -144,7 +146,7 @@ def band_cases(draw):
 def test_band_envelope_matches_fused_reference(case):
     x, band, taper_hz = case
     k0, mask = _band_bins(x, band, taper_hz)
-    full = _checked_band_mask(x, band, taper_hz)
+    full = reference_band_mask(x, band, taper_hz)
     k1 = k0 + mask.size
     assert full[k0:k1].tobytes() == mask.tobytes()
     assert not full[:k0].any() and not full[k1:].any()
@@ -155,6 +157,21 @@ def test_band_envelope_matches_fused_reference(case):
     assert env.shape == ref.shape
     # an empty band gives all zeros on both sides
     assert np.abs(env - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_cases())
+def test_band_filter_matches_full_mask_reference(case):
+    x, band, taper_hz = case
+    np.testing.assert_array_equal(band_filter(x, band, taper_hz).samples,
+                                  reference_band_filter(x, band, taper_hz))
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_analytic_signal_matches_single_ifft_reference(n):
+    x = np.random.default_rng(n).normal(size=n)
+    z = analytic_signal(TimeSeries(x, FS))
+    assert rel_max_err(z, reference_rfft_analytic_signal(x)) <= 1e-12
 
 
 def test_analyze_runs_one_rfft_and_one_band_limited_inverse_fft(

@@ -86,6 +86,15 @@ class TestDetectPulses:
         with pytest.raises(PulseQualityError, match="2.00x median"):
             detect_pulses(TimeSeries(x, FS, "tacho"), 0.5, 0.1)
 
+    @pytest.mark.parametrize("threshold, hysteresis", [
+        (np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1),
+        (0.5, np.nan), (0.5, np.inf)])
+    def test_non_finite_level_is_range_error(self, threshold, hysteresis):
+        ts = TimeSeries(square_wave(625.0)[:400], FS, "tacho")
+        assert len(detect_pulses(ts, 0.5, 0.1).pulse_times_s) == 9
+        with pytest.raises(RangeError, match="must be finite"):
+            detect_pulses(ts, threshold, hysteresis)
+
     def test_hysteresis_rejects_chatter(self):
         # noisy plateau near the threshold must fire once, not many times
         x = square_wave(22.5)
