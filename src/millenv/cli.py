@@ -102,6 +102,8 @@ def _cmd_analyze(args) -> int:
     doc = report_document(results, errors, config_echo=config_doc)
     write_report(doc, out / "report.json")
 
+    # one plot family at a time: the family's channels share one x axis,
+    # which write_xy then formats once
     for ch, ts in channels.items():
         _emit_spectrum(out, ch, ts, amplitude_spectrum(ts, HANN))
     for ch, res in results.items():
@@ -109,10 +111,12 @@ def _cmd_analyze(args) -> int:
         emit_plot_data(out / f"envelope_{ch}", angle, res.averaged_envelope,
                        f"Averaged envelope over one revolution [{ch}]",
                        "angle_deg", "envelope")
+    for ch, res in results.items():
         spec = res.envelope_spectrum
         emit_plot_data(out / f"envelope_spectrum_{ch}", spec.frequencies_hz,
                        spec.amplitudes, f"Envelope spectrum [{ch}]",
                        "frequency_hz", "amplitude")
+    for ch, res in results.items():
         profile = res.tooth_profile
         emit_plot_data(out / f"tooth_profile_{ch}",
                        np.arange(profile.z, dtype=float), profile.mean_load,

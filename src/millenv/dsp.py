@@ -9,16 +9,22 @@ one-sided bins at any length, odd or even, without padding: D inverse FFTs of
 n/D points, n/D the smallest divisor of n that holds the bins. `band_envelope`
 passes the band's bins (D = 1 at a prime n); `analytic_signal` and `envelope`
 pass all n/2 + 1, which always gives D = 1, one inverse FFT of n points.
+
+Every entry point that takes a record reads bin 0 of the ``rfft`` it takes
+anyway: bin 0 sums every sample, so when it is not finite the record is
+checked, and a non-finite sample is an `InputError` naming the channel and
+the first bad index.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Spectrum, TimeSeries, detrend
+from .core import Spectrum, TimeSeries, _require_finite, detrend
 from .errors import RangeError, SizeError
 
 _WINDOW_KINDS = ("hann", "rectangular")
@@ -79,8 +85,21 @@ def amplitude_spectrum(x: TimeSeries, w: Window = HANN) -> Spectrum:
     scale = float(taps.sum())  # n * realized coherent gain
     if scale <= 0.0:
         raise SizeError(f"{w.kind} window of length {n} has zero gain")
-    return Spectrum(_one_sided_amplitudes(x.samples * taps, scale),
-                    x.sample_rate_hz / n, n)
+    amps = _one_sided_amplitudes(x.samples * taps, scale)
+    _check_bin0(x, amps[0])
+    return Spectrum(amps, x.sample_rate_hz / n, n)
+
+
+def _check_bin0(x: TimeSeries, bin0) -> None:
+    """`_require_finite(x)` unless bin0, the rfft bin 0 taken from x, is finite.
+
+    Bin 0 sums every sample, windowed or not, and a non-finite sample keeps
+    it non-finite even at a zero window tap (inf * 0 is NaN). So a clean
+    record pays this one scalar test, and a finite one whose sum overflows
+    passes the check and runs on.
+    """
+    if not cmath.isfinite(bin0):
+        _require_finite(x)
 
 
 def _one_sided_amplitudes(samples: np.ndarray, scale: float) -> np.ndarray:
@@ -159,6 +178,7 @@ def band_filter(x: TimeSeries, b: Band, taper_hz: float | None = None) -> TimeSe
     """
     k0, mask = _band_bins(x, b, taper_hz)
     spec = np.fft.rfft(x.samples)
+    _check_bin0(x, spec[0])
     spec[:k0] = 0.0
     spec[k0 + mask.size:] = 0.0
     spec[k0:k0 + mask.size] *= mask
@@ -175,7 +195,9 @@ def analytic_signal(x: TimeSeries) -> np.ndarray:
     `band_envelope`'s inverse over all n/2 + 1 bins, so D = 1.
     """
     n = len(x)
-    return _analytic(np.fft.rfft(x.samples), 0, n).reshape(n)
+    spec = np.fft.rfft(x.samples)
+    _check_bin0(x, spec[0])
+    return _analytic(spec, 0, n).reshape(n)
 
 
 def envelope(x: TimeSeries) -> TimeSeries:
@@ -253,6 +275,7 @@ def band_envelope(x: TimeSeries, b: Band,
     """
     k0, mask = _band_bins(x, b, taper_hz)
     spec = np.fft.rfft(x.samples)
+    _check_bin0(x, spec[0])
     band = spec[k0:k0 + mask.size] * mask
     del spec
     analytic = _analytic(band, k0, len(x))

@@ -12,7 +12,10 @@ pixel coordinates formatted with `%.2f`. A long SVG line over sorted x keeps
 only the first, last, min-y and max-y point of each pixel column, which
 draws the same line (M4 aggregation). CSVs and `.txt` plot data keep every
 sample. The points of a plot file are formatted by one `%` over all their
-values, not by one call per point.
+values, not by one call per point. The six plots of a family (raw spectra,
+averaged envelopes, envelope spectra, tooth profiles) share one x axis, so
+`write_xy` keeps the `%.9g` text of the last x column it formatted and a
+family written in a row formats its axis once, to the same bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 from warnings import catch_warnings, simplefilter
 
 import numpy as np
@@ -275,15 +279,26 @@ def _format_pairs(fmt: str, a: np.ndarray, b: np.ndarray) -> str:
     return (fmt * a.size) % tuple(np.column_stack((a, b)).ravel().tolist())
 
 
+@lru_cache(maxsize=1)
+def _x_lines(x_bytes: bytes) -> str:
+    """Line template `"<x[i] as %.9g> %.9g\\n"` per point of a float64 column.
+
+    Keyed by the column's bytes, so the one cached template is that of the
+    last x column written; a hit is exactly the text the column formats to.
+    """
+    return ("%.9g %%.9g\n" * (len(x_bytes) // 8)) % tuple(
+        np.frombuffer(x_bytes).tolist())
+
+
 def write_xy(path, x, y, x_label: str, y_label: str) -> None:
     """Two-column plot-data text file with a one-line header."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
     if x.size != y.size:
         raise InputError("x and y must have the same length")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {x_label} {y_label}\n")
-        fh.write(_format_pairs("%.9g %.9g\n", x, y))
+        fh.write(_x_lines(x.tobytes()) % tuple(y.tolist()))
 
 
 def _m4_indices(x: np.ndarray, y: np.ndarray, x0: float, xs: float,
@@ -312,7 +327,9 @@ def _m4_indices(x: np.ndarray, y: np.ndarray, x0: float, xs: float,
 
     lo = first_hit(y == np.minimum.reduceat(y, first)[run])
     hi = first_hit(y == np.maximum.reduceat(y, first)[run])
-    return np.unique(np.concatenate((first, last, lo, hi)))
+    keep = np.zeros(x.size, dtype=bool)
+    keep[np.concatenate((first, last, lo, hi))] = True
+    return np.flatnonzero(keep)
 
 
 def write_svg(path, x, y, title: str, x_label: str, y_label: str) -> None:

@@ -6,8 +6,8 @@ import pytest
 
 from millenv import Band, Cutter, Thresholds, TimeSeries, analyze_all_channels
 from millenv.cli import main
-from millenv.fileio import (dump_report, read_recording, report_document,
-                            write_recording)
+from millenv.fileio import (_x_lines, dump_report, read_recording,
+                            report_document, write_recording)
 from conftest import FS
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
@@ -338,6 +338,22 @@ class TestAnalyzeCommand:
                      "--in", str(sim_dir / "recording.csv"),
                      "--out", str(tmp_path / "run")]) == 0
         assert len(opened) == 1
+
+    def test_formats_each_shared_x_axis_once(self, tmp_path):
+        # the six channels of a plot family share one x axis; the four
+        # families are written in turn, so each call formats 4 x columns
+        sim_dir = tmp_path / "sim"
+        main(["simulate", "--config", str(REFERENCE_CONFIG),
+              "--out", str(sim_dir)])
+        _x_lines.cache_clear()
+        for calls, name in enumerate(("a", "b"), start=1):
+            assert main(["analyze", "--config", str(REFERENCE_CONFIG),
+                         "--in", str(sim_dir / "recording.csv"),
+                         "--out", str(tmp_path / name),
+                         "--t0", "0.1", "--t1", "1.1"]) == 0
+            assert len(list((tmp_path / name).glob("*.txt"))) == 24
+            info = _x_lines.cache_info()
+            assert (info.misses, info.hits) == (4 * calls, 20 * calls)
 
     def test_missing_input_file(self, tmp_path, config_path):
         assert main(["analyze", "--config", str(config_path),

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from millenv import (HANN, RECTANGULAR, Band, RangeError, SizeError,
-                     TimeSeries, Window, amplitude_spectrum, analytic_signal,
-                     band_filter, detrend, envelope, envelope_spectrum, rms)
+from millenv import (HANN, RECTANGULAR, Band, InputError, RangeError,
+                     SizeError, TimeSeries, Window, amplitude_spectrum,
+                     analytic_signal, band_filter, detrend, envelope,
+                     envelope_spectrum, rms)
+from millenv.dsp import band_envelope
 from conftest import FS, tone
 
 
@@ -277,3 +280,48 @@ class TestEnvelopeSpectrum:
         spec = envelope_spectrum(TimeSeries(x, FS), Band(1500.0, 2500.0), 50.0,
                                  RECTANGULAR)
         assert spec.amplitudes.max() < 0.01 * 3.0
+
+
+REF_BAND = Band(1500.0, 2500.0)
+
+#: every dsp entry point that takes a record, applied to one
+ENTRY_POINTS = {
+    "band_filter": lambda x: band_filter(x, REF_BAND),
+    "analytic_signal": analytic_signal,
+    "envelope": envelope,
+    "band_envelope": lambda x: band_envelope(x, REF_BAND),
+    "amplitude_spectrum": amplitude_spectrum,
+    "envelope_spectrum": lambda x: envelope_spectrum(x, REF_BAND),
+}
+
+
+class TestNonFiniteRecord:
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_names_channel_and_first_index(self, name, data):
+        n = data.draw(st.integers(4, 2000), label="n")
+        index = data.draw(st.integers(0, n - 1), label="index")
+        value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        samples = np.cos(0.37 * np.arange(n))
+        samples[index] = value
+        with np.errstate(all="ignore"), pytest.raises(InputError, match=(
+                rf"channel 'ax' has 1 non-finite sample\(s\), "
+                rf"the first at index {index}$")):
+            ENTRY_POINTS[name](TimeSeries(samples, FS, "ax"))
+
+    @pytest.mark.parametrize("name", ["band_filter", "analytic_signal",
+                                      "envelope", "band_envelope"])
+    def test_finite_record_with_overflowing_sum_still_runs(self, name):
+        # bin 0 is inf, yet every sample is finite: no InputError
+        samples = np.zeros(64)
+        samples[:40] = 1e308
+        with np.errstate(all="ignore"):
+            out = ENTRY_POINTS[name](TimeSeries(samples, FS, "ax"))
+        assert len(out) == 64
+
+    def test_overflowing_spectrum_is_still_a_range_error(self):
+        samples = np.zeros(64)
+        samples[:40] = 1e308
+        with np.errstate(all="ignore"), pytest.raises(RangeError):
+            amplitude_spectrum(TimeSeries(samples, FS, "ax"))

@@ -113,3 +113,30 @@ def test_write_svg_matches_per_point_writer(xy):
         write_svg(new, x, y, "t", "x", "y")
         ref.write_svg(old, x_ref, y_ref, "t", "x", "y")
         assert new.read_bytes() == old.read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_write_xy_shared_axis_matches_per_point_writer(data):
+    """One x written with 1-4 y columns in turn, some writes preceded by a
+    second x: independent, or x with one value negated, which turns a 0.0
+    into -0.0. Each file keeps the per-point writer's bytes."""
+    sizes = (1, 2, 3, 17, M4_EDGE + 1)
+    x, y = data.draw(plot_arrays(sizes=sizes))
+    ys = [y] + [data.draw(plot_arrays(sizes=(x.size,)))[1]
+                for _ in range(data.draw(st.integers(0, 3)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, y_i in enumerate(ys):
+            writes = [(x, y_i)]
+            if data.draw(st.booleans()):
+                if data.draw(st.booleans()):
+                    x2, y2 = data.draw(plot_arrays(sizes=sizes))
+                else:
+                    x2, y2 = x.copy(), y_i
+                    x2[data.draw(st.integers(0, x.size - 1))] *= -1.0
+                writes.insert(0, (x2, y2))
+            for j, (xw, yw) in enumerate(writes):
+                new, old = Path(tmp, f"new{i}{j}.txt"), Path(tmp, f"old{i}{j}.txt")
+                write_xy(new, xw, yw, "f", "a")
+                ref.write_xy(old, xw, yw, "f", "a")
+                assert new.read_bytes() == old.read_bytes()
