@@ -64,7 +64,7 @@ class Recording:
         Channels are cut with `slice_time`. The whole tacho pulse train is
         shifted to the first kept sample, the first at or after t0_s, so
         that it stays aligned with the samples when t0_s is off the sample
-        grid; `covered_revolutions` then picks the revolutions the cut holds.
+        grid; the analysis then uses the revolutions the cut holds.
         """
         t0_s = t0_s or 0.0
         if t1_s is None:

@@ -26,15 +26,14 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import Spectrum, TimeSeries, _readonly_1d, _require_finite, detrend
-# `band_filter` and `envelope` are not called here; bench/spans.py patches
-# them by these names
+# `band_filter`, `envelope` and `resample_to_angle` are not called here;
+# bench/spans.py patches them by these names
 from .dsp import (Band, _one_sided_amplitudes, band_envelope, band_filter,
                   envelope)
 from .errors import (AnalysisError, CoverageError, InputError, RangeError,
                      SizeError)
-from .sync import (TachoTrack, ToothProfile, covered_revolutions,
-                   resample_to_angle, speed_profile, synchronous_average,
-                   tooth_segmentation)
+from .sync import (TachoTrack, ToothProfile, resample_to_angle,
+                   revolution_plan, synchronous_average, tooth_segmentation)
 
 MAX_SPINDLE_RPM = 8000.0
 
@@ -267,42 +266,12 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
     A non-finite sample is an InputError that names the channel and the
     first bad sample index.
     """
-    _require_finite(x)
-    z = cutter.z
-    if tooth0_offset_frac is None:
-        tooth0_offset_frac = (1.0 - 0.5 / z) % 1.0
-    if samples_per_rev is None:
-        samples_per_rev = default_samples_per_rev(z)
-    if samples_per_rev % z:
-        raise SizeError(
-            f"samples_per_rev={samples_per_rev} is not divisible by z={z}; "
-            f"use a multiple of {z} (e.g. {default_samples_per_rev(z)})")
-
-    covered = covered_revolutions(x, tacho)
-    if covered.size < cfg.min_revs:
-        raise CoverageError(
-            f"signal covers {covered.size} complete revolution(s); "
-            f"need at least {cfg.min_revs}")
-
-    env = band_envelope(detrend(x), band, taper_hz)
-    angular = resample_to_angle(env, tacho, samples_per_rev)
-    avg = synchronous_average(angular)
-    profile = tooth_segmentation(avg, z, tooth0_offset_frac)
-
-    speeds = speed_profile(tacho)[covered, 1]
-    mean_rpm = float(speeds.mean())
-    warnings = []
-    drift = float((speeds.max() - speeds.min()) / mean_rpm)
-    if drift > cfg.max_rpm_drift:
-        warnings.append(
-            f"spindle speed drifts {100 * drift:.1f}% across the record "
-            f"(limit {100 * cfg.max_rpm_drift:.1f}%); order tracking absorbs "
-            "the drift but Hz readings use the mean speed")
-
-    findings, inconclusive = classify(
-        averaged_rev_spectrum(avg, mean_rpm / 60.0), profile, cfg)
-    return AnalysisResult(x.channel, mean_rpm, findings, profile, avg,
-                          tuple(warnings), inconclusive)
+    results, errors = analyze_all_channels(
+        [x], tacho, cutter, band, cfg, taper_hz=taper_hz,
+        samples_per_rev=samples_per_rev, tooth0_offset_frac=tooth0_offset_frac)
+    if errors:
+        raise errors[x.channel]
+    return results[x.channel]
 
 
 def _for_channel(setting, channel: str, what: str):
@@ -318,22 +287,56 @@ def analyze_all_channels(channels: Iterable[TimeSeries], tacho: TachoTrack,
                          cutter: Cutter, bands: Band | Mapping[str, Band],
                          cfg: Thresholds = Thresholds(), *,
                          taper_hz: float | None | Mapping[str, float | None] = None,
-                         **kwargs
+                         samples_per_rev: int | None = None,
+                         tooth0_offset_frac: float | None = None
                          ) -> tuple[dict[str, AnalysisResult], dict[str, AnalysisError]]:
-    """Run `analyze` on every channel; failures do not abort the others.
+    """`analyze` every channel against one tacho; failures do not abort the others.
 
     `bands` and `taper_hz` each hold one value for all channels or a
     mapping from channel label to value; a channel missing from a mapping
-    is an InputError. Returns ``(results, errors)`` keyed by channel label.
+    is an InputError. Channels share one `RevolutionPlan` until the record
+    length or rate changes. Returns ``(results, errors)`` keyed by channel.
     """
+    z = cutter.z
+    if tooth0_offset_frac is None:
+        tooth0_offset_frac = (1.0 - 0.5 / z) % 1.0
+    if samples_per_rev is None:
+        samples_per_rev = default_samples_per_rev(z)
     results: dict[str, AnalysisResult] = {}
     errors: dict[str, AnalysisError] = {}
+    plan = None
     for ts in channels:
         try:
-            results[ts.channel] = analyze(
-                ts, tacho, cutter, _for_channel(bands, ts.channel, "band"),
-                cfg, taper_hz=_for_channel(taper_hz, ts.channel, "taper"),
-                **kwargs)
+            band = _for_channel(bands, ts.channel, "band")
+            taper = _for_channel(taper_hz, ts.channel, "taper")
+            _require_finite(ts)
+            if samples_per_rev % z:
+                raise SizeError(
+                    f"samples_per_rev={samples_per_rev} is not divisible by z={z}; "
+                    f"use a multiple of {z} (e.g. {default_samples_per_rev(z)})")
+            if plan is None or shape != (len(ts), ts.sample_rate_hz):
+                plan = revolution_plan(ts, tacho, samples_per_rev)
+                shape = (len(ts), ts.sample_rate_hz)
+                if plan.revs.size >= cfg.min_revs:
+                    mean_rpm = float(plan.rpm.mean())
+                    drift = float((plan.rpm.max() - plan.rpm.min()) / mean_rpm)
+                    warnings = () if drift <= cfg.max_rpm_drift else (
+                        f"spindle speed drifts {100 * drift:.1f}% across the record "
+                        f"(limit {100 * cfg.max_rpm_drift:.1f}%); order tracking "
+                        "absorbs the drift but Hz readings use the mean speed",)
+            if plan.revs.size < cfg.min_revs:
+                raise CoverageError(
+                    f"signal covers {plan.revs.size} complete revolution(s); "
+                    f"need at least {cfg.min_revs}")
+            # the envelope and its resampled copy are freed before the next channel
+            avg = synchronous_average(
+                plan.resample(band_envelope(detrend(ts), band, taper)))
+            profile = tooth_segmentation(avg, z, tooth0_offset_frac)
+            findings, inconclusive = classify(
+                averaged_rev_spectrum(avg, mean_rpm / 60.0), profile, cfg)
+            results[ts.channel] = AnalysisResult(
+                ts.channel, mean_rpm, findings, profile, avg, warnings,
+                inconclusive)
         except AnalysisError as err:
             errors[ts.channel] = err
     return results, errors

@@ -27,10 +27,6 @@ class TachoTrack:
     """
 
     pulse_times_s: np.ndarray
-    # the order-tracking plan of the last (record length, sample rate,
-    # samples_per_rev) resampled against this track, shared by every
-    # channel that repeats that key; see `resample_to_angle`
-    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         times = _readonly_1d(self.pulse_times_s, "pulse_times_s")
@@ -139,29 +135,53 @@ def speed_profile(t: TachoTrack) -> np.ndarray:
 _PLAN_BLOCK = 16384
 
 
-def covered_revolutions(x: TimeSeries, t: TachoTrack) -> np.ndarray:
-    """Indices i of the revolutions (pulse i to pulse i + 1) inside x's span."""
-    t_last = (len(x) - 1) / x.sample_rate_hz
-    pulses = t.pulse_times_s
-    return np.flatnonzero((pulses[:-1] >= 0.0) & (pulses[1:] <= t_last))
-
-
-def _resampling_plan(pulses: np.ndarray, usable: np.ndarray, fs: float,
-                     samples_per_rev: int) -> tuple[np.ndarray, np.ndarray]:
-    """4-point (Catmull-Rom) taps for sampling the revolutions `usable`.
-
-    Returns ``(first, weights)``: output sample k is
+@dataclass(frozen=True, eq=False)
+class RevolutionPlan:
+    """Order tracking of one record length and rate: the indices `revs` of
+    the revolutions (pulse i to pulse i + 1) inside the record's span, their
+    speeds `rpm`, and 4-point (Catmull-Rom) taps that resample them: output
+    sample k is
     ``sum(weights[j, k] * a[first[k] - 1 + j] for j in range(4))`` with the
     index clipped to the record, where ``first[k]`` is the floor of its
     fractional sample position.
     """
+
+    revs: np.ndarray
+    rpm: np.ndarray
+    first: np.ndarray
+    weights: np.ndarray
+    samples_per_rev: int
+
+    def resample(self, x: TimeSeries) -> AngularSeries:
+        """x, of the plan's length and rate, on the plan's angle grid."""
+        a = x.samples
+        # padded[m] == a[clip(m - 1, 0, n - 1)], so tap j of every output
+        # sample is padded[first + j]
+        padded = np.concatenate((a[:1], a, a[-1:], a[-1:]))
+        values = padded.take(self.first)
+        values *= self.weights[0]
+        for j in (1, 2, 3):
+            tap = padded[j:].take(self.first)
+            tap *= self.weights[j]
+            values += tap
+        return AngularSeries(values, self.samples_per_rev)
+
+
+def revolution_plan(x: TimeSeries, t: TachoTrack,
+                    samples_per_rev: int) -> RevolutionPlan:
+    """The plan of t for x's length and sample rate; it may hold no revolution."""
+    if samples_per_rev < 2:
+        raise RangeError(f"samples_per_rev must be >= 2, got {samples_per_rev}")
+    fs = x.sample_rate_hz
+    pulses = t.pulse_times_s
+    revs = np.flatnonzero((pulses[:-1] >= 0.0) & (pulses[1:] <= (len(x) - 1) / fs))
     frac = np.arange(samples_per_rev) / samples_per_rev
-    starts = pulses[usable]
-    spans = pulses[usable + 1] - starts
-    first = np.empty(usable.size * samples_per_rev, dtype=np.intp)
+    starts = pulses[revs]
+    spans = pulses[revs + 1] - starts
+    first = np.empty(revs.size * samples_per_rev, dtype=np.intp)
     weights = np.empty((4, first.size))
     rows = max(1, _PLAN_BLOCK // samples_per_rev)
-    for r in range(0, usable.size, rows):
+    for r in range(0, revs.size, rows):
         s = (starts[r:r + rows, None] + spans[r:r + rows, None] * frac).ravel() * fs
         i = np.floor(s)
         u = s - i
@@ -173,9 +193,10 @@ def _resampling_plan(pulses: np.ndarray, usable: np.ndarray, fs: float,
         weights[1, block] = 0.5 * (2.0 - 5.0 * u2 + 3.0 * u3)
         weights[2, block] = 0.5 * (u + 4.0 * u2 - 3.0 * u3)
         weights[3, block] = 0.5 * (u3 - u2)
-    first.setflags(write=False)
-    weights.setflags(write=False)
-    return first, weights
+    rpm = speed_profile(t)[revs, 1]
+    for arr in (revs, rpm, first, weights):
+        arr.setflags(write=False)
+    return RevolutionPlan(revs, rpm, first, weights, samples_per_rev)
 
 
 def resample_to_angle(x: TimeSeries, t: TachoTrack,
@@ -186,39 +207,13 @@ def resample_to_angle(x: TimeSeries, t: TachoTrack,
     consecutive pulses; x is then sampled at `samples_per_rev` uniform
     angles per revolution using 4-point cubic interpolation. Only
     revolutions fully covered by x are used.
-
-    The interpolation indices and weights depend only on the tacho, the
-    record length, the sample rate and `samples_per_rev`. `t` keeps them
-    for the last such key, so the channels that share a tacho build them
-    once.
     """
-    if samples_per_rev < 2:
-        raise RangeError(f"samples_per_rev must be >= 2, got {samples_per_rev}")
-    fs = x.sample_rate_hz
-    pulses = t.pulse_times_s
-    key = (len(x), fs, samples_per_rev)
-    plan = t._plans.get(key)
-    if plan is None:
-        usable = covered_revolutions(x, t)
-        if usable.size == 0:
-            raise CoverageError(
-                f"signal of {x.duration_s:.6g} s covers no complete revolution "
-                f"(pulses span {pulses[0]:.6g}..{pulses[-1]:.6g} s)")
-        t._plans.clear()
-        plan = t._plans[key] = _resampling_plan(pulses, usable, fs,
-                                                samples_per_rev)
-    first, weights = plan
-    a = x.samples
-    # padded[m] == a[clip(m - 1, 0, n - 1)], so tap j of every output
-    # sample is padded[first + j]
-    padded = np.concatenate((a[:1], a, a[-1:], a[-1:]))
-    values = padded.take(first)
-    values *= weights[0]
-    for j in (1, 2, 3):
-        tap = padded[j:].take(first)
-        tap *= weights[j]
-        values += tap
-    return AngularSeries(values, samples_per_rev)
+    plan = revolution_plan(x, t, samples_per_rev)
+    if plan.revs.size == 0:
+        raise CoverageError(
+            f"signal of {x.duration_s:.6g} s covers no complete revolution "
+            f"(pulses span {t.pulse_times_s[0]:.6g}..{t.pulse_times_s[-1]:.6g} s)")
+    return plan.resample(x)
 
 
 def synchronous_average(a: AngularSeries) -> np.ndarray:

@@ -1,9 +1,10 @@
 """The settable surface of the public API, written out.
 
-Each function's parameter names and each dataclass's init fields are
-listed here, so a new option or stored field shows up as a diff of this
-table. Update the table together with the API change it records. README's
-library example is run as written, so it cannot drift from the API.
+Each function's parameter names and each dataclass's stored fields
+(`init=False` ones included) are listed here, so a new option or a hidden
+field shows up as a diff of this table. Update the table together with the
+API change it records. README's library example is run as written, so it
+cannot drift from the API.
 """
 
 import copy
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import millenv
-from millenv import fileio
+from millenv import fileio, sync
 from conftest import BAND, FS, SAMPLES_PER_REV, run_simulation
 
 PARAMETERS = {
@@ -23,7 +24,8 @@ PARAMETERS = {
     "analytic_signal": "x",
     "analyze": "x tacho cutter band cfg taper_hz samples_per_rev "
                "tooth0_offset_frac",
-    "analyze_all_channels": "channels tacho cutter bands cfg taper_hz kwargs",
+    "analyze_all_channels": "channels tacho cutter bands cfg taper_hz "
+                            "samples_per_rev tooth0_offset_frac",
     "averaged_rev_spectrum": "avg_rev f_rot_hz",
     "band_filter": "x b taper_hz",
     "classify": "env_spec tooth_profile cfg",
@@ -47,7 +49,7 @@ PARAMETERS = {
     "fileio.emit_plot_data": "path_base x y title x_label y_label",
 }
 
-INIT_FIELDS = {
+FIELDS = {
     "AnalysisResult": "channel mean_rpm findings tooth_profile "
                       "averaged_envelope warnings inconclusive",
     "AngularSeries": "samples samples_per_rev",
@@ -67,9 +69,10 @@ INIT_FIELDS = {
     "Thresholds": "asym_ratio weak_tooth_drop ecc_ratio misalign_ratio "
                   "min_carrier min_revs max_rpm_drift",
     "TimeSeries": "samples sample_rate_hz channel unit",
-    "ToothProfile": "mean_load",
+    "ToothProfile": "mean_load asymmetry_index",
     "Window": "kind",
     "fileio.Recording": "channels tacho warnings",
+    "sync.RevolutionPlan": "revs rpm first weights samples_per_rev",
 }
 
 
@@ -92,12 +95,13 @@ def test_function_parameters():
     assert actual == PARAMETERS
 
 
-def test_dataclass_init_fields():
+def test_dataclass_fields():
     classes = _exported(_is_dataclass_type)
     classes["fileio.Recording"] = fileio.Recording
-    actual = {name: " ".join(f.name for f in dataclasses.fields(cls) if f.init)
+    classes["sync.RevolutionPlan"] = sync.RevolutionPlan
+    actual = {name: " ".join(f.name for f in dataclasses.fields(cls))
               for name, cls in classes.items()}
-    assert actual == INIT_FIELDS
+    assert actual == FIELDS
 
 
 def test_readme_library_example_runs():
@@ -144,7 +148,8 @@ def public_values(cutter):
         millenv.TimeSeries(force, FS, "hammer"),
         millenv.TimeSeries(response, FS, "ax"))] * 2)
     return {"simulate": out, "detect_pulses": track, "analyze": result,
-            "resample_to_angle": angular, "estimate_frf": frf}
+            "resample_to_angle": angular, "estimate_frf": frf,
+            "revolution_plan": sync.revolution_plan(x, track, SAMPLES_PER_REV)}
 
 
 def test_results_hold_only_read_only_arrays(public_values):
@@ -152,9 +157,8 @@ def test_results_hold_only_read_only_arrays(public_values):
     found = {path: arr.flags.writeable
              for name, value in public_values.items()
              for path, arr in _arrays(value, name)}
-    # the track's resampling plan is among them once analyze has run
-    assert any(path.startswith("detect_pulses._plans") for path in found)
     assert "analyze.averaged_envelope" in found
+    assert "revolution_plan.weights" in found
     assert [path for path, writeable in found.items() if writeable] == []
 
 
@@ -165,10 +169,11 @@ def test_array_types_compare_by_identity(public_values):
     values = [public_values["simulate"].channels["ax"],
               result.envelope_spectrum, public_values["resample_to_angle"],
               public_values["detect_pulses"], result.tooth_profile, result,
-              public_values["estimate_frf"], public_values["simulate"].truth]
+              public_values["estimate_frf"], public_values["simulate"].truth,
+              public_values["revolution_plan"]]
     assert [type(x).__name__ for x in values] == [
         "TimeSeries", "Spectrum", "AngularSeries", "TachoTrack",
-        "ToothProfile", "AnalysisResult", "Frf", "SimTruth"]
+        "ToothProfile", "AnalysisResult", "Frf", "SimTruth", "RevolutionPlan"]
     for x in values:
         assert x == x
         assert x != copy.copy(x)

@@ -1,17 +1,21 @@
 """The fused demodulation kernels against the reference chain.
 
 `band_envelope` replaces band_filter -> analytic_signal -> abs, and
-`resample_to_angle` builds its interpolation plan once per tacho; the
-straightforward forms are kept in `reference_dsp.py`.
+`analyze_all_channels` builds one interpolation plan per record length and
+sample rate for all its channels; the straightforward forms are kept in
+`reference_dsp.py`.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from millenv import (Band, TachoTrack, TimeSeries, analyze, analytic_signal,
-                     band_filter, detrend, resample_to_angle)
+import millenv.pipeline
+from millenv import (Band, TachoTrack, TimeSeries, analyze,
+                     analyze_all_channels, analytic_signal, band_filter,
+                     detrend, resample_to_angle)
 from millenv.dsp import _band_bins, band_envelope
+from millenv.sync import revolution_plan
 from conftest import BAND, FS, SAMPLES_PER_REV
 from reference_dsp import (reference_analytic_signal, reference_band_envelope,
                            reference_band_filter, reference_band_mask,
@@ -88,18 +92,41 @@ def test_resample_plan_clips_at_record_edges():
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
 
-def test_one_tacho_serves_any_record_length_and_grid(asymmetric_run):
+def test_channels_of_one_shape_share_one_plan(asymmetric_run, cutter,
+                                              monkeypatch):
+    # one plan per channel was 4-10% slower on the 20 s reference record
     out, track, _ = asymmetric_run
-    shared = TachoTrack(track.pulse_times_s)
     full, ay = out.channels["ax"], out.channels["ay"]
-    cases = [(full, SAMPLES_PER_REV), (head(full, 25001), SAMPLES_PER_REV),
-             (ay, SAMPLES_PER_REV), (full, 1026), (head(ay, 25001), 1026),
-             (full, SAMPLES_PER_REV)]
-    for order in (cases, cases[::-1]):
-        for x, spr in order:
-            fresh = resample_to_angle(x, TachoTrack(track.pulse_times_s), spr)
-            np.testing.assert_array_equal(
-                resample_to_angle(x, shared, spr).samples, fresh.samples)
+    cut = head(full, 25001)
+    # labels keep the results apart: full, cut, full again, then ay
+    channels = [full, cut.with_samples(cut.samples, "az"),
+                full.with_samples(full.samples, "fx"), ay]
+    alone = [analyze(x, track, cutter, BAND, samples_per_rev=SAMPLES_PER_REV)
+             for x in channels]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return revolution_plan(*args)
+
+    monkeypatch.setattr(millenv.pipeline, "revolution_plan", counted)
+    results, errors = analyze_all_channels(channels, track, cutter, BAND,
+                                           samples_per_rev=SAMPLES_PER_REV)
+    assert not errors and len(calls) == 3
+    for x, res in zip(channels, alone):
+        shared = results[x.channel]
+        assert shared.mean_rpm == res.mean_rpm
+        assert shared.findings == res.findings
+        assert shared.warnings == res.warnings
+        assert shared.inconclusive == res.inconclusive
+        np.testing.assert_array_equal(shared.averaged_envelope,
+                                      res.averaged_envelope)
+        np.testing.assert_array_equal(shared.tooth_profile.mean_load,
+                                      res.tooth_profile.mean_load)
+    calls.clear()
+    analyze_all_channels([out.channels[ch] for ch in LABELS], track, cutter,
+                         BAND, samples_per_rev=SAMPLES_PER_REV)
+    assert len(calls) == 1
 
 
 # n/D, the length of each inverse FFT, is the smallest divisor of n that

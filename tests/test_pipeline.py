@@ -422,6 +422,87 @@ class TestAnalyzeAllChannels:
         assert not results
         assert isinstance(errors["ax"], InputError)
 
+    def test_samples_per_rev_below_two_fails_before_any_fft(
+            self, symmetric_run, cutter, monkeypatch):
+        # the plan is built before the band envelope, so this check now
+        # comes ahead of min_revs and of every FFT
+        out, track, _ = symmetric_run
+        short = out.channels["ax"].with_samples(out.channels["ax"].samples[:12500])
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT ran before the plan was built")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        with pytest.raises(RangeError, match="samples_per_rev must be >= 2"):
+            analyze(short, track, cutter, BAND, samples_per_rev=0)
+
+    def test_channel_without_revolutions_does_not_reach_the_next(
+            self, symmetric_run, cutter):
+        out, track, full = symmetric_run
+        x = out.channels["ax"]
+        results, errors = analyze_all_channels(
+            [x.with_samples(x.samples[:100], "ay"), x], track, cutter, BAND,
+            samples_per_rev=1152)
+        assert str(errors["ay"]) == ("signal covers 0 complete revolution(s); "
+                                     "need at least 20")
+        assert list(errors) == ["ay"]
+        np.testing.assert_array_equal(results["ax"].averaged_envelope,
+                                      full.averaged_envelope)
+
+
+def _set_nan(args):
+    samples = args["x"].samples.copy()
+    samples[1234] = np.nan
+    args["x"] = args["x"].with_samples(samples)
+
+
+def _cut_to_half_second(args):
+    args["x"] = args["x"].with_samples(args["x"].samples[:12500])
+
+
+#: One fault of channel ax each, in the order the analysis meets them: an
+#: edit of the arguments, the error type and its message.
+CHANNEL_FAULTS = (
+    ("missing band", lambda args: args.update(band={}), InputError,
+     "no band configured for channel 'ax'"),
+    ("missing taper", lambda args: args.update(taper_hz={}), InputError,
+     "no taper configured for channel 'ax'"),
+    ("non-finite sample", _set_nan, InputError,
+     "channel 'ax' has 1 non-finite sample(s), the first at index 1234"),
+    ("samples_per_rev", lambda args: args.update(samples_per_rev=1024),
+     SizeError, "samples_per_rev=1024 is not divisible by z=6; "
+                "use a multiple of 6 (e.g. 1026)"),
+    ("few revolutions", _cut_to_half_second, CoverageError,
+     "signal covers 10 complete revolution(s); need at least 20"),
+    ("band above Nyquist",
+     lambda args: args.update(band=Band(20000.0, 24000.0)), RangeError,
+     "band [20000.0, 24000.0] Hz exceeds the Nyquist frequency 12500.0 Hz; "
+     "valid bands lie within (0, 12500.0]"),
+)
+
+
+@pytest.mark.parametrize("first, second", [
+    pytest.param(i, j, id=CHANNEL_FAULTS[i][0] if i == j
+                 else f"{CHANNEL_FAULTS[i][0]}, {CHANNEL_FAULTS[j][0]}")
+    for i in range(len(CHANNEL_FAULTS)) for j in range(i, len(CHANNEL_FAULTS))])
+def test_channel_error_parity_and_precedence(symmetric_run, cutter, first,
+                                             second):
+    # analyze raises what analyze_all_channels records for the channel, and
+    # of two faults the earlier one in CHANNEL_FAULTS wins
+    out, track, _ = symmetric_run
+    args = dict(x=out.channels["ax"], band=BAND, taper_hz=None,
+                samples_per_rev=1152)
+    CHANNEL_FAULTS[second][1](args)
+    CHANNEL_FAULTS[first][1](args)
+    _, _, kind, message = CHANNEL_FAULTS[first]
+    x, band = args.pop("x"), args.pop("band")
+    results, errors = analyze_all_channels([x], track, cutter, band, **args)
+    assert not results
+    assert type(errors["ax"]) is kind and str(errors["ax"]) == message
+    with pytest.raises(kind) as raised:
+        analyze(x, track, cutter, band, **args)
+    assert type(raised.value) is kind and str(raised.value) == message
+
 
 class TestAveragedRevSpectrum:
     def test_tone_amplitude_exact_on_order_bin(self):
