@@ -22,8 +22,25 @@ CHANNELS = tuple(CHANNEL_UNITS)
 _TIME_EPS = 1e-9  # snap tolerance when mapping times onto the sample grid
 
 
+class _Fresh:
+    """An array just made inside millenv, which no caller holds.
+
+    A value type built from it freezes that array in place instead of
+    copying it; any other input is copied, so a caller's array is never
+    frozen under it. Wrap only arrays nothing else will write to.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _readonly_1d(values, what: str = "samples") -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    if isinstance(values, _Fresh):
+        arr = np.asarray(values.array, dtype=float)
+    else:
+        arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise SizeError(f"{what} must be one-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -31,7 +48,14 @@ def _readonly_1d(values, what: str = "samples") -> np.ndarray:
 
 
 def _require_finite(x: "TimeSeries") -> None:
-    """InputError naming x's channel, its non-finite count and the first index."""
+    """InputError naming x's channel, its non-finite count and the first index.
+
+    The sum of the samples is finite only when every sample is, so a clean
+    record pays one pass with no temporaries. The full scan runs only when
+    the sum is not finite, and a finite record whose sum overflows passes it.
+    """
+    if np.isfinite(np.add.reduce(x.samples)):
+        return
     bad = np.flatnonzero(~np.isfinite(x.samples))
     if bad.size:
         raise InputError(
@@ -156,7 +180,7 @@ def detrend(x: TimeSeries) -> TimeSeries:
     level = rms(x)
     if abs(m) <= 1e-12 * max(level, np.finfo(float).tiny):
         return x
-    return x.with_samples(x.samples - m)
+    return x.with_samples(_Fresh(x.samples - m))
 
 
 def first_sample_index(t_s: float, sample_rate_hz: float) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Spectrum, TimeSeries, _require_finite, detrend
+from .core import Spectrum, TimeSeries, _Fresh, _require_finite, detrend
 from .errors import RangeError, SizeError
 
 _WINDOW_KINDS = ("hann", "rectangular")
@@ -182,7 +182,7 @@ def band_filter(x: TimeSeries, b: Band, taper_hz: float | None = None) -> TimeSe
     spec[:k0] = 0.0
     spec[k0 + mask.size:] = 0.0
     spec[k0:k0 + mask.size] *= mask
-    return x.with_samples(np.fft.irfft(spec, len(x)))
+    return x.with_samples(_Fresh(np.fft.irfft(spec, len(x))))
 
 
 def analytic_signal(x: TimeSeries) -> np.ndarray:
@@ -208,7 +208,8 @@ def envelope(x: TimeSeries) -> TimeSeries:
     FFT effects, at odd lengths as at even ones, and should be excluded
     from quantitative comparisons.
     """
-    return x.with_samples(np.abs(analytic_signal(x)), channel=x.channel + "_env")
+    return x.with_samples(_Fresh(np.abs(analytic_signal(x))),
+                          channel=x.channel + "_env")
 
 
 #: rows of one running twiddle product in `_analytic`; further rows are
@@ -281,7 +282,7 @@ def band_envelope(x: TimeSeries, b: Band,
     analytic = _analytic(band, k0, len(x))
     env = np.empty(len(x))
     np.abs(analytic, out=env.reshape(analytic.shape))
-    return x.with_samples(env, channel=x.channel + "_env")
+    return x.with_samples(_Fresh(env), channel=x.channel + "_env")
 
 
 def envelope_spectrum(x: TimeSeries, b: Band, taper_hz: float | None = None,

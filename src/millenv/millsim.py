@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHANNEL_UNITS, TimeSeries
+from .core import CHANNEL_UNITS, TimeSeries, _Fresh
 from .errors import ConfigError
 from .pipeline import Cutter
 
@@ -175,12 +175,15 @@ def simulate(cfg: SimConfig) -> SimOutput:
     channels: dict[str, TimeSeries] = {}
     for ch, g in ACCEL_GAINS.items():
         noise = rng.normal(0.0, cfg.noise_rms, n) if cfg.noise_rms > 0.0 else 0.0
-        channels[ch] = TimeSeries(g * vib + noise, fs, ch, CHANNEL_UNITS[ch])
+        channels[ch] = TimeSeries(_Fresh(g * vib + noise), fs, ch,
+                                  CHANNEL_UNITS[ch])
     for ch, g in FORCE_GAINS.items():
         noise = (rng.normal(0.0, cfg.noise_rms * FORCE_SCALE_N, n)
                  if cfg.noise_rms > 0.0 else 0.0)
-        channels[ch] = TimeSeries(g * force + noise, fs, ch, CHANNEL_UNITS[ch])
-    channels["tacho"] = TimeSeries(tacho, fs, "tacho", CHANNEL_UNITS["tacho"])
+        channels[ch] = TimeSeries(_Fresh(g * force + noise), fs, ch,
+                                  CHANNEL_UNITS[ch])
+    channels["tacho"] = TimeSeries(_Fresh(tacho), fs, "tacho",
+                                   CHANNEL_UNITS["tacho"])
 
     truth = SimTruth(strike_t, tooth, pulse_t, cfg.per_tooth_gain, 60.0 * f0)
     return SimOutput(channels, truth)

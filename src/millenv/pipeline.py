@@ -1,10 +1,13 @@
 """End-to-end envelope analysis and defect classification.
 
-The processing order is fixed: detrend, band-pass around a structural
-resonance, Hilbert envelope, resample to shaft angle, synchronous average,
-then in parallel (a) per-tooth segmentation of the averaged revolution and
-(b) its amplitude spectrum, whose bin k is rotation order k. Classification
-reads harmonic amplitude ratios straight off those order bins:
+The processing order is fixed: band-pass around a structural resonance,
+Hilbert envelope, then the envelope resampled to shaft angle and averaged
+over the revolutions block by block, so no angular series of the whole
+record is built; then in parallel (a) per-tooth segmentation of the
+averaged revolution and (b) its amplitude spectrum, whose bin k is rotation
+order k. The mean is removed first only when the band reaches 0 Hz; any
+other band mask zeroes bin 0 already. Classification reads harmonic
+amplitude ratios straight off those order bins:
 
 * sub-tooth-order harmonics k/rev (k < z) vs the tooth-passing component
   indicate tooth asymmetry,
@@ -26,7 +29,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import Spectrum, TimeSeries, _readonly_1d, _require_finite, detrend
-# `band_filter`, `envelope` and `resample_to_angle` are not called here;
+# `band_filter`, `envelope`, `resample_to_angle` and `synchronous_average`
+# are not called here, and `detrend` only for a band that reaches 0 Hz;
 # bench/spans.py patches them by these names
 from .dsp import (Band, _one_sided_amplitudes, band_envelope, band_filter,
                   envelope)
@@ -251,11 +255,13 @@ def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
             tooth0_offset_frac: float | None = None) -> AnalysisResult:
     """Full envelope analysis of one channel.
 
-    Pipeline: detrend -> band_envelope -> resample_to_angle ->
-    synchronous_average, then tooth segmentation and the averaged-revolution
-    amplitude spectrum feed the classifier. Frequencies are reported in Hz
-    using the mean spindle speed over the averaged revolutions; a speed
-    drift beyond cfg.max_rpm_drift attaches a warning rather than failing.
+    Pipeline: band_envelope (of the detrended channel when the band reaches
+    0 Hz) -> synchronous average over the revolution plan, block by block
+    with no resampled series of the whole record; then tooth segmentation
+    and the averaged-revolution amplitude spectrum feed the classifier.
+    Frequencies are reported in Hz using the mean spindle speed over the
+    averaged revolutions; a speed drift beyond cfg.max_rpm_drift attaches a
+    warning rather than failing.
 
     With the default ``tooth0_offset_frac=None`` each tooth sector is
     centered on its impact angle (tooth 0 at the tacho pulse): the zero-phase
@@ -328,9 +334,11 @@ def analyze_all_channels(channels: Iterable[TimeSeries], tacho: TachoTrack,
                 raise CoverageError(
                     f"signal covers {plan.revs.size} complete revolution(s); "
                     f"need at least {cfg.min_revs}")
-            # the envelope and its resampled copy are freed before the next channel
-            avg = synchronous_average(
-                plan.resample(band_envelope(detrend(ts), band, taper)))
+            # a band mask that is zero at 0 Hz removes the mean already
+            dc = band.f_lo_hz == 0.0 and taper == 0.0
+            env = band_envelope(detrend(ts) if dc else ts, band, taper)
+            avg = plan._average(env.samples)
+            del env  # freed before the next channel's envelope is made
             profile = tooth_segmentation(avg, z, tooth0_offset_frac)
             findings, inconclusive = classify(
                 averaged_rev_spectrum(avg, mean_rpm / 60.0), profile, cfg)

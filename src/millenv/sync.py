@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AngularSeries, TimeSeries, _readonly_1d, _require_finite
+from .core import (AngularSeries, TimeSeries, _Fresh, _readonly_1d,
+                   _require_finite)
 from .errors import (CoverageError, InputError, PulseDetectionError,
                      PulseQualityError, RangeError, SizeError)
 
@@ -130,8 +131,8 @@ def speed_profile(t: TachoTrack) -> np.ndarray:
     return np.column_stack((mid, 60.0 / gaps))
 
 
-#: Output samples per block while a resampling plan is filled; bounds the
-#: temporaries to a few blocks instead of a few whole records.
+#: Output samples per block while a resampling plan is built or applied;
+#: bounds the temporaries to a few blocks instead of a few whole records.
 _PLAN_BLOCK = 16384
 
 
@@ -154,17 +155,46 @@ class RevolutionPlan:
 
     def resample(self, x: TimeSeries) -> AngularSeries:
         """x, of the plan's length and rate, on the plan's angle grid."""
-        a = x.samples
-        # padded[m] == a[clip(m - 1, 0, n - 1)], so tap j of every output
-        # sample is padded[first + j]
-        padded = np.concatenate((a[:1], a, a[-1:], a[-1:]))
-        values = padded.take(self.first)
-        values *= self.weights[0]
-        for j in (1, 2, 3):
-            tap = padded[j:].take(self.first)
-            tap *= self.weights[j]
-            values += tap
-        return AngularSeries(values, self.samples_per_rev)
+        values = np.empty(self.first.size)
+        for _ in self._blocks(x.samples, values):
+            pass
+        return AngularSeries(_Fresh(values), self.samples_per_rev)
+
+    def _average(self, a: np.ndarray) -> np.ndarray:
+        """``synchronous_average(self.resample(x))`` for x's samples a, bit
+        for bit, without building the series: numpy's mean over axis 0
+        adds the revolutions row by row, in order, and so does this."""
+        total = np.full(self.samples_per_rev, -0.0)  # x + -0.0 is x, for every x
+        for block in self._blocks(a):
+            for row in block.reshape(-1, self.samples_per_rev):
+                total += row
+        total /= self.revs.size
+        return total
+
+    def _blocks(self, a: np.ndarray, out: np.ndarray | None = None):
+        """a on the plan's grid, whole revolutions of about `_PLAN_BLOCK`
+        samples at a time, in order: each block is the next slice of `out`,
+        or one reused buffer when `out` is None, so a block is valid only
+        until the next one is made."""
+        size = self.first.size
+        step = max(1, _PLAN_BLOCK // self.samples_per_rev) * self.samples_per_rev
+        buffer = np.empty(min(step, size)) if out is None else None
+        tap = np.empty(min(step, size))
+        for start in range(0, size, step):
+            stop = min(start + step, size)
+            values = buffer[:stop - start] if out is None else out[start:stop]
+            term = tap[:stop - start]
+            weights = self.weights[:, start:stop]
+            # a clipped index repeats the edge sample for taps past the record
+            index = self.first[start:stop] - 1
+            a.take(index, out=values, mode="clip")
+            values *= weights[0]
+            for j in (1, 2, 3):
+                index += 1
+                a.take(index, out=term, mode="clip")
+                term *= weights[j]
+                values += term
+            yield values
 
 
 def revolution_plan(x: TimeSeries, t: TachoTrack,

@@ -147,19 +147,33 @@ def public_values(cutter):
     frf = millenv.estimate_frf([millenv.ImpactRecord(
         millenv.TimeSeries(force, FS, "hammer"),
         millenv.TimeSeries(response, FS, "ax"))] * 2)
-    return {"simulate": out, "detect_pulses": track, "analyze": result,
-            "resample_to_angle": angular, "estimate_frf": frf,
+    return {"simulate": out, "simulate channel": x, "detect_pulses": track,
+            "analyze": result, "resample_to_angle": angular,
+            "band_envelope": millenv.dsp.band_envelope(x, BAND),
+            "estimate_frf": frf,
             "revolution_plan": sync.revolution_plan(x, track, SAMPLES_PER_REV)}
 
 
 def test_results_hold_only_read_only_arrays(public_values):
-    # README: every public type is a frozen dataclass over read-only arrays
+    # README: every public type is a frozen dataclass over read-only arrays,
+    # including the arrays millenv made and froze in place without a copy
     found = {path: arr.flags.writeable
              for name, value in public_values.items()
              for path, arr in _arrays(value, name)}
-    assert "analyze.averaged_envelope" in found
-    assert "revolution_plan.weights" in found
+    for path in ("analyze.averaged_envelope", "revolution_plan.weights",
+                 "simulate channel.samples", "band_envelope.samples",
+                 "resample_to_angle.samples"):
+        assert path in found
     assert [path for path, writeable in found.items() if writeable] == []
+
+
+def test_caller_arrays_are_copied_not_frozen():
+    a = np.arange(8.0)
+    x = millenv.TimeSeries(a, FS)
+    angular = millenv.AngularSeries(a, 4)
+    a[0] = 99.0
+    assert a.flags.writeable
+    assert x.samples[0] == 0.0 and angular.samples[0] == 0.0
 
 
 def test_array_types_compare_by_identity(public_values):

@@ -2,8 +2,8 @@
 
 `band_envelope` replaces band_filter -> analytic_signal -> abs, and
 `analyze_all_channels` builds one interpolation plan per record length and
-sample rate for all its channels; the straightforward forms are kept in
-`reference_dsp.py`.
+sample rate for all its channels and averages the revolutions block by
+block; the straightforward forms are kept in `reference_dsp.py`.
 """
 
 import numpy as np
@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 import millenv.pipeline
 from millenv import (Band, TachoTrack, TimeSeries, analyze,
                      analyze_all_channels, analytic_signal, band_filter,
-                     detrend, resample_to_angle)
+                     detrend, resample_to_angle, synchronous_average)
 from millenv.dsp import _band_bins, band_envelope
-from millenv.sync import revolution_plan
+from millenv.sync import _PLAN_BLOCK, revolution_plan
 from conftest import BAND, FS, SAMPLES_PER_REV
 from reference_dsp import (reference_analytic_signal, reference_band_envelope,
                            reference_band_filter, reference_band_mask,
@@ -71,15 +71,24 @@ def test_analytic_signal_matches_reference_at_even_length():
     assert rel_max_err(z, reference_analytic_signal(x)) <= 1e-12
 
 
+def assert_plan_average_is_synchronous_average(x, track, spr):
+    # the block-wise running sum analyze_all_channels takes, bit for bit
+    np.testing.assert_array_equal(
+        revolution_plan(x, track, spr)._average(x.samples),
+        synchronous_average(resample_to_angle(x, track, spr)))
+
+
 @pytest.mark.parametrize("n", [30000, 24989, 19999])
 def test_resample_plan_matches_per_call_interpolation(asymmetric_run, n):
     out, track, _ = asymmetric_run
-    for spr in (SAMPLES_PER_REV, 1026):
+    # a revolution longer than _PLAN_BLOCK is a block of its own
+    for spr in (SAMPLES_PER_REV, 1026, _PLAN_BLOCK + 1000):
         for ch in ("ax", "fz"):
             x = head(out.channels[ch], n)
             got = resample_to_angle(x, track, spr).samples
             ref = reference_resample_to_angle(x, track.pulse_times_s, spr)
             assert rel_max_err(got, ref) <= 1e-12
+            assert_plan_average_is_synchronous_average(x, track, spr)
 
 
 def test_resample_plan_clips_at_record_edges():
@@ -90,6 +99,21 @@ def test_resample_plan_clips_at_record_edges():
     got = resample_to_angle(x, tacho, 8).samples
     ref = reference_resample_to_angle(x, tacho.pulse_times_s, 8)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+    assert_plan_average_is_synchronous_average(x, tacho, 8)
+
+
+def test_band_through_0_hz_is_detrended(asymmetric_run, cutter):
+    # only a mask that is nonzero at 0 Hz passes the mean, so only such a
+    # band is detrended before its envelope; the offset makes the mean large
+    out, track, _ = asymmetric_run
+    x = out.channels["ax"]
+    x = x.with_samples(x.samples + 3.0)
+    band = Band(0.0, 2500.0)
+    res = analyze(x, track, cutter, band, taper_hz=0.0,
+                  samples_per_rev=SAMPLES_PER_REV)
+    ref = synchronous_average(resample_to_angle(
+        band_envelope(detrend(x), band, 0.0), track, SAMPLES_PER_REV))
+    assert rel_max_err(res.averaged_envelope, ref) <= 1e-12
 
 
 def test_channels_of_one_shape_share_one_plan(asymmetric_run, cutter,
