@@ -197,7 +197,8 @@ def analytic_signal(x: TimeSeries) -> np.ndarray:
     n = len(x)
     spec = np.fft.rfft(x.samples)
     _check_bin0(x, spec[0])
-    return _analytic(spec, 0, n).reshape(n)
+    [signal] = _analytic(spec, 0, n)  # all n/2 + 1 bins: one group, D = 1
+    return signal.reshape(n)
 
 
 def envelope(x: TimeSeries) -> TimeSeries:
@@ -217,6 +218,9 @@ def envelope(x: TimeSeries) -> TimeSeries:
 #: log of the row count rather than with the count itself
 _TWIDDLE_RUN = 32
 
+#: complex outputs per group of inverse FFTs in `_analytic`, at least one row
+_INVERSE_GROUP = 1 << 16
+
 
 def _smallest_divisor_at_least(n: int, m: int) -> int:
     """The smallest divisor of n that is at least m (m <= n)."""
@@ -226,7 +230,7 @@ def _smallest_divisor_at_least(n: int, m: int) -> int:
     return int(divisors[divisors >= m].min())
 
 
-def _analytic(band: np.ndarray, k0: int, n: int) -> np.ndarray:
+def _analytic(band: np.ndarray, k0: int, n: int):
     """Analytic signal of length n from the rfft bins [k0, k0 + B) in band.
 
     Every other bin of the analytic spectrum is zero. The analytic weights
@@ -234,9 +238,11 @@ def _analytic(band: np.ndarray, k0: int, n: int) -> np.ndarray:
     and at the Nyquist bin of an even n. With L the smallest divisor of n
     that is at least B and D = n / L, sample q*D + p is, up to the phase of
     the shift by k0, the length-L inverse FFT of the band bins k times
-    exp(2*pi*i*(k - k0)*p/n), at q. Returns an (L, D) view whose entry
-    [q, p] is sample q*D + p; D = 1 is the single inverse FFT of n points,
-    which a band holding more than half the bins always takes.
+    exp(2*pi*i*(k - k0)*p/n), at q. Yields those inverses a group of rows p
+    at a time, in order, each of about `_INVERSE_GROUP` points, as (g, L)
+    arrays whose entry [j, q] is sample q*D + p + j for the group's first
+    row p; D = 1 is one group, the single inverse FFT of n points, which a
+    band holding more than half the bins always takes.
     """
     if n < 4:
         raise SizeError(f"the analytic signal needs at least 4 samples, got {n}")
@@ -246,42 +252,52 @@ def _analytic(band: np.ndarray, k0: int, n: int) -> np.ndarray:
     cols = _smallest_divisor_at_least(n, width)
     rows = n // cols
     if rows == 1:
-        return np.fft.ifft(band, n, norm="forward")[:, None]
+        yield np.fft.ifft(band, n, norm="forward")[None, :]
+        return
 
-    phases = np.zeros((rows, cols), dtype=complex)
-    phases[0, :width] = band
+    phases = np.empty((rows, width), dtype=complex)
+    phases[0] = band
     bins = np.arange(width)
     step = np.exp((2j * np.pi / n) * bins)
     done = min(rows, _TWIDDLE_RUN)
     for p in range(1, done):
-        np.multiply(phases[p - 1, :width], step, out=phases[p, :width])
+        np.multiply(phases[p - 1], step, out=phases[p])
     while done < rows:
         m = min(done, rows - done)
-        np.multiply(phases[:m, :width], np.exp((2j * np.pi * done / n) * bins),
-                    out=phases[done:done + m, :width])
+        np.multiply(phases[:m], np.exp((2j * np.pi * done / n) * bins),
+                    out=phases[done:done + m])
         done += m
-    return np.fft.ifft(phases, axis=1, norm="forward").T
+    group = max(1, _INVERSE_GROUP // cols)
+    for p in range(0, rows, group):
+        # the bins past the band are zero: ifft pads the rows to L points
+        yield np.fft.ifft(phases[p:p + group], cols, axis=1, norm="forward")
 
 
-def band_envelope(x: TimeSeries, b: Band,
-                  taper_hz: float | None = None) -> TimeSeries:
+def band_envelope(x: TimeSeries, b: Band, taper_hz: float | None = None, *,
+                  out: np.ndarray | None = None) -> TimeSeries:
     """``envelope(band_filter(x, b, taper_hz))`` from the band's bins only.
 
     The band mask is applied to the ``rfft`` bins [k0, k0 + B) where it is
     nonzero, and `_analytic` inverse-transforms those bins alone: one rfft
-    of n points and one batch of D inverse FFTs of n/D points replace the
-    inverse FFT of n points; a prime n gives D = 1, that single transform.
-    At even lengths the result equals the two-step chain to rounding; the
-    same edge caveat as for `envelope` applies.
+    of n points and D inverse FFTs of n/D points, a few at a time, replace
+    the inverse FFT of n points; a prime n gives D = 1, that single
+    transform. Each group's magnitude goes straight into the envelope, which
+    is `out` when given: a float array of len(x) samples that no one else
+    writes, frozen into the result. At even lengths the result equals the
+    two-step chain to rounding; the same edge caveat as for `envelope`
+    applies.
     """
     k0, mask = _band_bins(x, b, taper_hz)
     spec = np.fft.rfft(x.samples)
     _check_bin0(x, spec[0])
     band = spec[k0:k0 + mask.size] * mask
     del spec
-    analytic = _analytic(band, k0, len(x))
-    env = np.empty(len(x))
-    np.abs(analytic, out=env.reshape(analytic.shape))
+    env = np.empty(len(x)) if out is None else out
+    p = 0
+    for group in _analytic(band, k0, len(x)):
+        grid = env.reshape(group.shape[1], -1)  # [q, p] is sample q*D + p
+        np.abs(group.T, out=grid[:, p:p + len(group)])
+        p += len(group)
     return x.with_samples(_Fresh(env), channel=x.channel + "_env")
 
 

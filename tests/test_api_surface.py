@@ -72,7 +72,8 @@ FIELDS = {
     "ToothProfile": "mean_load asymmetry_index",
     "Window": "kind",
     "fileio.Recording": "channels tacho warnings",
-    "sync.RevolutionPlan": "revs rpm first weights samples_per_rev",
+    "sync.RevolutionPlan": "revs rpm pulse_times_s sample_rate_hz "
+                           "samples_per_rev",
 }
 
 
@@ -160,7 +161,7 @@ def test_results_hold_only_read_only_arrays(public_values):
     found = {path: arr.flags.writeable
              for name, value in public_values.items()
              for path, arr in _arrays(value, name)}
-    for path in ("analyze.averaged_envelope", "revolution_plan.weights",
+    for path in ("analyze.averaged_envelope", "revolution_plan.rpm",
                  "simulate channel.samples", "band_envelope.samples",
                  "resample_to_angle.samples"):
         assert path in found

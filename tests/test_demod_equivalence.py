@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import millenv.dsp
 import millenv.pipeline
 from millenv import (Band, TachoTrack, TimeSeries, analyze,
                      analyze_all_channels, analytic_signal, band_filter,
@@ -65,17 +66,40 @@ def test_band_envelope_near_reference_at_odd_lengths(asymmetric_run, n,
         assert rel_max_err(env[inner], ref[inner]) <= bound
 
 
+def test_band_envelope_inverse_groups_change_no_byte(asymmetric_run,
+                                                    monkeypatch):
+    # the inverse FFT rows are taken a group at a time; groups of 1 row and
+    # of 7 rows, whose last group is partial, give the bytes of one batch
+    out, _, _ = asymmetric_run
+    x = out.channels["ax"]
+    _, mask = _band_bins(x, BAND, TAPER_HZ)
+    cols = millenv.dsp._smallest_divisor_at_least(len(x), mask.size)
+    assert len(x) // cols == 25  # D = 25 rows: 7 + 7 + 7 + 4
+    monkeypatch.setattr(millenv.dsp, "_INVERSE_GROUP", len(x))
+    whole = band_envelope(x, BAND, TAPER_HZ).samples
+    for rows in (1, 7):
+        monkeypatch.setattr(millenv.dsp, "_INVERSE_GROUP", rows * cols)
+        buffer = np.empty(len(x))
+        env = band_envelope(x, BAND, TAPER_HZ, out=buffer)
+        assert env.samples is buffer and not buffer.flags.writeable
+        np.testing.assert_array_equal(env.samples, whole)
+
+
 def test_analytic_signal_matches_reference_at_even_length():
     x = np.random.default_rng(4096).normal(size=4096)
     z = analytic_signal(TimeSeries(x, FS))
     assert rel_max_err(z, reference_analytic_signal(x)) <= 1e-12
 
 
-def assert_plan_average_is_synchronous_average(x, track, spr):
-    # the block-wise running sum analyze_all_channels takes, bit for bit
-    np.testing.assert_array_equal(
-        revolution_plan(x, track, spr)._average(x.samples),
-        synchronous_average(resample_to_angle(x, track, spr)))
+def assert_plan_average_is_synchronous_average(xs, track, spr):
+    # the block-wise running sums analyze_all_channels takes, every record
+    # of xs in one call that computes each block's taps once, bit for bit
+    averages = revolution_plan(xs[0], track, spr)._average(
+        [x.samples for x in xs])
+    assert averages.shape == (len(xs), spr)
+    for x, avg in zip(xs, averages):
+        np.testing.assert_array_equal(
+            avg, synchronous_average(resample_to_angle(x, track, spr)))
 
 
 @pytest.mark.parametrize("n", [30000, 24989, 19999])
@@ -83,12 +107,12 @@ def test_resample_plan_matches_per_call_interpolation(asymmetric_run, n):
     out, track, _ = asymmetric_run
     # a revolution longer than _PLAN_BLOCK is a block of its own
     for spr in (SAMPLES_PER_REV, 1026, _PLAN_BLOCK + 1000):
-        for ch in ("ax", "fz"):
-            x = head(out.channels[ch], n)
+        xs = [head(out.channels[ch], n) for ch in ("ax", "fz")]
+        for x in xs:
             got = resample_to_angle(x, track, spr).samples
             ref = reference_resample_to_angle(x, track.pulse_times_s, spr)
             assert rel_max_err(got, ref) <= 1e-12
-            assert_plan_average_is_synchronous_average(x, track, spr)
+        assert_plan_average_is_synchronous_average(xs, track, spr)
 
 
 def test_resample_plan_clips_at_record_edges():
@@ -99,7 +123,8 @@ def test_resample_plan_clips_at_record_edges():
     got = resample_to_angle(x, tacho, 8).samples
     ref = reference_resample_to_angle(x, tacho.pulse_times_s, 8)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
-    assert_plan_average_is_synchronous_average(x, tacho, 8)
+    y = x.with_samples(np.cos(np.arange(101) * 0.7) + 2.0)
+    assert_plan_average_is_synchronous_average([x, y], tacho, 8)
 
 
 def test_band_through_0_hz_is_detrended(asymmetric_run, cutter):

@@ -1,7 +1,11 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import millenv.pipeline
 from millenv import (Band, CoverageError, Cutter, InputError, RangeError,
                      SizeError, Spectrum, TachoTrack, Thresholds, ToothProfile,
                      analyze, analyze_all_channels, averaged_rev_spectrum,
@@ -448,6 +452,79 @@ class TestAnalyzeAllChannels:
         assert list(errors) == ["ay"]
         np.testing.assert_array_equal(results["ax"].averaged_envelope,
                                       full.averaged_envelope)
+
+
+def _seven_channels(run):
+    """Seven channels in a fixed order, with a non-finite sample in ay, a
+    second record length in fx and a band above Nyquist for fy, which only
+    the envelope on a worker meets; bands keyed by label."""
+    out, _, _ = run
+    channels = [out.channels[c] for c in ("ax", "ay", "az", "fx", "fy", "fz")]
+    samples = channels[1].samples.copy()
+    samples[1234] = np.nan
+    channels[1] = channels[1].with_samples(samples)
+    channels[3] = channels[3].with_samples(channels[3].samples[:25001])
+    channels.append(out.channels["ax"].with_samples(out.channels["ax"].samples,
+                                                    "ax2"))
+    bands = {x.channel: BAND for x in channels}
+    bands["fy"] = Band(20000.0, 24000.0)
+    return channels, bands
+
+
+def _outcome(results, errors):
+    return ([(ch, r.averaged_envelope.tobytes(), r.findings, r.warnings,
+              r.inconclusive) for ch, r in results.items()],
+            [(ch, type(e), str(e)) for ch, e in errors.items()])
+
+
+def test_worker_count_changes_no_output(asymmetric_run, cutter, monkeypatch):
+    # README: analysis runs on min(channels, usable CPUs) threads, and no
+    # output depends on their number; keys keep the channels' order, which
+    # the CLI's error lines keep in turn
+    _, track, _ = asymmetric_run
+    channels, bands = _seven_channels(asymmetric_run)
+    outcomes = []
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(millenv.pipeline, "_usable_cpus", lambda: cpus)
+        results, errors = analyze_all_channels(channels, track, cutter, bands,
+                                               samples_per_rev=1152)
+        assert list(results) == ["ax", "az", "fx", "fz", "ax2"]
+        assert list(errors) == ["ay", "fy"]
+        outcomes.append(_outcome(results, errors))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@pytest.mark.parametrize("failing", ["ax", "ay"])
+def test_worker_failure_propagates_and_no_thread_outlives_the_call(
+        asymmetric_run, cutter, monkeypatch, failing):
+    # with 3 workers ax runs on the calling thread and ay on a started one
+    out, track, _ = asymmetric_run
+    channels = [out.channels[c] for c in ("ax", "ay", "az", "fx", "fy", "fz")]
+    real = millenv.pipeline.band_envelope
+
+    def band_envelope(x, *args, **kwargs):
+        if x.channel == failing:
+            raise RuntimeError(f"envelope of {x.channel} failed")
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(millenv.pipeline, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(millenv.pipeline, "band_envelope", band_envelope)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"envelope of {failing} failed"):
+        analyze_all_channels(channels, track, cutter, BAND,
+                             samples_per_rev=1152)
+    assert threading.active_count() == threads
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    # taskset -c 0 leaves one CPU of several in the mask; a system without
+    # affinity masks falls back to the CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert millenv.pipeline._usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert millenv.pipeline._usable_cpus() == 8
 
 
 def _set_nan(args):
