@@ -2,11 +2,14 @@
 
 Everything downstream (filtering, demodulation, order tracking) works on the
 immutable value types defined here. Arrays are stored read-only so instances
-can be shared freely between threads.
+can be shared freely between threads. `_on_workers` is the one thread path
+that the simulator and the channel analysis share.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +64,42 @@ def _require_finite(x: "TimeSeries") -> None:
         raise InputError(
             f"channel {x.channel!r} has {bad.size} non-finite sample(s), "
             f"the first at index {bad[0]}")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the system
+    keeps one (``taskset`` narrows it), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_workers(work, tasks: list, workers: int) -> None:
+    """``work(tasks[w::workers])`` for each worker w, worker 0 on the calling
+    thread and each other on a thread joined before this returns, so one
+    worker starts no thread. The first worker's exception, if any, is
+    raised here once every thread has ended."""
+    failures: list[BaseException | None] = [None] * workers
+
+    def run(w: int) -> None:
+        try:
+            work(tasks[w::workers])
+        except BaseException as exc:  # re-raised on the calling thread
+            failures[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            threads.append(threading.Thread(target=run, args=(w,),
+                                            name=f"millenv-worker-{w}"))
+            threads[-1].start()
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,11 @@ channels carry the low-pass-smoothed impulse train scaled to a nominal
 cutting-force level. A clean square-pulse tachometer channel marks each
 revolution. The impact schedule is returned alongside the waveforms so
 every pipeline stage can be validated against ground truth.
+
+`simulate` uses up to 2 threads: the calling thread draws the noise of
+every channel from the one seeded generator, in channel order, while a
+second thread, when a second CPU is usable, shapes the strike train. No
+output byte depends on the number of threads.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHANNEL_UNITS, TimeSeries, _Fresh
+from .core import CHANNEL_UNITS, TimeSeries, _Fresh, _on_workers, _usable_cpus
 from .errors import ConfigError
 from .pipeline import Cutter
 
@@ -157,9 +162,32 @@ def simulate(cfg: SimConfig) -> SimOutput:
     np.add.at(impulses, base, amp * (1.0 - frac))
     np.add.at(impulses, np.minimum(base + 1, n - 1), amp * frac)
 
-    vib = np.convolve(impulses, _oscillator_kernel(
-        cfg.resonance_hz, cfg.damping_ratio, fs))[:n]
-    force = np.convolve(impulses, _force_kernel(fs))[:n] * FORCE_SCALE_N
+    # (channel, gain, shaped train, noise rms) in the order the noise is drawn
+    sources = ([(ch, g, 0, cfg.noise_rms) for ch, g in ACCEL_GAINS.items()]
+               + [(ch, g, 1, cfg.noise_rms * FORCE_SCALE_N)
+                  for ch, g in FORCE_GAINS.items()])
+    shaped: list[np.ndarray] = []
+    noises: list[np.ndarray] = []
+
+    def shape() -> None:
+        # the strike train rung through the structure, and smoothed to force
+        vib = np.convolve(impulses, _oscillator_kernel(
+            cfg.resonance_hz, cfg.damping_ratio, fs))[:n]
+        force = np.convolve(impulses, _force_kernel(fs))[:n]
+        force *= FORCE_SCALE_N
+        shaped.extend((vib, force))
+
+    def draw() -> None:
+        # one seeded stream, drawn in channel order; without noise a channel
+        # is g * train + 0.0, so it starts from zeros and -0.0 reads +0.0
+        rng = np.random.default_rng(cfg.seed)
+        noises.extend(rng.normal(0.0, rms, n) if cfg.noise_rms > 0.0
+                      else np.zeros(n) for *_, rms in sources)
+
+    # the draws run on the calling thread, the shaping on a second thread
+    # when a second CPU is usable
+    _on_workers(lambda mine: [task() for task in mine], [draw, shape],
+                min(2, _usable_cpus()))
 
     # tachometer: one square pulse per revolution
     pulse_revs = np.arange(int(math.floor(total_revs)) + 1)
@@ -171,17 +199,11 @@ def simulate(cfg: SimConfig) -> SimOutput:
         start = int(round(pt * fs))
         tacho[start:start + width] = 1.0
 
-    rng = np.random.default_rng(cfg.seed)
     channels: dict[str, TimeSeries] = {}
-    for ch, g in ACCEL_GAINS.items():
-        noise = rng.normal(0.0, cfg.noise_rms, n) if cfg.noise_rms > 0.0 else 0.0
-        channels[ch] = TimeSeries(_Fresh(g * vib + noise), fs, ch,
-                                  CHANNEL_UNITS[ch])
-    for ch, g in FORCE_GAINS.items():
-        noise = (rng.normal(0.0, cfg.noise_rms * FORCE_SCALE_N, n)
-                 if cfg.noise_rms > 0.0 else 0.0)
-        channels[ch] = TimeSeries(_Fresh(g * force + noise), fs, ch,
-                                  CHANNEL_UNITS[ch])
+    for (ch, g, k, _), noise in zip(sources, noises):
+        # IEEE addition commutes: the bytes of g * train + noise, in place
+        noise += g * shaped[k]
+        channels[ch] = TimeSeries(_Fresh(noise), fs, ch, CHANNEL_UNITS[ch])
     channels["tacho"] = TimeSeries(_Fresh(tacho), fs, "tacho",
                                    CHANNEL_UNITS["tacho"])
 

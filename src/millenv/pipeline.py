@@ -25,14 +25,13 @@ CPUs) threads; no result depends on their number.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import Spectrum, TimeSeries, _readonly_1d, _require_finite, detrend
+from .core import (Spectrum, TimeSeries, _on_workers, _readonly_1d,
+                   _require_finite, _usable_cpus, detrend)
 # `band_filter`, `envelope`, `resample_to_angle` and `synchronous_average`
 # are not called here, and `detrend` only for a band that reaches 0 Hz;
 # bench/spans.py patches them by these names
@@ -292,42 +291,6 @@ def _for_channel(setting, channel: str, what: str):
     if channel not in setting:
         raise InputError(f"no {what} configured for channel {channel!r}")
     return setting[channel]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the system
-    keeps one (``taskset`` narrows it), else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _on_workers(work, tasks: list, workers: int) -> None:
-    """``work(tasks[w::workers])`` for each worker w, worker 0 on the calling
-    thread and each other on a thread joined before this returns, so one
-    worker starts no thread. The first worker's exception, if any, is
-    raised here once every thread has ended."""
-    failures: list[BaseException | None] = [None] * workers
-
-    def run(w: int) -> None:
-        try:
-            work(tasks[w::workers])
-        except BaseException as exc:  # re-raised on the calling thread
-            failures[w] = exc
-
-    threads = []
-    try:
-        for w in range(1, workers):
-            threads.append(threading.Thread(target=run, args=(w,),
-                                            name=f"millenv-worker-{w}"))
-            threads[-1].start()
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in failures:
-        if exc is not None:
-            raise exc
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,13 +4,14 @@
 ``millenv analyze`` of the whole recording, of the cut
 ``--t0 0.1 --t1 1.1`` and of the cut ``--t0 0.10002 --t1 1.1``, whose start
 falls between samples. It keeps the truth file, every report and a sha256
-manifest of every plot file, stamped with the numpy version that wrote
-them. tests/test_golden.py regenerates the set in a temporary directory
-and compares it with the committed one through `compare`.
+manifest of the simulated recording and of every plot file, stamped with
+the numpy version that wrote them. tests/test_golden.py regenerates the set
+in a temporary directory and compares it with the committed one through
+`compare`.
 
 From the repository root, compare a regenerated set with the committed one
 (it prints every report float that moved, with its relative change, and
-every plot file whose sha256 changed, and exits 1 if a float moved by more
+every file whose sha256 changed, and exits 1 if a float moved by more
 than REL_TOL or any other report value changed)::
 
     python tests/golden/regen.py --diff
@@ -53,7 +54,7 @@ def _run(argv) -> None:
 
 
 def generate(out: Path) -> None:
-    """Write truth.json, report_<run>.json and the plot manifest to out."""
+    """Write truth.json, report_<run>.json and the sha256 manifest to out."""
     out.mkdir(parents=True, exist_ok=True)
     config = str(REFERENCE_CONFIG)
     files = {}
@@ -61,6 +62,8 @@ def generate(out: Path) -> None:
         work = Path(tmp)
         _run(["simulate", "--config", config, "--out", str(work / "sim")])
         (out / "truth.json").write_bytes((work / "sim" / "truth.json").read_bytes())
+        files["sim/recording.csv"] = hashlib.sha256(
+            (work / "sim" / "recording.csv").read_bytes()).hexdigest()
         for name, extra in RUNS.items():
             run_dir = work / name
             _run(["analyze", "--config", config,
@@ -116,7 +119,7 @@ def compare(got_dir: Path, want_dir: Path):
 
     Returns ``(values, plots, same_numpy)``: `walk`'s (path, got, want) of
     every report value that differs, paths starting at the document's name;
-    (name, got sha256, want sha256) of every plot file whose hash differs,
+    (name, got sha256, want sha256) of every file whose hash differs,
     None for a file missing from one set; and whether the same numpy
     version wrote both manifests.
     """
@@ -142,9 +145,9 @@ def print_diff(values, plots, same_numpy) -> bool:
         else:
             print(f"{path}: {want!r} -> {got!r}  CHANGED")
     for name, got, want in plots:
-        print(f"plot {name}: sha256 {want} -> {got}")
+        print(f"file {name}: sha256 {want} -> {got}")
     print(f"{moved} report float(s) moved, {len(values) - moved} other "
-          f"report value(s) changed, {len(plots)} plot file(s) changed"
+          f"report value(s) changed, {len(plots)} file(s) changed"
           + ("" if same_numpy else " (the sets were written by different "
              "numpy versions)"))
     return all(within_tolerance(got, want) for _, got, want in values)

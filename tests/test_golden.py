@@ -4,9 +4,10 @@ tests/golden/regen.py writes the set; this test writes it again in a
 temporary directory and compares the two with regen.py's `compare`, the
 walk behind ``regen.py --diff``. Keys, strings, booleans and integers
 (tooth indices, counts) must match exactly and floats to REL_TOL (1e-12)
-relative, since numpy releases may round an FFT differently. The plot
-manifest is compared byte for byte only under the numpy version that wrote
-it; under any other the file names must still match.
+relative, since numpy releases may round an FFT differently. The sha256
+manifest of the simulated recording and the plot files is compared only
+under the numpy version that wrote it; under any other the file names must
+still match.
 """
 
 from golden.regen import GOLDEN, compare, generate, within_tolerance

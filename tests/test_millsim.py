@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+import millenv.millsim
 from millenv import (ConfigError, SimConfig, band_filter, detect_pulses,
                      detrend, envelope, resample_to_angle, simulate,
                      synchronous_average)
@@ -104,6 +107,62 @@ class TestSimulate:
         revs_at_pulses = f0 * pt + 0.5 * beta * pt * pt
         assert np.allclose(revs_at_pulses, np.arange(pt.size), atol=1e-9)
 
+
+#: the reference noise, a noise-free record, and a speed ramp with runout
+WORKER_CASES = {"reference": {},
+                "noise-free": {"noise_rms": 0.0},
+                "ramp": {"rpm_end": 1700.0, "eccentricity": 0.2, "seed": 5}}
+
+
+def _sim_bytes(out):
+    truth = out.truth
+    return ([(ch, ts.samples.tobytes()) for ch, ts in out.channels.items()],
+            [a.tobytes() for a in (truth.impact_times_s, truth.impact_tooth,
+                                   truth.pulse_times_s)],
+            truth.per_tooth_gain, truth.rpm)
+
+
+@pytest.mark.parametrize("case", WORKER_CASES)
+def test_worker_count_changes_no_byte(cutter, monkeypatch, case):
+    # README: simulate runs on up to 2 threads, and no output byte depends
+    # on their number
+    settings = dict(rpm=RPM, noise_rms=0.01, duration_s=0.4, seed=42)
+    settings.update(WORKER_CASES[case])
+    cfg = SimConfig(cutter, (1.0, 1.0, 1.0, 0.5, 1.0, 1.0), **settings)
+    outputs = []
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(millenv.millsim, "_usable_cpus", lambda: cpus)
+        outputs.append(_sim_bytes(simulate(cfg)))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("failing", ["shaping", "draws"])
+def test_worker_failure_propagates_and_no_thread_outlives_the_call(
+        cutter, monkeypatch, failing):
+    # with 2 usable CPUs the shaping runs on a started thread and the draws
+    # on the calling one; the failure is raised once both tasks have ended
+    ran_on = {}
+
+    def spy(task, real):
+        def call(*args, **kwargs):
+            ran_on[task] = threading.current_thread()
+            if task == failing:
+                raise RuntimeError(f"{task} failed")
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(millenv.millsim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(np, "convolve", spy("shaping", np.convolve))
+    monkeypatch.setattr(np.random, "default_rng",
+                        spy("draws", np.random.default_rng))
+    cfg = SimConfig(cutter, (1.0,) * 6, rpm=RPM, noise_rms=0.01,
+                    duration_s=0.2, seed=0)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{failing} failed"):
+        simulate(cfg)
+    assert threading.active_count() == threads
+    assert ran_on["draws"] is threading.current_thread()
+    assert ran_on["shaping"] is not threading.current_thread()
 
 class TestTruthAlignment:
     def test_envelope_peaks_track_impact_pattern(self, symmetric_run, cutter):

@@ -522,9 +522,9 @@ def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    assert millenv.pipeline._usable_cpus() == 1
+    assert millenv.core._usable_cpus() == 1
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert millenv.pipeline._usable_cpus() == 8
+    assert millenv.core._usable_cpus() == 8
 
 
 def _set_nan(args):
