@@ -12,13 +12,17 @@ every pipeline stage can be validated against ground truth.
 
 `simulate` uses up to 2 threads: the calling thread draws the noise of
 every channel from the one seeded generator, in channel order, while a
-second thread, when a second CPU is usable, shapes the strike train. No
-output byte depends on the number of threads.
+second thread, when a second CPU is usable, shapes the strike train. A
+channel is combined (its gain times its shaped train added to its noise)
+by whichever of the two gets there first, once both exist, block by block
+through a small buffer, so no combine allocates a full-length array. No
+output byte depends on the number of threads or on which one combines.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,7 @@ FORCE_SCALE_N = 200.0       # nominal per-unit-gain cutting-force level
 FORCE_PULSE_S = 4e-4        # smoothing width of the force pulse
 TACHO_PULSE_FRAC = 0.02     # tacho pulse width as a fraction of one rev
 OSC_DECAY_FLOOR = 1e-4      # truncate the oscillator kernel at this decay
+_COMBINE_BLOCK = 8192       # samples per block of a combine's buffer
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,16 @@ def _force_kernel(fs: float) -> np.ndarray:
     return np.hanning(n + 2)[1:-1]
 
 
+def _add_scaled(out: np.ndarray, g: float, train: np.ndarray,
+                buf: np.ndarray) -> None:
+    """``out += g * train`` one block of `buf` at a time: the same bytes
+    as the full-length expression, without its full-length temporary."""
+    for s in range(0, out.size, buf.size):
+        part = buf[:out.size - s]
+        np.multiply(g, train[s:s + buf.size], out=part)
+        out[s:s + buf.size] += part
+
+
 def simulate(cfg: SimConfig) -> SimOutput:
     """Generate all channels plus the ground-truth impact schedule.
 
@@ -166,8 +181,27 @@ def simulate(cfg: SimConfig) -> SimOutput:
     sources = ([(ch, g, 0, cfg.noise_rms) for ch, g in ACCEL_GAINS.items()]
                + [(ch, g, 1, cfg.noise_rms * FORCE_SCALE_N)
                   for ch, g in FORCE_GAINS.items()])
-    shaped: list[np.ndarray] = []
-    noises: list[np.ndarray] = []
+    shaped: list[np.ndarray] = []   # both trains, once both are shaped
+    noises: list[np.ndarray] = []   # drawn so far, in channel order
+    lock = threading.Lock()
+    combined = 0                    # channels claimed for combining
+    block = min(_COMBINE_BLOCK, n)  # each task's combine buffer
+
+    def combine_ready(buf: np.ndarray) -> None:
+        # claim each channel whose noise and trains both exist and add its
+        # shaped train, in place; whichever task gets there first does it,
+        # and neither waits for the other. Each task publishes its part
+        # under the lock before claiming, so the later one claims whatever
+        # is left. IEEE addition commutes: the bytes of g * train + noise
+        nonlocal combined
+        while True:
+            with lock:
+                if not shaped or combined == len(noises):
+                    return
+                i = combined
+                combined += 1
+            _, g, k, _ = sources[i]
+            _add_scaled(noises[i], g, shaped[k], buf)
 
     def shape() -> None:
         # the strike train rung through the structure, and smoothed to force
@@ -175,14 +209,21 @@ def simulate(cfg: SimConfig) -> SimOutput:
             cfg.resonance_hz, cfg.damping_ratio, fs))[:n]
         force = np.convolve(impulses, _force_kernel(fs))[:n]
         force *= FORCE_SCALE_N
-        shaped.extend((vib, force))
+        with lock:
+            shaped.extend((vib, force))
+        combine_ready(np.empty(block))
 
     def draw() -> None:
         # one seeded stream, drawn in channel order; without noise a channel
         # is g * train + 0.0, so it starts from zeros and -0.0 reads +0.0
         rng = np.random.default_rng(cfg.seed)
-        noises.extend(rng.normal(0.0, rms, n) if cfg.noise_rms > 0.0
-                      else np.zeros(n) for *_, rms in sources)
+        buf = np.empty(block)
+        for *_, rms in sources:
+            noise = (rng.normal(0.0, rms, n) if cfg.noise_rms > 0.0
+                     else np.zeros(n))
+            with lock:
+                noises.append(noise)
+            combine_ready(buf)
 
     # the draws run on the calling thread, the shaping on a second thread
     # when a second CPU is usable
@@ -200,9 +241,7 @@ def simulate(cfg: SimConfig) -> SimOutput:
         tacho[start:start + width] = 1.0
 
     channels: dict[str, TimeSeries] = {}
-    for (ch, g, k, _), noise in zip(sources, noises):
-        # IEEE addition commutes: the bytes of g * train + noise, in place
-        noise += g * shaped[k]
+    for (ch, *_), noise in zip(sources, noises):
         channels[ch] = TimeSeries(_Fresh(noise), fs, ch, CHANNEL_UNITS[ch])
     channels["tacho"] = TimeSeries(_Fresh(tacho), fs, "tacho",
                                    CHANNEL_UNITS["tacho"])

@@ -170,12 +170,14 @@ class RevolutionPlan:
         """Row i is ``synchronous_average(self.resample(x))`` for the samples
         ``arrays[i]`` of x, bit for bit, without building the series: numpy's
         mean over axis 0 adds the revolutions row by row, in order, and so
-        does this."""
+        does this, one reduce per block, the running total added to the
+        block's first row (IEEE addition commutes)."""
         # x + -0.0 is x, for every x
         totals = np.full((len(arrays), self.samples_per_rev), -0.0)
         for i, block in self._blocks(arrays):
-            for row in block.reshape(-1, self.samples_per_rev):
-                totals[i] += row
+            rows = block.reshape(-1, self.samples_per_rev)
+            rows[0] += totals[i]
+            np.add.reduce(rows, axis=0, out=totals[i])
         totals /= self.revs.size
         return totals
 

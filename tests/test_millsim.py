@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -136,33 +137,179 @@ def test_worker_count_changes_no_byte(cutter, monkeypatch, case):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-@pytest.mark.parametrize("failing", ["shaping", "draws"])
+#: bound on each wait of a test that holds one task back: a lost handoff
+#: fails the test instead of hanging it
+WAIT_S = 60.0
+
+
+class _Generator:
+    """The seeded generator, with `before(k)` run ahead of its k-th
+    `normal` draw (counted from 1) and `after(k)` once that draw is made."""
+
+    def __init__(self, rng, before, after):
+        self._rng, self._before, self._after = rng, before, after
+        self._draws = 0
+
+    def normal(self, *args, **kwargs):
+        self._draws += 1
+        self._before(self._draws)
+        noise = self._rng.normal(*args, **kwargs)
+        self._after(self._draws)
+        return noise
+
+
+def _patch_tasks(monkeypatch, before=lambda k: None, after=lambda k: None,
+                 shaping=lambda call: None, shaped=lambda: None,
+                 combine=None):
+    """Patch the draws (`before(0)` runs as the generator is made), the
+    shaping's two `np.convolve` calls (`shaping` runs ahead of each, with
+    its number from 1, and `shaped` once the second returns) and, if
+    given, millsim's block combine; returns the thread each task ran on."""
+    ran_on = {}
+    real_rng, real_convolve = np.random.default_rng, np.convolve
+    calls = []
+
+    def default_rng(seed):
+        ran_on["draws"] = threading.current_thread()
+        before(0)
+        return _Generator(real_rng(seed), before, after)
+
+    def convolve(*args, **kwargs):
+        ran_on["shaping"] = threading.current_thread()
+        calls.append(None)
+        shaping(len(calls))
+        out = real_convolve(*args, **kwargs)
+        if len(calls) == 2:
+            shaped()
+        return out
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    monkeypatch.setattr(np, "convolve", convolve)
+    if combine is not None:
+        monkeypatch.setattr(millenv.millsim, "_add_scaled", combine)
+    return ran_on
+
+
+def _fail_at(at, what):
+    """A hook that raises when it is called with `at`."""
+    def hook(k):
+        if k == at:
+            raise RuntimeError(f"{what} failed")
+    return hook
+
+
+@pytest.mark.parametrize("failing", ["shaping", "draws", "fourth draw",
+                                     "started combine"])
 def test_worker_failure_propagates_and_no_thread_outlives_the_call(
         cutter, monkeypatch, failing):
     # with 2 usable CPUs the shaping runs on a started thread and the draws
-    # on the calling one; the failure is raised once both tasks have ended
-    ran_on = {}
+    # on the calling one; a failure in either task, in a later draw or in a
+    # combine the started thread runs is raised once both tasks have ended,
+    # and no task waits for the other, so the call returns
+    caller = threading.current_thread()
+    hooks = {"shaping": {"shaping": _fail_at(1, "shaping")},
+             "draws": {"before": _fail_at(0, "draws")},  # making the generator
+             "fourth draw": {"before": _fail_at(4, "fourth draw")}
+             }.get(failing)
+    if failing == "started combine":
+        # the shaping waits for three draws, and the fourth draw waits until
+        # the started thread has begun combining one of them
+        drawn, combining = threading.Event(), threading.Event()
+        real_combine = millenv.millsim._add_scaled
 
-    def spy(task, real):
-        def call(*args, **kwargs):
-            ran_on[task] = threading.current_thread()
-            if task == failing:
-                raise RuntimeError(f"{task} failed")
-            return real(*args, **kwargs)
-        return call
+        def shaping(call):
+            assert call > 1 or drawn.wait(WAIT_S)
+
+        def before(k):
+            if k == 4:
+                drawn.set()
+                assert combining.wait(WAIT_S)
+
+        def combine(*args):
+            if threading.current_thread() is caller:
+                return real_combine(*args)
+            combining.set()
+            raise RuntimeError("started combine failed")
+
+        hooks = {"shaping": shaping, "before": before, "combine": combine}
 
     monkeypatch.setattr(millenv.millsim, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(np, "convolve", spy("shaping", np.convolve))
-    monkeypatch.setattr(np.random, "default_rng",
-                        spy("draws", np.random.default_rng))
+    ran_on = _patch_tasks(monkeypatch, **hooks)
     cfg = SimConfig(cutter, (1.0,) * 6, rpm=RPM, noise_rms=0.01,
                     duration_s=0.2, seed=0)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{failing} failed"):
         simulate(cfg)
     assert threading.active_count() == threads
-    assert ran_on["draws"] is threading.current_thread()
+    assert ran_on["draws"] is caller
+    assert ran_on["shaping"] is not caller
+
+
+@pytest.mark.parametrize("drawn", [0, 3, 6], ids=[
+    "before the first draw", "between two draws", "after the last draw"])
+def test_interleaving_changes_no_byte(cutter, monkeypatch, drawn):
+    # the shaping, held back on its started thread, ends after `drawn` of
+    # the six draws; each channel is combined by whichever thread gets to
+    # it first, and every byte is that of one usable CPU
+    cfg = SimConfig(cutter, (1.0, 1.0, 1.0, 0.5, 1.0, 1.0), rpm=RPM,
+                    noise_rms=0.01, duration_s=0.4, seed=42)
+    monkeypatch.setattr(millenv.millsim, "_usable_cpus", lambda: 1)
+    expected = _sim_bytes(simulate(cfg))
+
+    order = []
+    released, done = threading.Event(), threading.Event()
+
+    def shaping(call):
+        assert call > 1 or released.wait(WAIT_S)
+
+    def shaped():
+        order.append("shaped")
+        done.set()
+
+    def before(k):
+        if k == drawn + 1:
+            released.set()
+            assert done.wait(WAIT_S)
+
+    def after(k):
+        order.append(k)
+        if k == drawn == 6:
+            released.set()
+
+    monkeypatch.setattr(millenv.millsim, "_usable_cpus", lambda: 2)
+    ran_on = _patch_tasks(monkeypatch, before=before, after=after,
+                          shaping=shaping, shaped=shaped)
+    assert _sim_bytes(simulate(cfg)) == expected
+    assert order == [*range(1, drawn + 1), "shaped", *range(drawn + 1, 7)]
     assert ran_on["shaping"] is not threading.current_thread()
+
+
+def test_claims_hold_at_a_short_switch_interval(cutter, monkeypatch):
+    # threads switch every microsecond, so a claim that is not atomic would
+    # combine some channel twice or never: every call must give the bytes
+    # of one usable CPU
+    cfg = SimConfig(cutter, (1.0, 1.0, 1.0, 0.5, 1.0, 1.0), rpm=RPM,
+                    noise_rms=0.01, duration_s=0.4, seed=3)
+    monkeypatch.setattr(millenv.millsim, "_usable_cpus", lambda: 1)
+    expected = _sim_bytes(simulate(cfg))
+    monkeypatch.setattr(millenv.millsim, "_usable_cpus", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outputs = [_sim_bytes(simulate(cfg)) for _ in range(30)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(out == expected for out in outputs)
+
+
+@pytest.mark.parametrize("size", [1, 6, 7, 8, 20])
+def test_block_combine_is_the_full_length_expression(size):
+    rng = np.random.default_rng(size)
+    noise, train = rng.normal(size=size), rng.normal(size=size)
+    expected = (noise + 0.37 * train).tobytes()
+    millenv.millsim._add_scaled(noise, 0.37, train, np.empty(7))
+    assert noise.tobytes() == expected
+
 
 class TestTruthAlignment:
     def test_envelope_peaks_track_impact_pattern(self, symmetric_run, cutter):
