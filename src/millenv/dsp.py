@@ -4,11 +4,13 @@ The demodulation chain is built from frequency-domain primitives: a one-sided
 amplitude spectrum with window gain correction, an ideal band mask with
 raised-cosine edges (zero phase, no group delay), and the FFT construction of
 the analytic signal whose magnitude is the envelope. There is one mask
-evaluation, over the band's own ``rfft`` bins, and one analytic inverse, from
-one-sided bins at any length, odd or even, without padding: D inverse FFTs of
-n/D points, n/D the smallest divisor of n that holds the bins. `band_envelope`
-passes the band's bins (D = 1 at a prime n); `analytic_signal` and `envelope`
-pass all n/2 + 1, which always gives D = 1, one inverse FFT of n points.
+evaluation, over the band's own ``rfft`` bins, and one set of analytic weights,
+for one-sided bins at any length, odd or even, without padding.
+`band_envelope` inverse-transforms the band's bins alone: D FFTs of L = n/D
+points, L the smallest divisor of n that holds them, over L-wide rows zero
+past the band; the magnitudes overwrite the rows already read, and one
+transposing copy writes the envelope. A prime n gives D = 1, and
+`analytic_signal` and `envelope` take all n/2 + 1 bins: one inverse FFT.
 
 Every entry point that takes a record reads bin 0 of the ``rfft`` it takes
 anyway: bin 0 sums every sample, so when it is not finite the record is
@@ -192,13 +194,12 @@ def analytic_signal(x: TimeSeries) -> np.ndarray:
     h[N/2]=1 (even N only) and h[k]=0 above, then inverse transformed. The
     real part equals the input; the imaginary part is its Hilbert
     transform. Odd and even lengths take the same path, with no padding:
-    `band_envelope`'s inverse over all n/2 + 1 bins, so D = 1.
+    `band_envelope`'s weights over all n/2 + 1 bins, then one inverse FFT.
     """
     n = len(x)
     spec = np.fft.rfft(x.samples)
     _check_bin0(x, spec[0])
-    [signal] = _analytic(spec, 0, n)  # all n/2 + 1 bins: one group, D = 1
-    return signal.reshape(n)
+    return np.fft.ifft(_analytic(spec, 0, n), n, norm="forward")
 
 
 def envelope(x: TimeSeries) -> TimeSeries:
@@ -213,12 +214,13 @@ def envelope(x: TimeSeries) -> TimeSeries:
                           channel=x.channel + "_env")
 
 
-#: rows of one running twiddle product in `_analytic`; further rows are
+#: rows of one running twiddle product in `_envelope_into`; further rows are
 #: built by doubling, each block from one `exp`, so rounding grows with the
 #: log of the row count rather than with the count itself
 _TWIDDLE_RUN = 32
 
-#: complex outputs per group of inverse FFTs in `_analytic`, at least one row
+#: complex outputs per group of inverse FFTs in `_envelope_into`, at least
+#: one row; each group's magnitudes overwrite block rows already read
 _INVERSE_GROUP = 1 << 16
 
 
@@ -230,32 +232,42 @@ def _smallest_divisor_at_least(n: int, m: int) -> int:
     return int(divisors[divisors >= m].min())
 
 
-def _analytic(band: np.ndarray, k0: int, n: int):
-    """Analytic signal of length n from the rfft bins [k0, k0 + B) in band.
+def _analytic(band: np.ndarray, k0: int, n: int) -> np.ndarray:
+    """Weight band, the rfft bins [k0, k0 + B) of n points, in place.
 
-    Every other bin of the analytic spectrum is zero. The analytic weights
-    are applied to band in place: 2 strictly between DC and n/2, 1 at DC
-    and at the Nyquist bin of an even n. With L the smallest divisor of n
-    that is at least B and D = n / L, sample q*D + p is, up to the phase of
-    the shift by k0, the length-L inverse FFT of the band bins k times
-    exp(2*pi*i*(k - k0)*p/n), at q. Yields those inverses a group of rows p
-    at a time, in order, each of about `_INVERSE_GROUP` points, as (g, L)
-    arrays whose entry [j, q] is sample q*D + p + j for the group's first
-    row p; D = 1 is one group, the single inverse FFT of n points, which a
-    band holding more than half the bins always takes.
+    The analytic weights are 2 strictly between DC and n/2 and 1 at DC and
+    at the Nyquist bin of an even n, all over n: the inverses are unscaled.
     """
     if n < 4:
         raise SizeError(f"the analytic signal needs at least 4 samples, got {n}")
     band[max(1 - k0, 0):(n + 1) // 2 - k0] *= 2.0
-    band *= 1.0 / n  # the inverse transforms below are unscaled
-    width = band.size
+    band *= 1.0 / n
+    return band
+
+
+def _envelope_into(band: np.ndarray, env: np.ndarray) -> None:
+    """Write into env the magnitude of the analytic signal band stands for.
+
+    band holds `_analytic`'s bins [k0, k0 + B) of n = env.size points. With
+    L the smallest divisor of n that is at least B and D = n / L, sample
+    q*D + p is, up to a phase, the length-L inverse FFT of the bins k times
+    exp(2*pi*i*(k - k0)*p/n), at q. D = 1, which a band of more than half
+    the bins always takes, is one inverse FFT of n points. Otherwise the D
+    rows are built L wide, zero past the band, in one complex block, and
+    inverse-transformed about `_INVERSE_GROUP` points at a time, each group
+    reading its rows in place. Magnitude row p goes into floats
+    [p*L, (p+1)*L) of the block, inside complex rows up to p, already read;
+    one transposing copy then writes env.
+    """
+    n, width = env.size, band.size
     cols = _smallest_divisor_at_least(n, width)
     rows = n // cols
     if rows == 1:
-        yield np.fft.ifft(band, n, norm="forward")[None, :]
+        np.abs(np.fft.ifft(band, n, norm="forward"), out=env)
         return
-
-    phases = np.empty((rows, width), dtype=complex)
+    block = np.empty((rows, cols), dtype=complex)
+    block[:, width:] = 0.0
+    phases = block[:, :width]
     phases[0] = band
     bins = np.arange(width)
     step = np.exp((2j * np.pi / n) * bins)
@@ -267,10 +279,12 @@ def _analytic(band: np.ndarray, k0: int, n: int):
         np.multiply(phases[:m], np.exp((2j * np.pi * done / n) * bins),
                     out=phases[done:done + m])
         done += m
+    mags = block.reshape(-1).view(float)[:n].reshape(rows, cols)
     group = max(1, _INVERSE_GROUP // cols)
     for p in range(0, rows, group):
-        # the bins past the band are zero: ifft pads the rows to L points
-        yield np.fft.ifft(phases[p:p + group], cols, axis=1, norm="forward")
+        np.abs(np.fft.ifft(block[p:p + group], axis=1, norm="forward"),
+               out=mags[p:p + group])
+    env.reshape(cols, rows)[...] = mags.T  # [q, p] is sample q*D + p
 
 
 def band_envelope(x: TimeSeries, b: Band, taper_hz: float | None = None, *,
@@ -278,26 +292,22 @@ def band_envelope(x: TimeSeries, b: Band, taper_hz: float | None = None, *,
     """``envelope(band_filter(x, b, taper_hz))`` from the band's bins only.
 
     The band mask is applied to the ``rfft`` bins [k0, k0 + B) where it is
-    nonzero, and `_analytic` inverse-transforms those bins alone: one rfft
-    of n points and D inverse FFTs of n/D points, a few at a time, replace
-    the inverse FFT of n points; a prime n gives D = 1, that single
-    transform. Each group's magnitude goes straight into the envelope, which
-    is `out` when given: a float array of len(x) samples that no one else
-    writes, frozen into the result. At even lengths the result equals the
-    two-step chain to rounding; the same edge caveat as for `envelope`
+    nonzero, and `_envelope_into` inverse-transforms those bins alone: one
+    rfft of n points and D inverse FFTs of n/D points, a few at a time,
+    replace the inverse FFT of n points; a prime n gives D = 1, that single
+    transform. One transposing copy writes the magnitudes into the envelope,
+    which is `out` when given: a float array of len(x) samples that no one
+    else writes, frozen into the result. At even lengths the result equals
+    the two-step chain to rounding; the same edge caveat as for `envelope`
     applies.
     """
     k0, mask = _band_bins(x, b, taper_hz)
     spec = np.fft.rfft(x.samples)
     _check_bin0(x, spec[0])
-    band = spec[k0:k0 + mask.size] * mask
+    band = _analytic(spec[k0:k0 + mask.size] * mask, k0, len(x))
     del spec
     env = np.empty(len(x)) if out is None else out
-    p = 0
-    for group in _analytic(band, k0, len(x)):
-        grid = env.reshape(group.shape[1], -1)  # [q, p] is sample q*D + p
-        np.abs(group.T, out=grid[:, p:p + len(group)])
-        p += len(group)
+    _envelope_into(band, env)
     return x.with_samples(_Fresh(env), channel=x.channel + "_env")
 
 

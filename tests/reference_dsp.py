@@ -5,10 +5,13 @@ kept as test oracles: `reference_band_envelope` band-passes with an
 rfft/irfft pair, then builds the analytic signal with an fft/ifft pair
 (zero-padding odd lengths by one sample), then takes its magnitude.
 `reference_fused_band_envelope` masks one rfft and inverse-transforms all
-n points at once. `reference_band_mask` evaluates the checked band mask over
-every rfft bin, and `reference_rfft_analytic_signal` inverse-transforms the
-weighted rfft with one ifft of n points. `reference_resample_to_angle`
-evaluates the Catmull-Rom polynomial on the samples for every call.
+n points at once, and `reference_decimated_band_envelope` takes the
+band-only inverse with B-wide phase rows, each group zero-padded to L points
+by ``ifft(..., n=L)`` and its magnitudes written strided into the envelope.
+`reference_band_mask` evaluates the checked band mask over every rfft bin,
+and `reference_rfft_analytic_signal` inverse-transforms the weighted rfft
+with one ifft of n points. `reference_resample_to_angle` evaluates the
+Catmull-Rom polynomial on the samples for every call.
 `millenv.dsp.band_envelope`, `band_filter`, `analytic_signal` and
 `millenv.sync.resample_to_angle` are compared against them.
 """
@@ -16,7 +19,9 @@ evaluates the Catmull-Rom polynomial on the samples for every call.
 import numpy as np
 
 from millenv import TimeSeries
-from millenv.dsp import _band_mask, _check_below_nyquist, _checked_taper
+import millenv.dsp
+from millenv.dsp import (_band_bins, _band_mask, _check_below_nyquist,
+                         _checked_taper, _smallest_divisor_at_least)
 from millenv.errors import SizeError
 
 
@@ -67,6 +72,53 @@ def reference_fused_band_envelope(x: TimeSeries, b,
     spec *= mask
     spec[1:(n + 1) // 2] *= 2.0
     return np.abs(np.fft.ifft(spec, n))
+
+
+
+def reference_decimated_band_envelope(x: TimeSeries, b,
+                                      taper_hz: float | None) -> np.ndarray:
+    """The band-only inverse with B-wide phase rows and strided magnitudes.
+
+    With L the smallest divisor of n that holds the band's B bins and
+    D = n / L, the D phase rows are built B wide, as `band_envelope` builds
+    them (a running product of `_TWIDDLE_RUN` rows, then doubling), and
+    ``ifft(rows, n=L)`` pads a copy of each group of about `_INVERSE_GROUP`
+    points to L. Each group's magnitudes go into every D-th sample of the
+    envelope. The same FFTs of the same zero-padded data, so the same bytes.
+    """
+    k0, mask = _band_bins(x, b, taper_hz)
+    n = len(x)
+    if n < 4:
+        raise SizeError(f"the analytic signal needs at least 4 samples, got {n}")
+    band = np.fft.rfft(x.samples)[k0:k0 + mask.size] * mask
+    band[max(1 - k0, 0):(n + 1) // 2 - k0] *= 2.0
+    band *= 1.0 / n
+    width = band.size
+    cols = _smallest_divisor_at_least(n, width)
+    rows = n // cols
+    env = np.empty(n)
+    grid = env.reshape(cols, rows)  # [q, p] is sample q*D + p
+    if rows == 1:
+        np.abs(np.fft.ifft(band, n, norm="forward")[None, :].T, out=grid)
+        return env
+    phases = np.empty((rows, width), dtype=complex)
+    phases[0] = band
+    bins = np.arange(width)
+    step = np.exp((2j * np.pi / n) * bins)
+    done = min(rows, millenv.dsp._TWIDDLE_RUN)
+    for p in range(1, done):
+        np.multiply(phases[p - 1], step, out=phases[p])
+    while done < rows:
+        m = min(done, rows - done)
+        np.multiply(phases[:m], np.exp((2j * np.pi * done / n) * bins),
+                    out=phases[done:done + m])
+        done += m
+    group = max(1, millenv.dsp._INVERSE_GROUP // cols)
+    for p in range(0, rows, group):
+        rows_out = np.fft.ifft(phases[p:p + group], cols, axis=1,
+                               norm="forward")
+        np.abs(rows_out.T, out=grid[:, p:p + len(rows_out)])
+    return env
 
 
 def cubic_interp(a: np.ndarray, s: np.ndarray) -> np.ndarray:

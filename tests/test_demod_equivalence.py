@@ -6,6 +6,8 @@ sample rate for all its channels and averages the revolutions block by
 block; the straightforward forms are kept in `reference_dsp.py`.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from millenv.sync import _PLAN_BLOCK, revolution_plan
 from conftest import BAND, FS, SAMPLES_PER_REV
 from reference_dsp import (reference_analytic_signal, reference_band_envelope,
                            reference_band_filter, reference_band_mask,
+                           reference_decimated_band_envelope,
                            reference_fused_band_envelope,
                            reference_resample_to_angle,
                            reference_rfft_analytic_signal)
@@ -66,23 +69,70 @@ def test_band_envelope_near_reference_at_odd_lengths(asymmetric_run, n,
         assert rel_max_err(env[inner], ref[inner]) <= bound
 
 
+@pytest.mark.parametrize("band, rows", [(BAND, 25),
+                                        (Band(1500.0, 1600.0), 250)],
+                         ids=["D=25", "D=250"])
 def test_band_envelope_inverse_groups_change_no_byte(asymmetric_run,
-                                                    monkeypatch):
-    # the inverse FFT rows are taken a group at a time; groups of 1 row and
-    # of 7 rows, whose last group is partial, give the bytes of one batch
+                                                    monkeypatch, band, rows):
+    # the inverse FFT rows are taken a group at a time, and each group's
+    # magnitudes overwrite block rows already read; groups of 1 row, of 7
+    # rows, whose last group is partial, and of all rows give the bytes of
+    # the B-wide rows with strided magnitudes. D = 250 builds rows past
+    # _TWIDDLE_RUN by doubling
     out, _, _ = asymmetric_run
     x = out.channels["ax"]
-    _, mask = _band_bins(x, BAND, TAPER_HZ)
+    _, mask = _band_bins(x, band, TAPER_HZ)
     cols = millenv.dsp._smallest_divisor_at_least(len(x), mask.size)
-    assert len(x) // cols == 25  # D = 25 rows: 7 + 7 + 7 + 4
-    monkeypatch.setattr(millenv.dsp, "_INVERSE_GROUP", len(x))
-    whole = band_envelope(x, BAND, TAPER_HZ).samples
-    for rows in (1, 7):
-        monkeypatch.setattr(millenv.dsp, "_INVERSE_GROUP", rows * cols)
+    assert len(x) // cols == rows
+    ref = reference_decimated_band_envelope(x, band, TAPER_HZ)
+    for group in (1, 7, rows):
+        monkeypatch.setattr(millenv.dsp, "_INVERSE_GROUP", group * cols)
         buffer = np.empty(len(x))
-        env = band_envelope(x, BAND, TAPER_HZ, out=buffer)
+        env = band_envelope(x, band, TAPER_HZ, out=buffer)
         assert env.samples is buffer and not buffer.flags.writeable
-        np.testing.assert_array_equal(env.samples, whole)
+        assert buffer.tobytes() == ref.tobytes()
+
+
+def bins_band(n, k0, width):
+    """A band whose untapered mask is nonzero on rfft bins [k0, k0 + width)."""
+    df = 1.0 / (n * (1.0 / FS))  # _band_bins' bin spacing
+    return Band(k0 * df, (k0 + width - 1) * df)
+
+
+# (D, L, B): D = 1 at a prime n and for a band of more than half the bins;
+# then L = B, and L = 101 > B = 95, where no divisor of n = D * 101 lies in
+# [95, 101). D = 33 and above builds rows past _TWIDDLE_RUN by doubling
+@pytest.mark.parametrize("rows, cols, width", [
+    (1, 1009, 95), (1, 1000, 501),
+    *[(d, cols, width) for d in (25, 32, 33, 64, 65, 250, 1250)
+      for cols, width in ((100, 100), (101, 95))]])
+def test_band_envelope_bytes_match_decimated_reference(rows, cols, width):
+    n = rows * cols
+    k0 = 0 if 2 * width > n else n // 5
+    band = bins_band(n, k0, width)
+    x = TimeSeries(np.random.default_rng(n).normal(size=n), FS)
+    got_k0, mask = _band_bins(x, band, 0.0)
+    assert (got_k0, mask.size) == (k0, width)
+    assert millenv.dsp._smallest_divisor_at_least(n, width) == cols
+    env = band_envelope(x, band, 0.0).samples
+    ref = reference_decimated_band_envelope(x, band, 0.0)
+    assert env.tobytes() == ref.tobytes()
+
+
+def test_band_envelope_working_memory():
+    # one 500 000-sample envelope into a given buffer: the 16 B per sample
+    # of phase rows plus one inverse group. Peaks under numpy 2.4: 9.9 MB,
+    # and 10.9 MB with B-wide rows padded to L a group at a time
+    n = 500_000
+    x = TimeSeries(np.random.default_rng(5).normal(size=n), FS)
+    buffer = np.empty(n)
+    tracemalloc.start()
+    try:
+        band_envelope(x, BAND, TAPER_HZ, out=buffer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10.4e6
 
 
 def test_analytic_signal_matches_reference_at_even_length():
@@ -233,6 +283,8 @@ def test_band_envelope_matches_fused_reference(case):
     assert env.shape == ref.shape
     # an empty band gives all zeros on both sides
     assert np.abs(env - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert env.tobytes() == reference_decimated_band_envelope(
+        x, band, taper_hz).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
