@@ -102,6 +102,25 @@ def _on_workers(work, tasks: list, workers: int) -> None:
             raise exc
 
 
+def _on_free_workers(tasks: list, workers: int) -> None:
+    """Call every task on `workers` workers of `_on_workers`, each worker
+    taking the next task in the list once it is free, so tasks of unequal
+    length still keep every worker busy. A worker stops at its first
+    failure; the first worker's is raised once every thread has ended."""
+    pending = iter(tasks)
+    lock = threading.Lock()
+
+    def take(_) -> None:
+        while True:
+            with lock:
+                task = next(pending, None)
+            if task is None:
+                return
+            task()
+
+    _on_workers(take, [None] * workers, workers)
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """One uniformly sampled real-valued channel.

@@ -91,6 +91,12 @@ def _parse_float(cell: str, lineno: int, column: str) -> float:
     return value
 
 
+def _load_table(fh, **kwargs) -> np.ndarray:
+    with catch_warnings():
+        simplefilter("ignore", UserWarning)  # "input contained no data"
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, **kwargs)
+
+
 def _parse_columns(fh, n_cols: int,
                    index: dict[str, int]) -> dict[str, np.ndarray] | None:
     """Parse the body as one numeric table; None if any row needs a closer look.
@@ -98,14 +104,25 @@ def _parse_columns(fh, n_cols: int,
     The table parser accepts a subset of what `float()` accepts and gives the
     same value for it, and skips only empty lines, as the row scan does. So a
     table with the header's column count and no non-finite value is exactly
-    what the row scan would return.
+    what the row scan would return. A column nothing reads may hold text:
+    then only the used columns are parsed, once every line is known to have
+    the header's cell count, which `usecols` does not check.
     """
+    start = fh.tell()
     try:
-        with catch_warnings():
-            simplefilter("ignore", UserWarning)  # "input contained no data"
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        table = _load_table(fh)
     except ValueError:
-        return None
+        fh.seek(start)
+        if any(line.count(",") != n_cols - 1 for line in fh if line != "\n"):
+            return None
+        fh.seek(start)
+        used = sorted(set(index.values()))
+        try:
+            table = _load_table(fh, usecols=used)
+        except ValueError:
+            return None
+        index = {ch: used.index(col) for ch, col in index.items()}
+        n_cols = len(used)
     if table.shape[1] != n_cols or not np.isfinite(table).all():
         return None
     return {ch: table[:, col_idx] for ch, col_idx in index.items()}

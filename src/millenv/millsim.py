@@ -10,24 +10,28 @@ cutting-force level. A clean square-pulse tachometer channel marks each
 revolution. The impact schedule is returned alongside the waveforms so
 every pipeline stage can be validated against ground truth.
 
-`simulate` uses up to 2 threads: the calling thread draws the noise of
-every channel from the one seeded generator, in channel order, while a
-second thread, when a second CPU is usable, shapes the strike train. A
-channel is combined (its gain times its shaped train added to its noise)
-by whichever of the two gets there first, once both exist, block by block
-through a small buffer, so no combine allocates a full-length array. No
-output byte depends on the number of threads or on which one combines.
+Channel i's noise is drawn from its own stream,
+``default_rng(SeedSequence(seed).spawn(6)[i])``, in the order ax, ay, az,
+fx, fy, fz: channel i is ``normal(0.0, rms_i, n) + g_i * train`` from that
+generator, and ``g_i * train + 0.0`` without noise. `simulate` runs two
+pools of tasks on min(tasks, usable CPUs) threads, the calling thread one
+of them, each thread taking the next task once it is free: first the
+shaping of both trains and the six draws, then the six combines. Each task
+writes only its own arrays, and the trains are summed strike by strike in
+a fixed order without BLAS, so no output byte depends on the thread count,
+the schedule or the CPU's BLAS kernel.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import CHANNEL_UNITS, TimeSeries, _Fresh, _on_workers, _usable_cpus
+from .core import (CHANNEL_UNITS, TimeSeries, _Fresh, _on_free_workers,
+                   _usable_cpus)
 from .errors import ConfigError
 from .pipeline import Cutter
 
@@ -38,6 +42,7 @@ FORCE_PULSE_S = 4e-4        # smoothing width of the force pulse
 TACHO_PULSE_FRAC = 0.02     # tacho pulse width as a fraction of one rev
 OSC_DECAY_FLOOR = 1e-4      # truncate the oscillator kernel at this decay
 _COMBINE_BLOCK = 8192       # samples per block of a combine's buffer
+_STRIKE_CHUNK = 64          # strikes per bincount of the shaping
 
 
 @dataclass(frozen=True)
@@ -133,14 +138,52 @@ def _force_kernel(fs: float) -> np.ndarray:
     return np.hanning(n + 2)[1:-1]
 
 
-def _add_scaled(out: np.ndarray, g: float, train: np.ndarray,
+def _shape(kernel: np.ndarray, pos: np.ndarray, amp: np.ndarray,
+           out: np.ndarray) -> None:
+    """Write the first ``out.size`` samples of ``np.convolve(impulses,
+    kernel)`` to `out`, where `impulses` splits each strike's `amp`
+    linearly between the samples around its fractional sample position
+    `pos` (ascending); a strike on the last sample keeps both parts there.
+
+    Each strike adds one template of K + 1 taps, the kernel with the split
+    folded in; `np.bincount` sums the templates of a chunk of strikes in
+    strike order, and the chunks are added in order. So no byte depends on
+    a BLAS kernel, and no impulse train is built.
+    """
+    n = out.size
+    out.fill(0.0)
+    base = np.floor(pos).astype(np.intp)
+    frac = pos - base
+    early, late = amp * (1.0 - frac), amp * frac
+    last = base + 1 >= n
+    early[last] += late[last]
+    late[last] = 0.0
+    # template j = early * kernel[j] + late * kernel[j - 1], j = 0..K
+    padded = np.concatenate(([0.0], kernel, [0.0]))
+    taps = np.arange(kernel.size + 1)
+    for s in range(0, base.size, _STRIKE_CHUNK):
+        b = base[s:s + _STRIKE_CHUNK]
+        weights = early[s:s + _STRIKE_CHUNK, None] * padded[1:]
+        weights += late[s:s + _STRIKE_CHUNK, None] * padded[:-1]
+        sums = np.bincount(((b - b[0])[:, None] + taps).ravel(),
+                           weights.ravel())
+        stop = min(b[0] + sums.size, n)
+        out[b[0]:stop] += sums[:stop - b[0]]
+
+
+def _add_scaled(noise: np.ndarray, rms: float, g: float, train: np.ndarray,
                 buf: np.ndarray) -> None:
-    """``out += g * train`` one block of `buf` at a time: the same bytes
-    as the full-length expression, without its full-length temporary."""
-    for s in range(0, out.size, buf.size):
-        part = buf[:out.size - s]
-        np.multiply(g, train[s:s + buf.size], out=part)
-        out[s:s + buf.size] += part
+    """``noise = noise * rms + 0.0 + g * train`` one block of `buf` at a
+    time, without a full-length temporary. From standard normals in
+    `noise` these are the bytes of ``normal(0.0, rms, n) + g * train``,
+    and from zeros those of ``g * train + 0.0``."""
+    for s in range(0, noise.size, buf.size):
+        part = noise[s:s + buf.size]
+        scaled = buf[:part.size]
+        part *= rms
+        part += 0.0
+        np.multiply(g, train[s:s + buf.size], out=scaled)
+        part += scaled
 
 
 def simulate(cfg: SimConfig) -> SimOutput:
@@ -169,66 +212,37 @@ def simulate(cfg: SimConfig) -> SimOutput:
     gains = np.asarray(cfg.per_tooth_gain)
     amp = gains[tooth] * (1.0 + cfg.eccentricity * np.cos(2.0 * math.pi * tooth / z))
 
-    # impulse train with linear two-sample split to keep sub-sample timing
-    impulses = np.zeros(n)
-    pos = strike_t * fs
-    base = np.floor(pos).astype(int)
-    frac = pos - base
-    np.add.at(impulses, base, amp * (1.0 - frac))
-    np.add.at(impulses, np.minimum(base + 1, n - 1), amp * frac)
-
-    # (channel, gain, shaped train, noise rms) in the order the noise is drawn
+    # (channel, gain, train, noise rms): train 0 is the strike train rung
+    # through the structure, train 1 the strike train smoothed to force
     sources = ([(ch, g, 0, cfg.noise_rms) for ch, g in ACCEL_GAINS.items()]
                + [(ch, g, 1, cfg.noise_rms * FORCE_SCALE_N)
                   for ch, g in FORCE_GAINS.items()])
-    shaped: list[np.ndarray] = []   # both trains, once both are shaped
-    noises: list[np.ndarray] = []   # drawn so far, in channel order
-    lock = threading.Lock()
-    combined = 0                    # channels claimed for combining
-    block = min(_COMBINE_BLOCK, n)  # each task's combine buffer
-
-    def combine_ready(buf: np.ndarray) -> None:
-        # claim each channel whose noise and trains both exist and add its
-        # shaped train, in place; whichever task gets there first does it,
-        # and neither waits for the other. Each task publishes its part
-        # under the lock before claiming, so the later one claims whatever
-        # is left. IEEE addition commutes: the bytes of g * train + noise
-        nonlocal combined
-        while True:
-            with lock:
-                if not shaped or combined == len(noises):
-                    return
-                i = combined
-                combined += 1
-            _, g, k, _ = sources[i]
-            _add_scaled(noises[i], g, shaped[k], buf)
+    kernels = (_oscillator_kernel(cfg.resonance_hz, cfg.damping_ratio, fs),
+               _force_kernel(fs) * FORCE_SCALE_N)
+    # every full-length array is allocated here, on the calling thread: a
+    # worker allocates from a heap of its own, which costs peak RSS
+    trains = [np.empty(n) for _ in kernels]
+    noisy = cfg.noise_rms > 0.0
+    noises = [np.empty(n) if noisy else np.zeros(n) for _ in sources]
+    streams = np.random.SeedSequence(cfg.seed).spawn(len(sources))
+    pos = strike_t * fs
 
     def shape() -> None:
-        # the strike train rung through the structure, and smoothed to force
-        vib = np.convolve(impulses, _oscillator_kernel(
-            cfg.resonance_hz, cfg.damping_ratio, fs))[:n]
-        force = np.convolve(impulses, _force_kernel(fs))[:n]
-        force *= FORCE_SCALE_N
-        with lock:
-            shaped.extend((vib, force))
-        combine_ready(np.empty(block))
+        for kernel, train in zip(kernels, trains):
+            _shape(kernel, pos, amp, train)
 
-    def draw() -> None:
-        # one seeded stream, drawn in channel order; without noise a channel
-        # is g * train + 0.0, so it starts from zeros and -0.0 reads +0.0
-        rng = np.random.default_rng(cfg.seed)
-        buf = np.empty(block)
-        for *_, rms in sources:
-            noise = (rng.normal(0.0, rms, n) if cfg.noise_rms > 0.0
-                     else np.zeros(n))
-            with lock:
-                noises.append(noise)
-            combine_ready(buf)
+    def draw(i: int) -> None:
+        np.random.default_rng(streams[i]).standard_normal(out=noises[i])
 
-    # the draws run on the calling thread, the shaping on a second thread
-    # when a second CPU is usable
-    _on_workers(lambda mine: [task() for task in mine], [draw, shape],
-                min(2, _usable_cpus()))
+    def combine(i: int) -> None:
+        _, g, k, rms = sources[i]
+        _add_scaled(noises[i], rms, g, trains[k], np.empty(_COMBINE_BLOCK))
+
+    cpus = _usable_cpus()
+    for tasks in ([shape] + [partial(draw, i) for i in range(len(sources))
+                             if noisy],
+                  [partial(combine, i) for i in range(len(sources))]):
+        _on_free_workers(tasks, min(len(tasks), cpus))
 
     # tachometer: one square pulse per revolution
     pulse_revs = np.arange(int(math.floor(total_revs)) + 1)

@@ -1,6 +1,10 @@
+import sys
+from functools import partial
+
 import numpy as np
 import pytest
 
+import millenv.core
 from millenv import (AngularSeries, RangeError, SizeError, Spectrum,
                      TimeSeries, detrend, rms, slice_time)
 from conftest import FS, tone
@@ -133,3 +137,17 @@ class TestAngularSeries:
     def test_rev_matrix_shape(self):
         a = AngularSeries(np.arange(12.0), samples_per_rev=4)
         assert a.rev_matrix().shape == (3, 4)
+
+
+def test_free_workers_run_each_task_once_at_a_short_switch_interval():
+    # threads switch every microsecond, so a take of the next task that is
+    # not atomic would run some task twice or never
+    ran = []
+    tasks = [partial(ran.append, i) for i in range(2000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        millenv.core._on_free_workers(tasks, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(2000))

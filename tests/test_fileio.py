@@ -156,6 +156,19 @@ PARSER_CASES = {
 }
 
 
+#: one bad row of a time_s,ax,note file whose note column holds text
+TEXT_COLUMN_CASES = {"extra_cell": "0.00016,4.0,ok,7.0",
+                     "extra_cells": "0.00016,4.0,y,6.0,7.0",
+                     "missing_cell": "0.00016,4.0",
+                     "nan_in_channel": "0.00016,nan,ok",
+                     "inf_in_time": "inf,4.0,ok",
+                     "text_in_channel": "0.00016,four,ok"}
+
+
+def _no_row_scan(*args, **kwargs):
+    raise AssertionError("row scan used on a well-formed file")
+
+
 def _read_both(path, **kwargs):
     """Run both readers; each gives a Recording or the ParseError message."""
     outcomes = []
@@ -191,12 +204,26 @@ class TestParserEquivalence:
         new, old = _read_both(path)
         assert_same_recording(new, old)
 
-    def test_unused_text_column_still_parses(self, tmp_path):
+    def test_unused_text_column_still_parses(self, tmp_path, monkeypatch):
         path = tmp_path / "rec.csv"
         write_csv(path, "time_s,ax,note",
                   [[i / FS, float(i), "ok"] for i in range(8)])
         new, old = _read_both(path)
         assert not isinstance(old, str)
+        assert_same_recording(new, old)
+        monkeypatch.setattr(millenv.fileio, "_scan_rows", _no_row_scan)
+        assert_same_recording(read_recording(path), old)
+
+    @pytest.mark.parametrize("case", sorted(TEXT_COLUMN_CASES))
+    def test_unused_text_column_keeps_row_errors(self, tmp_path, case):
+        # rows a used-columns parse alone would accept, or would refuse
+        # without a line number, give the row scan's error
+        path = tmp_path / "rec.csv"
+        rows = [f"{i / FS!r},{float(i)!r},ok" for i in range(8)]
+        rows[4] = TEXT_COLUMN_CASES[case]
+        path.write_text("time_s,ax,note\n" + "".join(r + "\n" for r in rows))
+        new, old = _read_both(path)
+        assert isinstance(old, str) and "line 6" in old
         assert_same_recording(new, old)
 
     def test_remapped_single_column(self, tmp_path):
@@ -219,11 +246,7 @@ class TestParserEquivalence:
     def test_well_formed_file_skips_row_scan(self, tmp_path, monkeypatch):
         path = tmp_path / "rec.csv"
         write_csv(path, "time_s,ax", [[i / FS, 0.5 * i] for i in range(20)])
-
-        def fail(*args, **kwargs):
-            raise AssertionError("row scan used on a well-formed file")
-
-        monkeypatch.setattr(millenv.fileio, "_scan_rows", fail)
+        monkeypatch.setattr(millenv.fileio, "_scan_rows", _no_row_scan)
         rec = read_recording(path)
         assert np.array_equal(rec.channels["ax"].samples, 0.5 * np.arange(20))
 

@@ -1,11 +1,11 @@
-import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-import millenv.millsim
-from millenv import (ConfigError, SimConfig, band_filter, detect_pulses,
+import millenv.millsim as millsim
+from millenv import (ConfigError, Cutter, SimConfig, band_filter, detect_pulses,
                      detrend, envelope, resample_to_angle, simulate,
                      synchronous_average)
 from conftest import BAND, RPM, analyze_channel, run_simulation, sector_peaks
@@ -125,16 +125,111 @@ def _sim_bytes(out):
 
 @pytest.mark.parametrize("case", WORKER_CASES)
 def test_worker_count_changes_no_byte(cutter, monkeypatch, case):
-    # README: simulate runs on up to 2 threads, and no output byte depends
-    # on their number
+    # README: simulate runs on min(tasks, usable CPUs) threads, and no
+    # output byte depends on their number
     settings = dict(rpm=RPM, noise_rms=0.01, duration_s=0.4, seed=42)
     settings.update(WORKER_CASES[case])
     cfg = SimConfig(cutter, (1.0, 1.0, 1.0, 0.5, 1.0, 1.0), **settings)
     outputs = []
     for cpus in (1, 2, 8):
-        monkeypatch.setattr(millenv.millsim, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(millsim, "_usable_cpus", lambda: cpus)
         outputs.append(_sim_bytes(simulate(cfg)))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _record_trains(monkeypatch):
+    """Record each call of millsim's shaping, as (kernel, positions,
+    amplitudes, train) once the train is written."""
+    calls = []
+    real = millsim._shape
+
+    def shape(kernel, pos, amp, out):
+        real(kernel, pos, amp, out)
+        calls.append((kernel, pos, amp, out))
+
+    monkeypatch.setattr(millsim, "_shape", shape)
+    return calls
+
+
+@pytest.mark.parametrize("case", WORKER_CASES)
+def test_channels_follow_the_stream_contract(cutter, monkeypatch, case):
+    # README: channel i is default_rng(SeedSequence(seed).spawn(6)[i])
+    # .normal(0.0, rms_i, n) + g_i * train, and g_i * train + 0.0 without
+    # noise; the vibration train rings through the oscillator kernel, the
+    # force train through the force kernel scaled to FORCE_SCALE_N
+    settings = dict(rpm=RPM, noise_rms=0.01, duration_s=0.4, seed=42)
+    settings.update(WORKER_CASES[case])
+    cfg = SimConfig(cutter, (1.0, 1.0, 1.0, 0.5, 1.0, 1.0), **settings)
+    calls = _record_trains(monkeypatch)
+    out = simulate(cfg)
+    (osc, *_, vib), (force_kernel, *_, force) = calls
+    fs = cfg.sample_rate_hz
+    assert np.array_equal(osc, millsim._oscillator_kernel(
+        cfg.resonance_hz, cfg.damping_ratio, fs))
+    assert np.array_equal(force_kernel,
+                          millsim._force_kernel(fs) * millsim.FORCE_SCALE_N)
+    sources = ([(ch, g, vib, cfg.noise_rms)
+                for ch, g in millsim.ACCEL_GAINS.items()]
+               + [(ch, g, force, cfg.noise_rms * millsim.FORCE_SCALE_N)
+                  for ch, g in millsim.FORCE_GAINS.items()])
+    streams = np.random.SeedSequence(cfg.seed).spawn(6)
+    for (ch, g, train, rms), stream in zip(sources, streams):
+        if cfg.noise_rms > 0.0:
+            expected = (np.random.default_rng(stream).normal(0.0, rms, vib.size)
+                        + g * train)
+        else:
+            expected = g * train + 0.0
+        assert out.channels[ch].samples.tobytes() == expected.tobytes(), ch
+
+
+def _impulse_train(pos, amp, n):
+    """The strike train as a dense impulse series: each strike split
+    linearly between the samples around its position, the last sample
+    taking a whole strike."""
+    impulses = np.zeros(n)
+    base = np.floor(pos).astype(int)
+    frac = pos - base
+    np.add.at(impulses, base, amp * (1.0 - frac))
+    np.add.at(impulses, np.minimum(base + 1, n - 1), amp * frac)
+    return impulses
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=st.integers(1, 10), rpm=st.floats(100.0, 6000.0),
+       ramp=st.one_of(st.none(), st.floats(0.5, 2.0)),
+       eccentricity=st.floats(0.0, 0.5), duration_s=st.floats(0.05, 0.4),
+       data=st.data())
+def test_shaping_matches_the_dense_convolution(z, rpm, ramp, eccentricity,
+                                               duration_s, data):
+    # both trains equal np.convolve of the dense impulse train with their
+    # kernel, to rounding; at 100 rpm and z = 1 strikes are 15 000 samples
+    # apart, at 6 000 rpm and z = 10 they are 25, well inside the 612 taps
+    gains = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                               min_size=z, max_size=z))
+    cutter = Cutter(z=z, diameter_mm=80.0, feed_per_tooth_mm=0.1,
+                    cutting_speed_m_min=340.0)
+    cfg = SimConfig(cutter, tuple(gains), rpm=rpm,
+                    rpm_end=None if ramp is None else rpm * ramp,
+                    eccentricity=eccentricity, duration_s=duration_s, seed=1)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _record_trains(monkeypatch)
+        simulate(cfg)
+    assert calls[0][0].size == 612
+    for kernel, pos, amp, train in calls:
+        dense = np.convolve(_impulse_train(pos, amp, train.size),
+                            kernel)[:train.size]
+        assert np.abs(train - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("pos", [8.25, 9.0, 9.75])
+def test_shaping_at_the_last_samples(pos):
+    # a strike on the last sample keeps both of its parts there
+    kernel = np.array([1.0, 2.0, 3.0])
+    train = np.full(10, np.nan)
+    millsim._shape(kernel, np.array([pos]), np.array([2.0]), train)
+    expected = np.convolve(_impulse_train(np.array([pos]), np.array([2.0]), 10),
+                           kernel)[:10]
+    assert np.array_equal(train, expected)
 
 
 #: bound on each wait of a test that holds one task back: a lost handoff
@@ -142,172 +237,69 @@ def test_worker_count_changes_no_byte(cutter, monkeypatch, case):
 WAIT_S = 60.0
 
 
-class _Generator:
-    """The seeded generator, with `before(k)` run ahead of its k-th
-    `normal` draw (counted from 1) and `after(k)` once that draw is made."""
+def _fail_shaping(monkeypatch):
+    def shape(*args):
+        raise RuntimeError("shaping failed")
 
-    def __init__(self, rng, before, after):
-        self._rng, self._before, self._after = rng, before, after
-        self._draws = 0
-
-    def normal(self, *args, **kwargs):
-        self._draws += 1
-        self._before(self._draws)
-        noise = self._rng.normal(*args, **kwargs)
-        self._after(self._draws)
-        return noise
+    monkeypatch.setattr(millsim, "_shape", shape)
 
 
-def _patch_tasks(monkeypatch, before=lambda k: None, after=lambda k: None,
-                 shaping=lambda call: None, shaped=lambda: None,
-                 combine=None):
-    """Patch the draws (`before(0)` runs as the generator is made), the
-    shaping's two `np.convolve` calls (`shaping` runs ahead of each, with
-    its number from 1, and `shaped` once the second returns) and, if
-    given, millsim's block combine; returns the thread each task ran on."""
-    ran_on = {}
-    real_rng, real_convolve = np.random.default_rng, np.convolve
-    calls = []
+def _fail_fourth_draw(monkeypatch):
+    # the generator of the fourth stream, fx's, fails to draw
+    real = np.random.default_rng
+
+    class Failing:
+        def standard_normal(self, *args, **kwargs):
+            raise RuntimeError("fourth draw failed")
 
     def default_rng(seed):
-        ran_on["draws"] = threading.current_thread()
-        before(0)
-        return _Generator(real_rng(seed), before, after)
-
-    def convolve(*args, **kwargs):
-        ran_on["shaping"] = threading.current_thread()
-        calls.append(None)
-        shaping(len(calls))
-        out = real_convolve(*args, **kwargs)
-        if len(calls) == 2:
-            shaped()
-        return out
+        return Failing() if seed.spawn_key == (3,) else real(seed)
 
     monkeypatch.setattr(np.random, "default_rng", default_rng)
-    monkeypatch.setattr(np, "convolve", convolve)
-    if combine is not None:
-        monkeypatch.setattr(millenv.millsim, "_add_scaled", combine)
-    return ran_on
 
 
-def _fail_at(at, what):
-    """A hook that raises when it is called with `at`."""
-    def hook(k):
-        if k == at:
-            raise RuntimeError(f"{what} failed")
-    return hook
+def _fail_started_combine(monkeypatch):
+    # the calling thread holds its first combine until a started thread
+    # has failed one
+    caller = threading.current_thread()
+    failed = threading.Event()
+    real = millsim._add_scaled
+
+    def combine(*args):
+        if threading.current_thread() is caller:
+            assert failed.wait(WAIT_S)
+            return real(*args)
+        failed.set()
+        raise RuntimeError("started combine failed")
+
+    monkeypatch.setattr(millsim, "_add_scaled", combine)
 
 
-@pytest.mark.parametrize("failing", ["shaping", "draws", "fourth draw",
-                                     "started combine"])
+FAILURES = {"shaping": _fail_shaping, "fourth draw": _fail_fourth_draw,
+            "started combine": _fail_started_combine}
+
+
+@pytest.mark.parametrize("failing", FAILURES)
 def test_worker_failure_propagates_and_no_thread_outlives_the_call(
         cutter, monkeypatch, failing):
-    # with 2 usable CPUs the shaping runs on a started thread and the draws
-    # on the calling one; a failure in either task, in a later draw or in a
-    # combine the started thread runs is raised once both tasks have ended,
-    # and no task waits for the other, so the call returns
-    caller = threading.current_thread()
-    hooks = {"shaping": {"shaping": _fail_at(1, "shaping")},
-             "draws": {"before": _fail_at(0, "draws")},  # making the generator
-             "fourth draw": {"before": _fail_at(4, "fourth draw")}
-             }.get(failing)
-    if failing == "started combine":
-        # the shaping waits for three draws, and the fourth draw waits until
-        # the started thread has begun combining one of them
-        drawn, combining = threading.Event(), threading.Event()
-        real_combine = millenv.millsim._add_scaled
-
-        def shaping(call):
-            assert call > 1 or drawn.wait(WAIT_S)
-
-        def before(k):
-            if k == 4:
-                drawn.set()
-                assert combining.wait(WAIT_S)
-
-        def combine(*args):
-            if threading.current_thread() is caller:
-                return real_combine(*args)
-            combining.set()
-            raise RuntimeError("started combine failed")
-
-        hooks = {"shaping": shaping, "before": before, "combine": combine}
-
-    monkeypatch.setattr(millenv.millsim, "_usable_cpus", lambda: 2)
-    ran_on = _patch_tasks(monkeypatch, **hooks)
+    # with 2 usable CPUs each pool runs on the calling thread and a started
+    # one; a failed task is raised once both have ended
+    monkeypatch.setattr(millsim, "_usable_cpus", lambda: 2)
+    FAILURES[failing](monkeypatch)
     cfg = SimConfig(cutter, (1.0,) * 6, rpm=RPM, noise_rms=0.01,
                     duration_s=0.2, seed=0)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{failing} failed"):
         simulate(cfg)
     assert threading.active_count() == threads
-    assert ran_on["draws"] is caller
-    assert ran_on["shaping"] is not caller
-
-
-@pytest.mark.parametrize("drawn", [0, 3, 6], ids=[
-    "before the first draw", "between two draws", "after the last draw"])
-def test_interleaving_changes_no_byte(cutter, monkeypatch, drawn):
-    # the shaping, held back on its started thread, ends after `drawn` of
-    # the six draws; each channel is combined by whichever thread gets to
-    # it first, and every byte is that of one usable CPU
-    cfg = SimConfig(cutter, (1.0, 1.0, 1.0, 0.5, 1.0, 1.0), rpm=RPM,
-                    noise_rms=0.01, duration_s=0.4, seed=42)
-    monkeypatch.setattr(millenv.millsim, "_usable_cpus", lambda: 1)
-    expected = _sim_bytes(simulate(cfg))
-
-    order = []
-    released, done = threading.Event(), threading.Event()
-
-    def shaping(call):
-        assert call > 1 or released.wait(WAIT_S)
-
-    def shaped():
-        order.append("shaped")
-        done.set()
-
-    def before(k):
-        if k == drawn + 1:
-            released.set()
-            assert done.wait(WAIT_S)
-
-    def after(k):
-        order.append(k)
-        if k == drawn == 6:
-            released.set()
-
-    monkeypatch.setattr(millenv.millsim, "_usable_cpus", lambda: 2)
-    ran_on = _patch_tasks(monkeypatch, before=before, after=after,
-                          shaping=shaping, shaped=shaped)
-    assert _sim_bytes(simulate(cfg)) == expected
-    assert order == [*range(1, drawn + 1), "shaped", *range(drawn + 1, 7)]
-    assert ran_on["shaping"] is not threading.current_thread()
-
-
-def test_claims_hold_at_a_short_switch_interval(cutter, monkeypatch):
-    # threads switch every microsecond, so a claim that is not atomic would
-    # combine some channel twice or never: every call must give the bytes
-    # of one usable CPU
-    cfg = SimConfig(cutter, (1.0, 1.0, 1.0, 0.5, 1.0, 1.0), rpm=RPM,
-                    noise_rms=0.01, duration_s=0.4, seed=3)
-    monkeypatch.setattr(millenv.millsim, "_usable_cpus", lambda: 1)
-    expected = _sim_bytes(simulate(cfg))
-    monkeypatch.setattr(millenv.millsim, "_usable_cpus", lambda: 2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        outputs = [_sim_bytes(simulate(cfg)) for _ in range(30)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(out == expected for out in outputs)
 
 
 @pytest.mark.parametrize("size", [1, 6, 7, 8, 20])
 def test_block_combine_is_the_full_length_expression(size):
     rng = np.random.default_rng(size)
     noise, train = rng.normal(size=size), rng.normal(size=size)
-    expected = (noise + 0.37 * train).tobytes()
-    millenv.millsim._add_scaled(noise, 0.37, train, np.empty(7))
+    expected = (0.0 + 0.3 * noise + 0.37 * train).tobytes()
+    millsim._add_scaled(noise, 0.3, 0.37, train, np.empty(7))
     assert noise.tobytes() == expected
 
 
