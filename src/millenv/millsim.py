@@ -19,7 +19,10 @@ of them, each thread taking the next task once it is free: first the
 shaping of both trains and the six draws, then the six combines. Each task
 writes only its own arrays, and the trains are summed strike by strike in
 a fixed order without BLAS, so no output byte depends on the thread count,
-the schedule or the CPU's BLAS kernel.
+the schedule or the CPU's BLAS kernel. The six channels are the rows of one
+``(6, n)`` block and the two trains the rows of one ``(2, n)`` block, so a
+long record's blocks pass numpy's 4 MiB huge-page threshold; a combine
+works through its row in blocks of ``_COMBINE_BLOCK`` samples.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ FORCE_SCALE_N = 200.0       # nominal per-unit-gain cutting-force level
 FORCE_PULSE_S = 4e-4        # smoothing width of the force pulse
 TACHO_PULSE_FRAC = 0.02     # tacho pulse width as a fraction of one rev
 OSC_DECAY_FLOOR = 1e-4      # truncate the oscillator kernel at this decay
-_COMBINE_BLOCK = 8192       # samples per block of a combine's buffer
+_COMBINE_BLOCK = 65536      # samples per block of a combine's buffer (512 KB)
 _STRIKE_CHUNK = 64          # strikes per bincount of the shaping
 
 
@@ -67,8 +70,14 @@ class SimConfig:
             raise ConfigError(
                 f"per_tooth_gain has {len(gains)} entries but the cutter "
                 f"has z={self.cutter.z} teeth")
-        if any(g < 0.0 for g in gains):
-            raise ConfigError("per_tooth_gain entries must be >= 0")
+        if not all(0.0 <= g < math.inf for g in gains):
+            raise ConfigError(
+                f"per_tooth_gain entries must be finite and >= 0, got {gains}")
+        for name in ("noise_rms", "eccentricity", "resonance_hz", "rpm",
+                     "rpm_end", "duration_s", "sample_rate_hz"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v}")
         if not (0.0 < self.damping_ratio < 1.0):
             raise ConfigError(f"damping_ratio must be in (0, 1), got {self.damping_ratio}")
         if self.resonance_hz >= 0.4 * self.sample_rate_hz:
@@ -81,6 +90,10 @@ class SimConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.duration_s <= 0.0 or self.sample_rate_hz <= 0.0:
             raise ConfigError("duration_s and sample_rate_hz must be positive")
+        if self.duration_s * self.sample_rate_hz <= 0.5:  # rounds to n = 0
+            raise ConfigError(
+                f"duration_s {self.duration_s} at sample_rate_hz "
+                f"{self.sample_rate_hz} is shorter than one sample")
         for name in ("rpm", "rpm_end"):
             v = getattr(self, name)
             if v is not None and v <= 0.0:
@@ -219,11 +232,14 @@ def simulate(cfg: SimConfig) -> SimOutput:
                   for ch, g in FORCE_GAINS.items()])
     kernels = (_oscillator_kernel(cfg.resonance_hz, cfg.damping_ratio, fs),
                _force_kernel(fs) * FORCE_SCALE_N)
-    # every full-length array is allocated here, on the calling thread: a
-    # worker allocates from a heap of its own, which costs peak RSS
-    trains = [np.empty(n) for _ in kernels]
+    # the channels and the trains are each the rows of one block, allocated
+    # here, on the calling thread: a worker allocates from a heap of its
+    # own, which costs peak RSS. numpy asks the kernel to back a block of
+    # 4 MiB or more with huge pages, while a lone 20 s channel (4 000 000 B)
+    # would be faulted in 4 KiB at a time
+    trains = np.empty((len(kernels), n))
     noisy = cfg.noise_rms > 0.0
-    noises = [np.empty(n) if noisy else np.zeros(n) for _ in sources]
+    noises = (np.empty if noisy else np.zeros)((len(sources), n))
     streams = np.random.SeedSequence(cfg.seed).spawn(len(sources))
     pos = strike_t * fs
 
@@ -236,7 +252,8 @@ def simulate(cfg: SimConfig) -> SimOutput:
 
     def combine(i: int) -> None:
         _, g, k, rms = sources[i]
-        _add_scaled(noises[i], rms, g, trains[k], np.empty(_COMBINE_BLOCK))
+        _add_scaled(noises[i], rms, g, trains[k],
+                    np.empty(min(n, _COMBINE_BLOCK)))
 
     cpus = _usable_cpus()
     for tasks in ([shape] + [partial(draw, i) for i in range(len(sources))

@@ -178,6 +178,8 @@ class TestSimulateCommand:
         ("thresholds", "asym_ratio", float("inf")),
         ("thresholds", "min_carrier", float("inf")),
         ("sim", "seed", -1),
+        # a quarter of one sample at 25 kHz
+        ("sim", "duration_s", 1e-5),
         # the cutter comes from the "cutter" section only
         ("sim", "cutter", {"z": 6}),
         ("io", "sample_rate_hz", 0),

@@ -1,4 +1,6 @@
+import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,9 +26,35 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(cutter, (1.0,) * 5 + (-0.1,))
 
+    @pytest.mark.parametrize("gain", [math.nan, math.inf])
+    def test_non_finite_gain_rejected(self, cutter, gain):
+        with pytest.raises(ConfigError, match="^per_tooth_gain entries"):
+            SimConfig(cutter, (1.0,) * 5 + (gain,))
+
     def test_damping_bounds(self, cutter):
         with pytest.raises(ConfigError):
             SimConfig(cutter, (1.0,) * 6, damping_ratio=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["noise_rms", "eccentricity",
+                                       "resonance_hz", "rpm", "rpm_end",
+                                       "duration_s", "sample_rate_hz"])
+    def test_non_finite_value_rejected_naming_its_field(self, cutter, field,
+                                                        value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            SimConfig(cutter, (1.0,) * 6, **{field: value})
+
+    @pytest.mark.parametrize("duration_s", [1e-5, 2e-5])
+    def test_record_shorter_than_one_sample_rejected(self, cutter, duration_s):
+        # 0.25 and 0.5 samples at 25 kHz both round to none
+        with pytest.raises(ConfigError,
+                           match="duration_s .* sample_rate_hz .* one sample"):
+            SimConfig(cutter, (1.0,) * 6, duration_s=duration_s)
+
+    def test_one_sample_record_simulates(self, cutter):
+        out = simulate(SimConfig(cutter, (1.0,) * 6, noise_rms=0.01,
+                                 duration_s=2.5e-5))
+        assert {len(ts) for ts in out.channels.values()} == {1}
 
     def test_rpm_defaults_to_cutter(self, cutter):
         cfg = SimConfig(cutter, (1.0,) * 6)
@@ -115,6 +143,12 @@ WORKER_CASES = {"reference": {},
                 "ramp": {"rpm_end": 1700.0, "eccentricity": 0.2, "seed": 5}}
 
 
+def _worker_case(cutter, case, **overrides):
+    settings = dict(rpm=RPM, noise_rms=0.01, duration_s=0.4, seed=42)
+    settings.update(WORKER_CASES[case], **overrides)
+    return SimConfig(cutter, (1.0, 1.0, 1.0, 0.5, 1.0, 1.0), **settings)
+
+
 def _sim_bytes(out):
     truth = out.truth
     return ([(ch, ts.samples.tobytes()) for ch, ts in out.channels.items()],
@@ -127,14 +161,50 @@ def _sim_bytes(out):
 def test_worker_count_changes_no_byte(cutter, monkeypatch, case):
     # README: simulate runs on min(tasks, usable CPUs) threads, and no
     # output byte depends on their number
-    settings = dict(rpm=RPM, noise_rms=0.01, duration_s=0.4, seed=42)
-    settings.update(WORKER_CASES[case])
-    cfg = SimConfig(cutter, (1.0, 1.0, 1.0, 0.5, 1.0, 1.0), **settings)
+    cfg = _worker_case(cutter, case)
     outputs = []
     for cpus in (1, 2, 8):
         monkeypatch.setattr(millsim, "_usable_cpus", lambda: cpus)
         outputs.append(_sim_bytes(simulate(cfg)))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("case", WORKER_CASES)
+def test_combine_block_changes_no_byte(cutter, monkeypatch, case):
+    # 75 000 samples: every block size leaves a partial last block
+    cfg = _worker_case(cutter, case, duration_s=3.0)
+    outputs = []
+    for block in (7, 8192, millsim._COMBINE_BLOCK):
+        monkeypatch.setattr(millsim, "_COMBINE_BLOCK", block)
+        outputs.append(_sim_bytes(simulate(cfg)))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+#: traced bytes a 500 000-sample simulate may allocate beside its nine
+#: full-length arrays: 0.13 MB measured with numpy 2.4 at 1 to 8 usable
+#: CPUs, 0.9 MB on a process's first call; a tenth full-length array
+#: (4 MB) would exceed it
+SIMULATE_MARGIN_B = 2_000_000
+
+
+def test_simulate_memory_and_channel_layout(cutter):
+    # the six channels, the tacho and the two trains are the only
+    # full-length arrays; each channel is a frozen, contiguous row of its
+    # own, and no two share a byte
+    cfg = SimConfig(cutter, (1.0,) * 6, rpm=RPM, noise_rms=0.01,
+                    duration_s=20.0, seed=1)
+    tracemalloc.start()
+    try:
+        out = simulate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    samples = [ts.samples for ts in out.channels.values()]
+    assert len(samples) == 7 and {a.size for a in samples} == {500_000}
+    assert peak <= 9 * 8 * 500_000 + SIMULATE_MARGIN_B
+    for i, a in enumerate(samples):
+        assert not a.flags.writeable and a.flags.c_contiguous
+        assert not any(np.shares_memory(a, b) for b in samples[:i])
 
 
 def _record_trains(monkeypatch):
@@ -157,9 +227,7 @@ def test_channels_follow_the_stream_contract(cutter, monkeypatch, case):
     # .normal(0.0, rms_i, n) + g_i * train, and g_i * train + 0.0 without
     # noise; the vibration train rings through the oscillator kernel, the
     # force train through the force kernel scaled to FORCE_SCALE_N
-    settings = dict(rpm=RPM, noise_rms=0.01, duration_s=0.4, seed=42)
-    settings.update(WORKER_CASES[case])
-    cfg = SimConfig(cutter, (1.0, 1.0, 1.0, 0.5, 1.0, 1.0), **settings)
+    cfg = _worker_case(cutter, case)
     calls = _record_trains(monkeypatch)
     out = simulate(cfg)
     (osc, *_, vib), (force_kernel, *_, force) = calls
