@@ -34,7 +34,8 @@ map channels to column-name strings. A value out of range, such as a
 taper_hz above half its band, a non-positive threshold, a non-positive
 io.sample_rate_hz, or a band above half of io.sample_rate_hz when that rate
 is set, is a ConfigError at load.
-"sync.samples_per_rev" must be a positive multiple of the tooth count z.
+"sync.samples_per_rev" must be at least 2 and a multiple of the tooth
+count z.
 Without it, `analyze` uses the smallest multiple of z at or above 1024.
 "metadata" must be an object; it is never read (reports echo the file), but
 every number in it, however deeply nested, must be finite, so that the echo
@@ -81,9 +82,9 @@ class RunConfig:
 
     def __post_init__(self):
         spr = self.samples_per_rev
-        if spr is not None and (spr < 1 or spr % self.cutter.z):
-            raise ConfigError(f"samples_per_rev={spr} must be positive and "
-                              f"divisible by z={self.cutter.z}")
+        if spr is not None and (spr < 2 or spr % self.cutter.z):
+            raise ConfigError(f"sync.samples_per_rev={spr} must be positive, "
+                              f"at least 2 and divisible by z={self.cutter.z}")
         if (self.tooth0_offset_frac is not None
                 and not (0.0 <= self.tooth0_offset_frac < 1.0)):
             raise ConfigError(

@@ -17,9 +17,11 @@ amplitude ratios straight off those order bins:
 * a tooth whose sector load drops well below the mean is flagged weak.
 
 All trigger thresholds are amplitude ratios, so verdicts are invariant to
-signal scaling. Each channel runs the chain on its own, so
-`analyze_all_channels` runs the channels on up to min(channels, usable
-CPUs) threads; no result depends on their number.
+signal scaling. `analyze_all_channels` computes the envelopes one channel
+per task on up to min(channels, usable CPUs) threads, then splits the
+synchronous average by angle column: each thread averages every channel of
+a plan over its own columns, so each interpolation tap is computed once per
+call. No result depends on the number of threads.
 """
 
 from __future__ import annotations
@@ -319,9 +321,12 @@ def analyze_all_channels(channels: Iterable[TimeSeries], tacho: TachoTrack,
     `bands` and `taper_hz` each hold one value for all channels or a
     mapping from channel label to value; a channel missing from a mapping
     is an InputError. Channels share one `RevolutionPlan` until the record
-    length or rate changes. The checks and plans run on the calling thread;
-    the envelopes and averages run on min(channels, usable CPUs) workers,
-    the calling thread one of them, and no result depends on their number.
+    length or rate changes. The checks and plans run on the calling thread.
+    The envelopes run one channel per task on min(channels, usable CPUs)
+    workers, the calling thread one of them. Each plan's average then runs
+    as min(usable CPUs, samples_per_rev) column parts, each of every channel
+    of the plan, so a block's taps are computed once; the verdicts run on
+    the calling thread. No result depends on the number of workers.
     Returns ``(results, errors)`` keyed by channel, in the channels' order.
     """
     z = cutter.z
@@ -364,8 +369,7 @@ def analyze_all_channels(channels: Iterable[TimeSeries], tacho: TachoTrack,
         jobs.append(_Job(index, ts, band, taper, plan, mean_rpm, warnings,
                          np.empty(len(ts))))
 
-    def work(mine: list[_Job]) -> None:
-        by_plan: dict[RevolutionPlan, list[_Job]] = {}
+    def envelopes(mine: list[_Job]) -> None:
         for job in mine:
             try:
                 # a band mask that is zero at 0 Hz removes the mean already
@@ -374,24 +378,42 @@ def analyze_all_channels(channels: Iterable[TimeSeries], tacho: TachoTrack,
                               job.taper, out=job.envelope)
             except AnalysisError as err:
                 outcomes[job.index] = err
-                continue
-            by_plan.setdefault(job.plan, []).append(job)
-        for plan, group in by_plan.items():
-            averages = plan._average([job.envelope for job in group])
-            for job, avg in zip(group, averages):
-                try:
-                    profile = tooth_segmentation(avg, z, tooth0_offset_frac)
-                    findings, inconclusive = classify(
-                        averaged_rev_spectrum(avg, job.mean_rpm / 60.0),
-                        profile, cfg)
-                    outcomes[job.index] = AnalysisResult(
-                        job.ts.channel, job.mean_rpm, findings, profile, avg,
-                        job.warnings, inconclusive)
-                except AnalysisError as err:
-                    outcomes[job.index] = err
 
+    cpus = _usable_cpus()
     if jobs:
-        _on_workers(work, jobs, min(len(jobs), _usable_cpus()))
+        _on_workers(envelopes, jobs, min(len(jobs), cpus))
+    groups: dict[RevolutionPlan, list[_Job]] = {}
+    for job in jobs:
+        if outcomes[job.index] is None:
+            groups.setdefault(job.plan, []).append(job)
+    # every part averages all channels of its plan over its own columns, so
+    # each tap is computed once per call
+    averages, parts = {}, []
+    for plan, group in groups.items():
+        averages[plan] = np.empty((len(group), samples_per_rev))
+        n = min(cpus, samples_per_rev)
+        edges = [k * samples_per_rev // n for k in range(n + 1)]
+        parts += [(plan, cols) for cols in zip(edges[:-1], edges[1:])]
+
+    def average(mine: list) -> None:
+        for plan, (j0, j1) in mine:
+            averages[plan][:, j0:j1] = plan._average(
+                [job.envelope for job in groups[plan]], (j0, j1))
+
+    if parts:
+        _on_workers(average, parts, min(len(parts), cpus))
+    for plan, group in groups.items():
+        for job, avg in zip(group, averages[plan]):
+            try:
+                profile = tooth_segmentation(avg, z, tooth0_offset_frac)
+                findings, inconclusive = classify(
+                    averaged_rev_spectrum(avg, job.mean_rpm / 60.0),
+                    profile, cfg)
+                outcomes[job.index] = AnalysisResult(
+                    job.ts.channel, job.mean_rpm, findings, profile, avg,
+                    job.warnings, inconclusive)
+            except AnalysisError as err:
+                outcomes[job.index] = err
     results: dict[str, AnalysisResult] = {}
     errors: dict[str, AnalysisError] = {}
     for ts, outcome in zip(channels, outcomes):

@@ -131,10 +131,11 @@ def speed_profile(t: TachoTrack) -> np.ndarray:
     return np.column_stack((mid, 60.0 / gaps))
 
 
-#: Output samples per block while a resampling plan is applied; bounds the
-#: taps and temporaries, on each worker, to a block instead of a record.
-#: 8192 read 1 MB less peak RSS on the 1.2 s reference CLI op but made the
-#: 20 s library op on two workers about 12% slower.
+#: Output samples per block while a resampling plan is applied, to a range
+#: of columns or the whole row; bounds the taps and temporaries, on each
+#: worker, to a block instead of a record. 8192 read 1 MB less peak RSS on
+#: the 1.2 s reference CLI op but made the 20 s library op on two workers
+#: about 12% slower.
 _PLAN_BLOCK = 16384
 
 
@@ -161,66 +162,80 @@ class RevolutionPlan:
         """x, of the plan's length and rate, on the plan's angle grid."""
         values = np.empty(self.revs.size * self.samples_per_rev)
         start = 0
-        for _, block in self._blocks([x.samples]):
+        for _, block in self._blocks([x.samples], (0, self.samples_per_rev)):
             values[start:start + block.size] = block
             start += block.size
         return AngularSeries(_Fresh(values), self.samples_per_rev)
 
-    def _average(self, arrays: list[np.ndarray]) -> np.ndarray:
-        """Row i is ``synchronous_average(self.resample(x))`` for the samples
-        ``arrays[i]`` of x, bit for bit, without building the series: numpy's
-        mean over axis 0 adds the revolutions row by row, in order, and so
-        does this, one reduce per block, the running total added to the
-        block's first row (IEEE addition commutes)."""
+    def _average(self, arrays: list[np.ndarray],
+                 cols: tuple[int, int]) -> np.ndarray:
+        """Row i is columns ``j0 .. j1 - 1`` of
+        ``synchronous_average(self.resample(x))`` for the samples
+        ``arrays[i]`` of x, bit for bit, without building the series:
+        numpy's mean over axis 0 adds the revolutions row by row, in order,
+        and so does this, column by column, one reduce per block, the
+        running total added to the block's first row (IEEE addition
+        commutes). Each column is computed on its own, so the parts of a
+        split of ``(0, samples_per_rev)``, side by side, are the whole row;
+        given one part of every channel each, workers compute each tap once."""
         # x + -0.0 is x, for every x
-        totals = np.full((len(arrays), self.samples_per_rev), -0.0)
-        for i, block in self._blocks(arrays):
-            rows = block.reshape(-1, self.samples_per_rev)
+        totals = np.full((len(arrays), cols[1] - cols[0]), -0.0)
+        for i, block in self._blocks(arrays, cols):
+            rows = block.reshape(-1, totals.shape[1])
             rows[0] += totals[i]
             np.add.reduce(rows, axis=0, out=totals[i])
         totals /= self.revs.size
         return totals
 
-    def _blocks(self, arrays: list[np.ndarray]):
-        """Each of `arrays` on the plan's grid, whole revolutions of about
-        `_PLAN_BLOCK` samples at a time, in order: yields ``(i, values)``
-        for array i, block by block and within a block array by array, so
-        each block's taps are computed once for all arrays. `values` is one
-        reused buffer, valid only until the next yield."""
-        rows = max(1, _PLAN_BLOCK // self.samples_per_rev)
-        size = min(rows, self.revs.size) * self.samples_per_rev
-        buffers = (np.empty(size), np.empty(size), np.empty(size, dtype=np.intp))
+    def _blocks(self, arrays: list[np.ndarray], cols: tuple[int, int]):
+        """Columns ``j0 .. j1 - 1`` of each of `arrays` on the plan's grid,
+        whole revolutions at a time, about `_PLAN_BLOCK` output samples of
+        those columns per block, in order: yields ``(i, values)`` for array
+        i, block by block and within a block array by array, so each block's
+        taps and tap indices are computed once for all arrays. `values` is
+        one reused buffer, valid only until the next yield."""
+        j0, j1 = cols
+        frac = np.arange(j0, j1) / self.samples_per_rev
+        rows = max(1, _PLAN_BLOCK // (j1 - j0))
+        size = min(rows, self.revs.size) * (j1 - j0)
+        buffers = (np.empty(size), np.empty(4 * size),
+                   np.empty(4 * size, dtype=np.intp))
+        offsets = np.arange(-1, 3)[:, None]
         for r in range(0, self.revs.size, rows):
-            first, weights = self._taps(self.revs[r:r + rows])
-            values, term, index = (buffer[:first.size] for buffer in buffers)
+            first, weights = self._taps(self.revs[r:r + rows], frac)
+            n = first.size
+            values = buffers[0][:n]
+            terms, index = (b[:4 * n].reshape(4, n) for b in buffers[1:])
+            # taps floor(s) - 1 .. floor(s) + 2; a clipped index repeats the
+            # edge sample for taps past the record
+            np.add(first, offsets, out=index)
             for i, a in enumerate(arrays):
-                # a clipped index repeats the edge sample for taps past the record
-                np.subtract(first, 1, out=index)
-                a.take(index, out=values, mode="clip")
-                values *= weights[0]
-                for weight in weights[1:]:
-                    index += 1
-                    a.take(index, out=term, mode="clip")
-                    term *= weight
-                    values += term
+                a.take(index, out=terms, mode="clip")
+                terms *= weights
+                # a reduce over axis 0 adds the rows one after another, so
+                # each sample is ((t0 + t1) + t2) + t3 on every path
+                np.add.reduce(terms, axis=0, out=values)
                 yield i, values
 
-    def _taps(self, revs: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def _taps(self, revs: np.ndarray,
+              frac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The index floor(s) of every output sample of the revolutions
-        `revs`, in order, with its four weights."""
+        `revs` at the angle fractions `frac` (``j / samples_per_rev``), in
+        order, with its four weights, one row per tap."""
         pulses = self.pulse_times_s
         starts = pulses[revs]
         spans = pulses[revs + 1] - starts
-        frac = np.arange(self.samples_per_rev) / self.samples_per_rev
         u = (starts[:, None] + spans[:, None] * frac).ravel() * self.sample_rate_hz
         first = np.floor(u)
         u -= first  # the fractional part, in place: one block array fewer
         u2 = u * u
         u3 = u2 * u
-        return first.astype(np.intp), (0.5 * (2.0 * u2 - u - u3),
-                                        0.5 * (2.0 - 5.0 * u2 + 3.0 * u3),
-                                        0.5 * (u + 4.0 * u2 - 3.0 * u3),
-                                        0.5 * (u3 - u2))
+        weights = np.empty((4, u.size))
+        weights[0] = 0.5 * (2.0 * u2 - u - u3)
+        weights[1] = 0.5 * (2.0 - 5.0 * u2 + 3.0 * u3)
+        weights[2] = 0.5 * (u + 4.0 * u2 - 3.0 * u3)
+        weights[3] = 0.5 * (u3 - u2)
+        return first.astype(np.intp), weights
 
 
 def revolution_plan(x: TimeSeries, t: TachoTrack,

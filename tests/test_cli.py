@@ -219,6 +219,25 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and path in err
 
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_one_sample_per_rev_is_config_error(self, tmp_path, capsys,
+                                                command):
+        # 1 is divisible by z = 1, but a revolution needs 2 angle samples;
+        # loaded, every channel's analysis failed and analyze exited 1
+        cfg = write_config(
+            tmp_path / "c.json",
+            cutter={"z": 1, "diameter_mm": 80.0, "feed_per_tooth_mm": 0.1,
+                    "cutting_speed_m_min": 340.0},
+            sync={"samples_per_rev": 1},
+            sim={"per_tooth_gain": [1.0], "rpm": 1352.8, "duration_s": 1.2})
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "x")]
+        if command == "analyze":  # the config fails before the input is read
+            argv += ["--in", str(tmp_path / "missing.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "sync.samples_per_rev" in err
+
 
 class TestAnalyzeCommand:
     def test_end_to_end_and_deterministic(self, tmp_path, config_path):

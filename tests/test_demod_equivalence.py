@@ -3,7 +3,8 @@
 `band_envelope` replaces band_filter -> analytic_signal -> abs, and
 `analyze_all_channels` builds one interpolation plan per record length and
 sample rate for all its channels and averages the revolutions block by
-block; the straightforward forms are kept in `reference_dsp.py`.
+block, in parts of the angle columns; the straightforward forms are kept in
+`reference_dsp.py`.
 """
 
 import tracemalloc
@@ -143,13 +144,21 @@ def test_analytic_signal_matches_reference_at_even_length():
 
 def assert_plan_average_is_synchronous_average(xs, track, spr):
     # the block-wise running sums analyze_all_channels takes, every record
-    # of xs in one call that computes each block's taps once, bit for bit
-    averages = revolution_plan(xs[0], track, spr)._average(
-        [x.samples for x in xs])
+    # of xs in one call that computes each block's taps once, bit for bit;
+    # and the whole row split into 1, 2, 3 and 7 column parts, each part
+    # averaged on its own and the parts put side by side, byte for byte
+    plan = revolution_plan(xs[0], track, spr)
+    arrays = [x.samples for x in xs]
+    averages = plan._average(arrays, (0, spr))
     assert averages.shape == (len(xs), spr)
     for x, avg in zip(xs, averages):
         np.testing.assert_array_equal(
             avg, synchronous_average(resample_to_angle(x, track, spr)))
+    for n in (1, 2, 3, 7):
+        edges = [k * spr // n for k in range(n + 1)]
+        parts = [plan._average(arrays, cols)
+                 for cols in zip(edges[:-1], edges[1:])]
+        assert np.hstack(parts).tobytes() == averages.tobytes()
 
 
 @pytest.mark.parametrize("n", [30000, 24989, 19999])

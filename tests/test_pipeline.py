@@ -11,6 +11,7 @@ from millenv import (Band, CoverageError, Cutter, InputError, RangeError,
                      analyze, analyze_all_channels, averaged_rev_spectrum,
                      classify, slice_time, tooth_segmentation)
 from millenv.fileio import dump_report, report_document
+from millenv.sync import RevolutionPlan
 from conftest import BAND, analyze_channel, run_simulation
 from reference_pipeline import (amplitude_near, reference_classify,
                                 reference_rev_spectrum)
@@ -494,23 +495,35 @@ def test_worker_count_changes_no_output(asymmetric_run, cutter, monkeypatch):
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
-@pytest.mark.parametrize("failing", ["ax", "ay"])
+@pytest.mark.parametrize("failing", ["ax", "ay", "columns"])
 def test_worker_failure_propagates_and_no_thread_outlives_the_call(
         asymmetric_run, cutter, monkeypatch, failing):
-    # with 3 workers ax runs on the calling thread and ay on a started one
+    # with 3 workers ax's envelope runs on the calling thread and ay's on a
+    # started one; "columns" fails the average of the last column part,
+    # which also runs on a started thread
     out, track, _ = asymmetric_run
     channels = [out.channels[c] for c in ("ax", "ay", "az", "fx", "fy", "fz")]
     real = millenv.pipeline.band_envelope
+    real_average = RevolutionPlan._average
 
     def band_envelope(x, *args, **kwargs):
         if x.channel == failing:
             raise RuntimeError(f"envelope of {x.channel} failed")
         return real(x, *args, **kwargs)
 
+    def average(plan, arrays, cols):
+        if failing == "columns" and cols[1] == plan.samples_per_rev:
+            assert threading.current_thread() is not threading.main_thread()
+            raise RuntimeError(f"average of columns {cols} failed")
+        return real_average(plan, arrays, cols)
+
     monkeypatch.setattr(millenv.pipeline, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(millenv.pipeline, "band_envelope", band_envelope)
+    monkeypatch.setattr(RevolutionPlan, "_average", average)
     threads = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"envelope of {failing} failed"):
+    match = ("average of columns \\(768, 1152\\) failed"
+             if failing == "columns" else f"envelope of {failing} failed")
+    with pytest.raises(RuntimeError, match=match):
         analyze_all_channels(channels, track, cutter, BAND,
                              samples_per_rev=1152)
     assert threading.active_count() == threads
