@@ -6,16 +6,21 @@ raised-cosine edges (zero phase, no group delay), and the FFT construction of
 the analytic signal whose magnitude is the envelope. There is one mask
 evaluation, over the band's own ``rfft`` bins, and one set of analytic weights,
 for one-sided bins at any length, odd or even, without padding.
-`band_envelope` inverse-transforms the band's bins alone: D FFTs of L = n/D
-points, L the smallest divisor of n that holds them, over L-wide rows zero
-past the band; the magnitudes overwrite the rows already read, and one
-transposing copy writes the envelope. A prime n gives D = 1, and
-`analytic_signal` and `envelope` take all n/2 + 1 bins: one inverse FFT.
+`band_envelope` computes and inverse-transforms the band's bins alone. Its
+forward transform is at most 32 rfft rows of the record's polyphase
+components, each at least n/32 points long and at least as long as the
+band, combined by Horner's rule into the band's bins only. The inverse is
+D FFTs of L = n/D points, L the smallest divisor of n that holds the band,
+over L-wide rows zero past the band; the magnitudes overwrite the rows
+already read, and one transposing copy writes the envelope. A prime n
+takes one rfft and one inverse FFT of n points, and `band_filter`,
+`analytic_signal` and `envelope` take the full rfft: the last two weight
+all n/2 + 1 bins and inverse-transform them at once.
 
 Every entry point that takes a record reads bin 0 of the ``rfft`` it takes
-anyway: bin 0 sums every sample, so when it is not finite the record is
-checked, and a non-finite sample is an `InputError` naming the channel and
-the first bad index.
+anyway, or the sum of its rows' bins 0: bin 0 sums every sample, so when it
+is not finite the record is checked, and a non-finite sample is an
+`InputError` naming the channel and the first bad index.
 """
 
 from __future__ import annotations
@@ -95,8 +100,9 @@ def amplitude_spectrum(x: TimeSeries, w: Window = HANN) -> Spectrum:
 def _check_bin0(x: TimeSeries, bin0) -> None:
     """`_require_finite(x)` unless bin0, the rfft bin 0 taken from x, is finite.
 
-    Bin 0 sums every sample, windowed or not, and a non-finite sample keeps
-    it non-finite even at a zero window tap (inf * 0 is NaN). So a clean
+    Bin 0 sums every sample, windowed or not, whether one rfft gives it or
+    `_band_rfft` sums its rows' bins 0, and a non-finite sample keeps it
+    non-finite even at a zero window tap (inf * 0 is NaN). So a clean
     record pays this one scalar test, and a finite one whose sum overflows
     passes the check and runs on.
     """
@@ -223,6 +229,11 @@ _TWIDDLE_RUN = 32
 #: one row; each group's magnitudes overwrite block rows already read
 _INVERSE_GROUP = 1 << 16
 
+#: most rows of `_band_rfft`'s forward transforms: the rows are at least
+#: n/32 points long, so a band of a few bins, or none, still takes a few
+#: long transforms and a short combine, not n transforms of one point
+_FORWARD_ROWS = 32
+
 
 def _smallest_divisor_at_least(n: int, m: int) -> int:
     """The smallest divisor of n that is at least m (m <= n)."""
@@ -230,6 +241,54 @@ def _smallest_divisor_at_least(n: int, m: int) -> int:
     low = low[n % low == 0]
     divisors = np.concatenate([low, n // low])
     return int(divisors[divisors >= m].min())
+
+
+def _band_rfft(x: TimeSeries, k0: int, width: int) -> np.ndarray:
+    """x's rfft bins [k0, k0 + width), from cache-sized transforms.
+
+    With L the smallest divisor of n that is at least width and n/32, and
+    D = n / L, one transposing copy puts samples p, p + D, ... in row p,
+    and one batch of rffts transforms the rows. Bin k is the sum over p of
+    row p's bin k mod L times exp(-2*pi*i*k*p/n), by Horner's rule over
+    the rows. A row bin above L/2 is the conjugate of its mirror, so each
+    run of bins whose residues run up to L/2, or down from L to above it,
+    reads one slice of every row: at most three runs, nothing gathered.
+    D = 1, a prime n or a band of more than half the bins, is the plain
+    rfft. Bin 0, the sum of the row sums, is checked as `_check_bin0`
+    checks it.
+    """
+    n = len(x)
+    cols = _smallest_divisor_at_least(n, max(width, -(-n // _FORWARD_ROWS)))
+    rows = n // cols
+    if rows == 1:
+        spec = np.fft.rfft(x.samples)
+        _check_bin0(x, spec[0])
+        return spec[k0:k0 + width]
+    spectra = np.fft.rfft(  # the copy is freed once the rows are transformed
+        np.ascontiguousarray(x.samples.reshape(cols, rows).T), axis=1)
+    _check_bin0(x, spectra[:, 0].sum())
+    band = np.empty(width, dtype=complex)
+    k = k0
+    while k < k0 + width:
+        m = k % cols
+        if 2 * m > cols:  # sum the mirrored bins cols - m, then conjugate
+            run = min(k0 + width - k, cols - m)
+            terms = spectra[:, cols - m:cols - m - run:-1]
+            sign = 1.0
+        else:
+            run = min(k0 + width - k, cols // 2 + 1 - m)
+            terms = spectra[:, m:m + run]
+            sign = -1.0
+        step = np.exp((sign * 2j * np.pi / n) * np.arange(k, k + run))
+        acc = band[k - k0:k - k0 + run]
+        acc[...] = terms[rows - 1]
+        for p in range(rows - 2, -1, -1):
+            acc *= step
+            acc += terms[p]
+        if sign > 0.0:
+            np.conjugate(acc, out=acc)
+        k += run
+    return band
 
 
 def _analytic(band: np.ndarray, k0: int, n: int) -> np.ndarray:
@@ -292,20 +351,19 @@ def band_envelope(x: TimeSeries, b: Band, taper_hz: float | None = None, *,
     """``envelope(band_filter(x, b, taper_hz))`` from the band's bins only.
 
     The band mask is applied to the ``rfft`` bins [k0, k0 + B) where it is
-    nonzero, and `_envelope_into` inverse-transforms those bins alone: one
-    rfft of n points and D inverse FFTs of n/D points, a few at a time,
-    replace the inverse FFT of n points; a prime n gives D = 1, that single
-    transform. One transposing copy writes the magnitudes into the envelope,
-    which is `out` when given: a float array of len(x) samples that no one
-    else writes, frozen into the result. At even lengths the result equals
-    the two-step chain to rounding; the same edge caveat as for `envelope`
+    nonzero. `_band_rfft` computes those bins alone, from at most 32 rfft
+    rows of the record's polyphase components, equal to the full rfft's to
+    rounding, and `_envelope_into` inverse-transforms them alone: D inverse
+    FFTs of n/D points, a few at a time, replace the inverse FFT of n
+    points. A prime n gives one rfft and one inverse FFT of n points. One
+    transposing copy writes the magnitudes into the envelope, which is
+    `out` when given: a float array of len(x) samples that no one else
+    writes, frozen into the result. At even lengths the result equals the
+    two-step chain to rounding; the same edge caveat as for `envelope`
     applies.
     """
     k0, mask = _band_bins(x, b, taper_hz)
-    spec = np.fft.rfft(x.samples)
-    _check_bin0(x, spec[0])
-    band = _analytic(spec[k0:k0 + mask.size] * mask, k0, len(x))
-    del spec
+    band = _analytic(_band_rfft(x, k0, mask.size) * mask, k0, len(x))
     env = np.empty(len(x)) if out is None else out
     _envelope_into(band, env)
     return x.with_samples(_Fresh(env), channel=x.channel + "_env")

@@ -152,7 +152,8 @@ def read_recording(path, *, columns: dict[str, str] | None = None,
     """Read a multi-channel CSV recording.
 
     `columns` maps channel labels to CSV column names; by default every
-    header matching a known channel label is taken as-is. A declared
+    header matching a known channel label is taken as-is. A column that is
+    read, time_s included, must appear once in the header. A declared
     `sample_rate_hz` wins over the time_s column; if both are present and
     disagree by more than 0.1% a warning is recorded. A tacho column, when
     present, is run through pulse detection (threshold at mid-swing). One
@@ -179,6 +180,12 @@ def read_recording(path, *, columns: dict[str, str] | None = None,
             raise ParseError(f"{path}: column(s) {missing} not in header {header}")
         if not col_map or set(col_map) == {"time_s"}:
             raise ParseError(f"{path}: no known channel columns in header {header}")
+        for col in col_map.values():
+            at = [i + 1 for i, name in enumerate(header) if name == col]
+            if len(at) > 1:
+                raise ParseError(f"{path}: column {col!r} appears more than "
+                                 f"once in the header, at columns {at[0]} "
+                                 f"and {at[1]}")
 
         index = {ch: header.index(col) for ch, col in col_map.items()}
         body_start = fh.tell()

@@ -1,12 +1,14 @@
 """The fused demodulation kernels against the reference chain.
 
-`band_envelope` replaces band_filter -> analytic_signal -> abs, and
-`analyze_all_channels` builds one interpolation plan per record length and
-sample rate for all its channels and averages the revolutions block by
-block, in parts of the angle columns; the straightforward forms are kept in
-`reference_dsp.py`.
+`band_envelope` replaces band_filter -> analytic_signal -> abs and takes
+the band's rfft bins from short row transforms, and `analyze_all_channels`
+builds one interpolation plan per record length and sample rate for all
+its channels and averages the revolutions block by block, in parts of the
+angle columns; the straightforward forms are kept in `reference_dsp.py`,
+and the band's bins are checked against the full rfft.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,7 +20,7 @@ import millenv.pipeline
 from millenv import (Band, TachoTrack, TimeSeries, analyze,
                      analyze_all_channels, analytic_signal, band_filter,
                      detrend, resample_to_angle, synchronous_average)
-from millenv.dsp import _band_bins, band_envelope
+from millenv.dsp import _band_bins, _band_rfft, band_envelope
 from millenv.sync import _PLAN_BLOCK, revolution_plan
 from conftest import BAND, FS, SAMPLES_PER_REV
 from reference_dsp import (reference_analytic_signal, reference_band_envelope,
@@ -38,6 +40,16 @@ def head(ts, n):
 
 def rel_max_err(actual, expected):
     return np.abs(actual - expected).max() / np.abs(expected).max()
+
+
+def rfft_slice(x, k0, width):
+    """The band's bins sliced from the full rfft, in place of `_band_rfft`.
+
+    The tests that pin the inverse to `reference_decimated_band_envelope`,
+    whose bins are this slice, byte for byte, put it in place of the row
+    transforms; `test_band_rfft_matches_full_rfft` bounds the difference.
+    """
+    return np.fft.rfft(x.samples)[k0:k0 + width]
 
 
 @pytest.mark.parametrize("n", [30000, 25000, 4096, 30])
@@ -86,6 +98,7 @@ def test_band_envelope_inverse_groups_change_no_byte(asymmetric_run,
     cols = millenv.dsp._smallest_divisor_at_least(len(x), mask.size)
     assert len(x) // cols == rows
     ref = reference_decimated_band_envelope(x, band, TAPER_HZ)
+    monkeypatch.setattr(millenv.dsp, "_band_rfft", rfft_slice)
     for group in (1, 7, rows):
         monkeypatch.setattr(millenv.dsp, "_INVERSE_GROUP", group * cols)
         buffer = np.empty(len(x))
@@ -107,7 +120,8 @@ def bins_band(n, k0, width):
     (1, 1009, 95), (1, 1000, 501),
     *[(d, cols, width) for d in (25, 32, 33, 64, 65, 250, 1250)
       for cols, width in ((100, 100), (101, 95))]])
-def test_band_envelope_bytes_match_decimated_reference(rows, cols, width):
+def test_band_envelope_bytes_match_decimated_reference(monkeypatch, rows,
+                                                      cols, width):
     n = rows * cols
     k0 = 0 if 2 * width > n else n // 5
     band = bins_band(n, k0, width)
@@ -115,6 +129,7 @@ def test_band_envelope_bytes_match_decimated_reference(rows, cols, width):
     got_k0, mask = _band_bins(x, band, 0.0)
     assert (got_k0, mask.size) == (k0, width)
     assert millenv.dsp._smallest_divisor_at_least(n, width) == cols
+    monkeypatch.setattr(millenv.dsp, "_band_rfft", rfft_slice)
     env = band_envelope(x, band, 0.0).samples
     ref = reference_decimated_band_envelope(x, band, 0.0)
     assert env.tobytes() == ref.tobytes()
@@ -292,8 +307,75 @@ def test_band_envelope_matches_fused_reference(case):
     assert env.shape == ref.shape
     # an empty band gives all zeros on both sides
     assert np.abs(env - ref).max() <= 1e-12 * np.abs(ref).max()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(millenv.dsp, "_band_rfft", rfft_slice)
+        env = band_envelope(x, band, taper_hz).samples
     assert env.tobytes() == reference_decimated_band_envelope(
         x, band, taper_hz).tobytes()
+
+
+def assert_band_rfft_matches_full_rfft(x, k0, width):
+    # within 1e-13 of the largest bin, and byte for byte when the record
+    # is one row: L, the smallest divisor of n at least max(B, n/32), is n
+    n = len(x)
+    got = _band_rfft(x, k0, width)
+    full = np.fft.rfft(x.samples)
+    assert got.shape == (width,) and got.dtype == complex
+    if width:
+        assert np.abs(got - full[k0:k0 + width]).max() <= (
+            1e-13 * np.abs(full).max())
+    if millenv.dsp._smallest_divisor_at_least(
+            n, max(width, math.ceil(n / 32))) == n:
+        assert got.tobytes() == full[k0:k0 + width].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_cases())
+def test_band_rfft_matches_full_rfft_over_bands(case):
+    x, band, taper_hz = case
+    k0, mask = _band_bins(x, band, taper_hz)
+    assert_band_rfft_matches_full_rfft(x, k0, mask.size)
+
+
+# (n, k0, B) and the runs of bins whose row residues m = k mod L are
+# contiguous: up to L/2 read as they are, above it mirrored
+@pytest.mark.parametrize("n, k0, width", [
+    (30000, 1000, 400),   # L = 1000: m 0-399, one run
+    (30000, 1600, 300),   # m 600-899, mirrored
+    (30000, 0, 938),      # m 0-500, then mirrored 501-937: crosses L/2
+    (30000, 1800, 400),   # mirrored 800-999, then 0-199: wraps past L
+    (30000, 2300, 1000),  # 300-500, mirrored 501-999, then 0-299
+    (30000, 14500, 501),  # L/2 = 500, mirrored, then m 0: n's Nyquist bin
+    (30000, 900, 1600),   # odd L = 1875: 900-937, mirrored 938-1874, 0-624
+    (30000, 1000, 1700),  # L = 1875: mirrored 1000-1874, then 0-824
+    (30000, 5000, 0),     # no bins: L = 1000, D = 30, none combined
+    (8, 1, 2),            # L = 2, D = 4
+    (4, 0, 3),            # L = 4 = n: one row
+    (30000, 0, 15001),    # more than half the bins: one row
+    (24989, 3000, 1200),  # prime: one row
+    (25001, 3000, 1000),  # 23 * 1087: L = 1087, D = 23
+])
+def test_band_rfft_matches_full_rfft(n, k0, width):
+    x = TimeSeries(np.random.default_rng(n + k0).normal(size=n), FS)
+    assert_band_rfft_matches_full_rfft(x, k0, width)
+
+
+def test_band_rfft_takes_at_most_32_rows(monkeypatch):
+    # a band narrower than a bin holds at most one bin (none here: the
+    # taper zeroes it); rows as long as the band would be n transforms of
+    # one point
+    n = 500_000
+    x = TimeSeries(np.random.default_rng(6).normal(size=n), FS)
+    shapes = []
+    rfft = np.fft.rfft
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    band_envelope(x, Band(2000.0, 2000.01))
+    assert shapes and all(math.prod(shape[:-1]) <= 32 for shape in shapes)
 
 
 @settings(max_examples=300, deadline=None)
@@ -313,30 +395,26 @@ def test_analytic_signal_matches_single_ifft_reference(n):
 
 def test_analyze_runs_one_rfft_and_one_band_limited_inverse_fft(
         asymmetric_run, cutter, monkeypatch):
-    # band_envelope's inverse transform is one batch of D rows of n/D
-    # points, so it is counted by the points it outputs
+    # band_envelope's forward transform is one batch of D rows of n/D
+    # points and its inverse another: on the 30 000-sample record the
+    # band's 1 199 bins give L = 1 200, D = 25 both ways. Each call is
+    # counted by the shape of its output
     out, track, _ = asymmetric_run
     x = out.channels["ax"]
-    lengths = []
+    assert len(x) == 30000
+    shapes = []
 
-    def counted(name, length):
+    def counted(name):
         fn = getattr(np.fft, name)
 
         def wrapper(a, *args, **kwargs):
             result = fn(a, *args, **kwargs)
-            lengths.append((name, length(a, args, kwargs, result)))
+            shapes.append((name, result.shape))
             return result
         return wrapper
 
-    def signal_length(a, args, kwargs, result):
-        return kwargs.get("n", args[0] if args else None) or np.shape(a)[-1]
-
-    def output_points(a, args, kwargs, result):
-        return result.size
-
-    for name, length in (("rfft", signal_length), ("irfft", output_points),
-                         ("fft", output_points), ("ifft", output_points)):
-        monkeypatch.setattr(np.fft, name, counted(name, length))
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
     analyze(x, track, cutter, BAND, samples_per_rev=SAMPLES_PER_REV)
-    assert sorted(lengths) == sorted([("rfft", len(x)), ("ifft", len(x)),
-                                      ("rfft", SAMPLES_PER_REV)])
+    assert sorted(shapes) == sorted([("rfft", (25, 601)), ("ifft", (25, 1200)),
+                                     ("rfft", (SAMPLES_PER_REV // 2 + 1,))])

@@ -96,6 +96,43 @@ class TestReadRecording:
         with pytest.raises(Exception, match="unknown channel"):
             read_recording(path, columns={"vibration": "ax"})
 
+    @pytest.mark.parametrize("header, columns, name, at", [
+        ("time_s,ax,ay,ax", None, "ax", (2, 4)),
+        ("time_s,ax,time_s", None, "time_s", (1, 3)),
+        ("time_s,s1,ax,s1", {"ay": "s1"}, "s1", (2, 4)),
+        ("s1,time_s,ax,time_s", {"ay": "s1"}, "time_s", (2, 4)),
+    ])
+    def test_repeated_read_column_rejected(self, tmp_path, header, columns,
+                                           name, at):
+        path = tmp_path / "rec.csv"
+        cells = header.count(",") + 1
+        write_csv(path, header, [[i / FS] * cells for i in range(8)])
+        with pytest.raises(ParseError, match=f"column '{name}' appears more "
+                           f"than once in the header, at columns {at[0]} "
+                           f"and {at[1]}"):
+            read_recording(path, columns=columns)
+
+    def test_reference_recording_with_a_repeated_channel(self, tmp_path,
+                                                         cutter):
+        # fx renamed to ax: the second ax was dropped without a warning
+        out = simulate(SimConfig(cutter, (1.0,) * 6, rpm=RPM, duration_s=0.2,
+                                 seed=0))
+        path = tmp_path / "rec.csv"
+        write_recording(out.channels, path)
+        lines = path.read_text().split("\n", 1)
+        header = lines[0].split(",")
+        header[header.index("fx")] = "ax"
+        path.write_text(",".join(header) + "\n" + lines[1])
+        with pytest.raises(ParseError, match="'ax' appears more than once"):
+            read_recording(path)
+
+    def test_repeated_unread_column_is_ignored(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        write_csv(path, "time_s,note,ax,note",
+                  [[i / FS, 1.0, float(i), 2.0] for i in range(8)])
+        rec = read_recording(path)
+        assert np.array_equal(rec.channels["ax"].samples, np.arange(8.0))
+
     def test_column_remapping(self, tmp_path):
         path = tmp_path / "rec.csv"
         write_csv(path, "time_s,sensor_1", [[i / FS, float(i)] for i in range(8)])
