@@ -9,7 +9,7 @@ cutter simulator with known ground truth.
 
 __version__ = "0.1.0"
 
-from .core import CHANNELS, AngularSeries, Spectrum, TimeSeries, detrend, rms, slice_time
+from .core import CHANNELS, Spectrum, TimeSeries, detrend, rms, slice_time
 from .dsp import (HANN, RECTANGULAR, Band, Window, amplitude_spectrum,
                   analytic_signal, band_filter, envelope, envelope_spectrum)
 from .errors import (AnalysisError, ConfigError, CoverageError, InputError,
@@ -23,7 +23,7 @@ from .sync import (TachoTrack, ToothProfile, detect_pulses, resample_to_angle,
                    speed_profile, synchronous_average, tooth_segmentation)
 
 __all__ = [
-    "AnalysisError", "AnalysisResult", "AngularSeries", "Band", "CHANNELS",
+    "AnalysisError", "AnalysisResult", "Band", "CHANNELS",
     "ConfigError", "CoverageError", "Cutter", "Finding", "Frf", "HANN",
     "ImpactRecord", "InputError", "ParseError", "PulseDetectionError",
     "PulseQualityError", "RECTANGULAR", "RangeError", "SimConfig",

@@ -2,12 +2,13 @@
 
 Everything downstream (filtering, demodulation, order tracking) works on the
 immutable value types defined here. Arrays are stored read-only so instances
-can be shared freely between threads. `_on_workers` is the one thread path
-that the simulator and the channel analysis share.
+can be shared freely between threads. `_on_workers` is the one function
+that starts threads; the simulator, the envelopes and the average use it.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -74,51 +75,51 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _on_workers(work, tasks: list, workers: int) -> None:
-    """``work(tasks[w::workers])`` for each worker w, worker 0 on the calling
-    thread and each other on a thread joined before this returns, so one
-    worker starts no thread. The first worker's exception, if any, is
-    raised here once every thread has ended."""
-    failures: list[BaseException | None] = [None] * workers
+def _count(value, name: str, least: int) -> int:
+    """`operator.index(value)` if it is at least `least`, else a RangeError."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise RangeError(f"{name} must be a whole number, got {value!r}") from None
+    if count < least:
+        raise RangeError(f"{name} must be >= {least}, got {count}")
+    return count
 
-    def run(w: int) -> None:
+
+def _on_workers(tasks: list, workers: int) -> None:
+    """Call every task on min(len(tasks), workers) workers, the calling
+    thread one of them and each other a thread joined before this returns,
+    so one worker starts no thread. Each worker takes the next task in the
+    list once it is free, so tasks of unequal length still keep every worker
+    busy. A worker stops at its first failure; the earliest failure is
+    raised once every thread has ended."""
+    pending = iter(tasks)
+    lock = threading.Lock()
+    failures: list[BaseException] = []
+
+    def take():
+        with lock:
+            return next(pending, None)
+
+    def run() -> None:
         try:
-            work(tasks[w::workers])
+            for task in iter(take, None):
+                task()
         except BaseException as exc:  # re-raised on the calling thread
-            failures[w] = exc
+            failures.append(exc)
 
     threads = []
     try:
-        for w in range(1, workers):
-            threads.append(threading.Thread(target=run, args=(w,),
-                                            name=f"millenv-worker-{w}"))
-            threads[-1].start()
-        run(0)
+        for w in range(1, min(len(tasks), workers)):
+            thread = threading.Thread(target=run, name=f"millenv-worker-{w}")
+            thread.start()
+            threads.append(thread)
+        run()
     finally:
         for thread in threads:
             thread.join()
-    for exc in failures:
-        if exc is not None:
-            raise exc
-
-
-def _on_free_workers(tasks: list, workers: int) -> None:
-    """Call every task on `workers` workers of `_on_workers`, each worker
-    taking the next task in the list once it is free, so tasks of unequal
-    length still keep every worker busy. A worker stops at its first
-    failure; the first worker's is raised once every thread has ended."""
-    pending = iter(tasks)
-    lock = threading.Lock()
-
-    def take(_) -> None:
-        while True:
-            with lock:
-                task = next(pending, None)
-            if task is None:
-                return
-            task()
-
-    _on_workers(take, [None] * workers, workers)
+    if failures:
+        raise failures[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,34 +192,6 @@ class Spectrum:
     @property
     def frequencies_hz(self) -> np.ndarray:
         return np.arange(self.amplitudes.size) * self.df_hz
-
-
-@dataclass(frozen=True, eq=False)
-class AngularSeries:
-    """Signal resampled to uniform shaft angle, n_revs complete revolutions."""
-
-    samples: np.ndarray
-    samples_per_rev: int
-
-    def __post_init__(self):
-        arr = _readonly_1d(self.samples)
-        spr = int(self.samples_per_rev)
-        if spr < 1:
-            raise RangeError(f"samples_per_rev must be positive, got {spr}")
-        if arr.size == 0 or arr.size % spr:
-            raise SizeError(
-                f"expected a positive whole number of {spr}-sample "
-                f"revolutions, got {arr.size} samples")
-        object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "samples_per_rev", spr)
-
-    @property
-    def n_revs(self) -> int:
-        return self.samples.size // self.samples_per_rev
-
-    def rev_matrix(self) -> np.ndarray:
-        """View shaped (n_revs, samples_per_rev)."""
-        return self.samples.reshape(self.n_revs, self.samples_per_rev)
 
 
 def rms(x) -> float:

@@ -33,8 +33,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import (CHANNEL_UNITS, TimeSeries, _Fresh, _on_free_workers,
-                   _usable_cpus)
+from .core import CHANNEL_UNITS, TimeSeries, _Fresh, _on_workers, _usable_cpus
 from .errors import ConfigError
 from .pipeline import Cutter
 
@@ -255,11 +254,10 @@ def simulate(cfg: SimConfig) -> SimOutput:
         _add_scaled(noises[i], rms, g, trains[k],
                     np.empty(min(n, _COMBINE_BLOCK)))
 
-    cpus = _usable_cpus()
     for tasks in ([shape] + [partial(draw, i) for i in range(len(sources))
                              if noisy],
                   [partial(combine, i) for i in range(len(sources))]):
-        _on_free_workers(tasks, min(len(tasks), cpus))
+        _on_workers(tasks, _usable_cpus())
 
     # tachometer: one square pulse per revolution
     pulse_revs = np.arange(int(math.floor(total_revs)) + 1)

@@ -18,21 +18,22 @@ amplitude ratios straight off those order bins:
 
 All trigger thresholds are amplitude ratios, so verdicts are invariant to
 signal scaling. `analyze_all_channels` computes the envelopes one channel
-per task on up to min(channels, usable CPUs) threads, then splits the
-synchronous average by angle column: each thread averages every channel of
-a plan over its own columns, so each interpolation tap is computed once per
-call. No result depends on the number of threads.
+per task on up to min(channels, usable CPUs) threads, then hands each
+plan's envelopes to `RevolutionPlan.average`, which splits the synchronous
+average by angle column over the usable CPUs, so each interpolation tap is
+computed once per call. No result depends on the number of threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import (Spectrum, TimeSeries, _on_workers, _readonly_1d,
+from .core import (Spectrum, TimeSeries, _count, _on_workers, _readonly_1d,
                    _require_finite, _usable_cpus, detrend)
 # `band_filter`, `envelope`, `resample_to_angle` and `synchronous_average`
 # are not called here, and `detrend` only for a band that reaches 0 Hz;
@@ -62,7 +63,9 @@ class Cutter:
     """Milling cutter and cutting parameters.
 
     The spindle speed is derived from the cutting speed and diameter:
-    rpm = 1000 * v_c / (pi * D) with v_c in m/min and D in mm.
+    rpm = 1000 * v_c / (pi * D) with v_c in m/min and D in mm. A `z` that
+    is not a whole number >= 1, or another value not finite and positive,
+    is a RangeError.
     """
 
     z: int
@@ -71,11 +74,11 @@ class Cutter:
     cutting_speed_m_min: float
 
     def __post_init__(self):
-        if self.z < 1:
-            raise RangeError(f"tooth count must be >= 1, got {self.z}")
+        object.__setattr__(self, "z", _count(self.z, "tooth count", 1))
         for name in ("diameter_mm", "feed_per_tooth_mm", "cutting_speed_m_min"):
-            if getattr(self, name) <= 0.0:
-                raise RangeError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise RangeError(
+                    f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.rpm > MAX_SPINDLE_RPM:
             raise RangeError(
                 f"derived spindle speed {self.rpm:.1f} rpm exceeds the machine "
@@ -96,7 +99,7 @@ class Cutter:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Classifier thresholds and run requirements; all ratios."""
+    """Classifier thresholds, finite positive ratios, and a whole min_revs >= 1."""
 
     asym_ratio: float = 0.2
     weak_tooth_drop: float = 0.3
@@ -112,8 +115,7 @@ class Thresholds:
             if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise RangeError(
                     f"{name} must be finite and positive, got {getattr(self, name)}")
-        if self.min_revs < 1:
-            raise RangeError(f"min_revs must be >= 1, got {self.min_revs}")
+        object.__setattr__(self, "min_revs", _count(self.min_revs, "min_revs", 1))
 
 
 @dataclass(frozen=True)
@@ -304,8 +306,6 @@ class _Job:
     band: Band
     taper: float | None
     plan: RevolutionPlan
-    mean_rpm: float
-    warnings: tuple[str, ...]
     envelope: np.ndarray
 
 
@@ -323,10 +323,9 @@ def analyze_all_channels(channels: Iterable[TimeSeries], tacho: TachoTrack,
     is an InputError. Channels share one `RevolutionPlan` until the record
     length or rate changes. The checks and plans run on the calling thread.
     The envelopes run one channel per task on min(channels, usable CPUs)
-    workers, the calling thread one of them. Each plan's average then runs
-    as min(usable CPUs, samples_per_rev) column parts, each of every channel
-    of the plan, so a block's taps are computed once; the verdicts run on
-    the calling thread. No result depends on the number of workers.
+    workers, the calling thread one of them; `RevolutionPlan.average` then
+    averages each plan's channels, and the verdicts run on the calling
+    thread. No result depends on the number of workers.
     Returns ``(results, errors)`` keyed by channel, in the channels' order.
     """
     z = cutter.z
@@ -343,20 +342,13 @@ def analyze_all_channels(channels: Iterable[TimeSeries], tacho: TachoTrack,
             band = _for_channel(bands, ts.channel, "band")
             taper = _for_channel(taper_hz, ts.channel, "taper")
             _require_finite(ts)
+            if plan is None or shape != (len(ts), ts.sample_rate_hz):
+                plan = revolution_plan(ts, tacho, samples_per_rev)
+                shape = (len(ts), ts.sample_rate_hz)
             if samples_per_rev % z:
                 raise SizeError(
                     f"samples_per_rev={samples_per_rev} is not divisible by z={z}; "
                     f"use a multiple of {z} (e.g. {default_samples_per_rev(z)})")
-            if plan is None or shape != (len(ts), ts.sample_rate_hz):
-                plan = revolution_plan(ts, tacho, samples_per_rev)
-                shape = (len(ts), ts.sample_rate_hz)
-                if plan.revs.size >= cfg.min_revs:
-                    mean_rpm = float(plan.rpm.mean())
-                    drift = float((plan.rpm.max() - plan.rpm.min()) / mean_rpm)
-                    warnings = () if drift <= cfg.max_rpm_drift else (
-                        f"spindle speed drifts {100 * drift:.1f}% across the record "
-                        f"(limit {100 * cfg.max_rpm_drift:.1f}%); order tracking "
-                        "absorbs the drift but Hz readings use the mean speed",)
             if plan.revs.size < cfg.min_revs:
                 raise CoverageError(
                     f"signal covers {plan.revs.size} complete revolution(s); "
@@ -366,52 +358,39 @@ def analyze_all_channels(channels: Iterable[TimeSeries], tacho: TachoTrack,
             continue
         # allocated here, not on a worker: a worker allocates from a heap of
         # its own, which read about 3 MB more peak RSS on a 20 s record
-        jobs.append(_Job(index, ts, band, taper, plan, mean_rpm, warnings,
-                         np.empty(len(ts))))
+        jobs.append(_Job(index, ts, band, taper, plan, np.empty(len(ts))))
 
-    def envelopes(mine: list[_Job]) -> None:
-        for job in mine:
-            try:
-                # a band mask that is zero at 0 Hz removes the mean already
-                dc = job.band.f_lo_hz == 0.0 and job.taper == 0.0
-                band_envelope(detrend(job.ts) if dc else job.ts, job.band,
-                              job.taper, out=job.envelope)
-            except AnalysisError as err:
-                outcomes[job.index] = err
+    def envelope_of(job: _Job) -> None:
+        try:
+            # a band mask that is zero at 0 Hz removes the mean already
+            dc = job.band.f_lo_hz == 0.0 and job.taper == 0.0
+            band_envelope(detrend(job.ts) if dc else job.ts, job.band,
+                          job.taper, out=job.envelope)
+        except AnalysisError as err:
+            outcomes[job.index] = err
 
-    cpus = _usable_cpus()
-    if jobs:
-        _on_workers(envelopes, jobs, min(len(jobs), cpus))
+    _on_workers([partial(envelope_of, job) for job in jobs], _usable_cpus())
     groups: dict[RevolutionPlan, list[_Job]] = {}
     for job in jobs:
         if outcomes[job.index] is None:
             groups.setdefault(job.plan, []).append(job)
-    # every part averages all channels of its plan over its own columns, so
-    # each tap is computed once per call
-    averages, parts = {}, []
     for plan, group in groups.items():
-        averages[plan] = np.empty((len(group), samples_per_rev))
-        n = min(cpus, samples_per_rev)
-        edges = [k * samples_per_rev // n for k in range(n + 1)]
-        parts += [(plan, cols) for cols in zip(edges[:-1], edges[1:])]
-
-    def average(mine: list) -> None:
-        for plan, (j0, j1) in mine:
-            averages[plan][:, j0:j1] = plan._average(
-                [job.envelope for job in groups[plan]], (j0, j1))
-
-    if parts:
-        _on_workers(average, parts, min(len(parts), cpus))
-    for plan, group in groups.items():
-        for job, avg in zip(group, averages[plan]):
+        mean_rpm = float(plan.rpm.mean())
+        drift = float((plan.rpm.max() - plan.rpm.min()) / mean_rpm)
+        warnings = () if drift <= cfg.max_rpm_drift else (
+            f"spindle speed drifts {100 * drift:.1f}% across the record "
+            f"(limit {100 * cfg.max_rpm_drift:.1f}%); order tracking "
+            "absorbs the drift but Hz readings use the mean speed",)
+        averages = plan.average([job.envelope for job in group])
+        for job, avg in zip(group, averages):
             try:
                 profile = tooth_segmentation(avg, z, tooth0_offset_frac)
                 findings, inconclusive = classify(
-                    averaged_rev_spectrum(avg, job.mean_rpm / 60.0),
+                    averaged_rev_spectrum(avg, mean_rpm / 60.0),
                     profile, cfg)
                 outcomes[job.index] = AnalysisResult(
-                    job.ts.channel, job.mean_rpm, findings, profile, avg,
-                    job.warnings, inconclusive)
+                    job.ts.channel, mean_rpm, findings, profile, avg,
+                    warnings, inconclusive)
             except AnalysisError as err:
                 outcomes[job.index] = err
     results: dict[str, AnalysisResult] = {}

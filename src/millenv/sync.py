@@ -10,11 +10,12 @@ per-tooth sectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .core import (AngularSeries, TimeSeries, _Fresh, _readonly_1d,
-                   _require_finite)
+from .core import (TimeSeries, _count, _on_workers, _readonly_1d,
+                   _require_finite, _usable_cpus)
 from .errors import (CoverageError, InputError, PulseDetectionError,
                      PulseQualityError, RangeError, SizeError)
 
@@ -158,26 +159,43 @@ class RevolutionPlan:
     sample_rate_hz: float
     samples_per_rev: int
 
-    def resample(self, x: TimeSeries) -> AngularSeries:
-        """x, of the plan's length and rate, on the plan's angle grid."""
-        values = np.empty(self.revs.size * self.samples_per_rev)
-        start = 0
+    def revolutions(self, x: TimeSeries) -> np.ndarray:
+        """x, of the plan's length and rate, on the plan's angle grid: the
+        read-only (revolutions, samples_per_rev) array, a row per revolution."""
+        values = np.empty((self.revs.size, self.samples_per_rev))
+        flat, start = values.reshape(-1), 0
         for _, block in self._blocks([x.samples], (0, self.samples_per_rev)):
-            values[start:start + block.size] = block
+            flat[start:start + block.size] = block
             start += block.size
-        return AngularSeries(_Fresh(values), self.samples_per_rev)
+        values.setflags(write=False)
+        return values
+
+    def average(self, arrays: list[np.ndarray]) -> np.ndarray:
+        """Row i is ``synchronous_average(self.revolutions(x))`` for the
+        samples ``arrays[i]`` of x, bit for bit, from `_average` of every
+        array over each of min(usable CPUs, samples_per_rev) column parts,
+        one part per task of `_on_workers`."""
+        spr = self.samples_per_rev
+        out = np.empty((len(arrays), spr))
+        n = min(_usable_cpus(), spr)
+        edges = [k * spr // n for k in range(n + 1)]
+
+        def part(j0: int, j1: int) -> None:
+            out[:, j0:j1] = self._average(arrays, (j0, j1))
+
+        _on_workers([partial(part, *cols) for cols in zip(edges, edges[1:])], n)
+        return out
 
     def _average(self, arrays: list[np.ndarray],
                  cols: tuple[int, int]) -> np.ndarray:
         """Row i is columns ``j0 .. j1 - 1`` of
-        ``synchronous_average(self.resample(x))`` for the samples
+        ``synchronous_average(self.revolutions(x))`` for the samples
         ``arrays[i]`` of x, bit for bit, without building the series:
         numpy's mean over axis 0 adds the revolutions row by row, in order,
         and so does this, column by column, one reduce per block, the
         running total added to the block's first row (IEEE addition
         commutes). Each column is computed on its own, so the parts of a
-        split of ``(0, samples_per_rev)``, side by side, are the whole row;
-        given one part of every channel each, workers compute each tap once."""
+        split of ``(0, samples_per_rev)``, side by side, are the whole row."""
         # x + -0.0 is x, for every x
         totals = np.full((len(arrays), cols[1] - cols[0]), -0.0)
         for i, block in self._blocks(arrays, cols):
@@ -241,8 +259,7 @@ class RevolutionPlan:
 def revolution_plan(x: TimeSeries, t: TachoTrack,
                     samples_per_rev: int) -> RevolutionPlan:
     """The plan of t for x's length and sample rate; it may hold no revolution."""
-    if samples_per_rev < 2:
-        raise RangeError(f"samples_per_rev must be >= 2, got {samples_per_rev}")
+    samples_per_rev = _count(samples_per_rev, "samples_per_rev", 2)
     fs = x.sample_rate_hz
     pulses = t.pulse_times_s
     revs = np.flatnonzero((pulses[:-1] >= 0.0) & (pulses[1:] <= (len(x) - 1) / fs))
@@ -253,25 +270,32 @@ def revolution_plan(x: TimeSeries, t: TachoTrack,
 
 
 def resample_to_angle(x: TimeSeries, t: TachoTrack,
-                      samples_per_rev: int) -> AngularSeries:
+                      samples_per_rev: int) -> np.ndarray:
     """Resample x onto a uniform shaft-angle grid (order tracking).
 
     Within each revolution the shaft angle is taken linear in time between
     consecutive pulses; x is then sampled at `samples_per_rev` uniform
     angles per revolution using 4-point cubic interpolation. Only
-    revolutions fully covered by x are used.
+    revolutions fully covered by x are used. Returns the read-only
+    (revolutions, samples_per_rev) array, a row per revolution.
     """
     plan = revolution_plan(x, t, samples_per_rev)
     if plan.revs.size == 0:
         raise CoverageError(
             f"signal of {x.duration_s:.6g} s covers no complete revolution "
             f"(pulses span {t.pulse_times_s[0]:.6g}..{t.pulse_times_s[-1]:.6g} s)")
-    return plan.resample(x)
+    return plan.revolutions(x)
 
 
-def synchronous_average(a: AngularSeries) -> np.ndarray:
-    """Pointwise mean across revolutions at each angular index."""
-    return a.rev_matrix().mean(axis=0)
+def synchronous_average(revolutions) -> np.ndarray:
+    """Pointwise mean across revolutions at each angular index: the mean over
+    axis 0 of a (revolutions, samples_per_rev) array such as
+    `resample_to_angle`'s. Any other shape, or no row, is a SizeError."""
+    revs = np.asarray(revolutions, dtype=float)
+    if revs.ndim != 2 or revs.shape[0] < 1:
+        raise SizeError("expected a (revolutions, samples_per_rev) array of "
+                        f"at least one revolution, got shape {revs.shape}")
+    return revs.mean(axis=0)
 
 
 def tooth_segmentation(avg_rev, z: int,
@@ -282,10 +306,10 @@ def tooth_segmentation(avg_rev, z: int,
     ``mean_load[i]`` is the RMS of the averaged envelope within sector i.
     Offsets in [0, 1) are accepted; shifting the offset by exactly 1/z
     permutes the profile by one tooth, so the canonical range is [0, 1/z).
+    An `avg_rev` that is not one-dimensional is a SizeError.
     """
-    avg = np.asarray(avg_rev, dtype=float)
-    if z < 1:
-        raise RangeError(f"tooth count must be >= 1, got {z}")
+    avg = _readonly_1d(avg_rev, "averaged revolution")
+    z = _count(z, "tooth count", 1)
     n = avg.size
     if n % z:
         raise SizeError(

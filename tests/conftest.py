@@ -15,6 +15,9 @@ FS = 25000.0
 RPM = 1352.8
 BAND = Band(1500.0, 2500.0)
 SAMPLES_PER_REV = 1152
+#: bound on each wait of a test that holds one task back: a lost handoff
+#: fails the test instead of hanging it
+WAIT_S = 60.0
 
 
 @pytest.fixture(scope="session")

@@ -41,18 +41,20 @@ PARAMETERS = {
     "slice_time": "x t0_s t1_s",
     "speed_profile": "t",
     "split_impacts": "force response",
-    "synchronous_average": "a",
+    "synchronous_average": "revolutions",
     "tooth_segmentation": "avg_rev z tooth0_offset_frac",
     "fileio.read_recording": "path columns sample_rate_hz detect_tacho",
     "fileio.write_recording": "channels path",
     "fileio.write_svg": "path x y title x_label y_label",
     "fileio.emit_plot_data": "path_base x y title x_label y_label",
+    "sync.revolution_plan": "x t samples_per_rev",
+    "sync.RevolutionPlan.revolutions": "self x",
+    "sync.RevolutionPlan.average": "self arrays",
 }
 
 FIELDS = {
     "AnalysisResult": "channel mean_rpm findings tooth_profile "
                       "averaged_envelope warnings inconclusive",
-    "AngularSeries": "samples samples_per_rev",
     "Band": "f_lo_hz f_hi_hz",
     "Cutter": "z diameter_mm feed_per_tooth_mm cutting_speed_m_min",
     "Finding": "kind evidence_freq_hz amplitude_ratio threshold triggered "
@@ -91,6 +93,9 @@ def test_function_parameters():
     functions.update({f"fileio.{name}": getattr(fileio, name)
                       for name in ("read_recording", "write_recording",
                                    "write_svg", "emit_plot_data")})
+    functions["sync.revolution_plan"] = sync.revolution_plan
+    functions.update({f"sync.RevolutionPlan.{name}": getattr(
+        sync.RevolutionPlan, name) for name in ("revolutions", "average")})
     actual = {name: " ".join(inspect.signature(fn).parameters)
               for name, fn in functions.items()}
     assert actual == PARAMETERS
@@ -163,7 +168,7 @@ def test_results_hold_only_read_only_arrays(public_values):
              for path, arr in _arrays(value, name)}
     for path in ("analyze.averaged_envelope", "revolution_plan.rpm",
                  "simulate channel.samples", "band_envelope.samples",
-                 "resample_to_angle.samples"):
+                 "resample_to_angle"):
         assert path in found
     assert [path for path, writeable in found.items() if writeable] == []
 
@@ -171,10 +176,9 @@ def test_results_hold_only_read_only_arrays(public_values):
 def test_caller_arrays_are_copied_not_frozen():
     a = np.arange(8.0)
     x = millenv.TimeSeries(a, FS)
-    angular = millenv.AngularSeries(a, 4)
     a[0] = 99.0
     assert a.flags.writeable
-    assert x.samples[0] == 0.0 and angular.samples[0] == 0.0
+    assert x.samples[0] == 0.0
 
 
 def test_array_types_compare_by_identity(public_values):
@@ -182,12 +186,12 @@ def test_array_types_compare_by_identity(public_values):
     # are equal only to themselves and hash by identity
     result = public_values["analyze"]
     values = [public_values["simulate"].channels["ax"],
-              result.envelope_spectrum, public_values["resample_to_angle"],
-              public_values["detect_pulses"], result.tooth_profile, result,
+              result.envelope_spectrum, public_values["detect_pulses"],
+              result.tooth_profile, result,
               public_values["estimate_frf"], public_values["simulate"].truth,
               public_values["revolution_plan"]]
     assert [type(x).__name__ for x in values] == [
-        "TimeSeries", "Spectrum", "AngularSeries", "TachoTrack",
+        "TimeSeries", "Spectrum", "TachoTrack",
         "ToothProfile", "AnalysisResult", "Frf", "SimTruth", "RevolutionPlan"]
     for x in values:
         assert x == x

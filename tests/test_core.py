@@ -1,12 +1,13 @@
 import sys
+import threading
 from functools import partial
 
 import numpy as np
 import pytest
 
 import millenv.core
-from millenv import (AngularSeries, RangeError, SizeError, Spectrum,
-                     TimeSeries, detrend, rms, slice_time)
+from millenv import (RangeError, SizeError, Spectrum, TimeSeries, detrend,
+                     rms, slice_time)
 from conftest import FS, tone
 
 
@@ -129,16 +130,6 @@ class TestSpectrumType:
         assert np.array_equal(sp.frequencies_hz, [0.0, 2.5, 5.0])
 
 
-class TestAngularSeries:
-    def test_length_invariant(self):
-        with pytest.raises(SizeError):
-            AngularSeries(np.zeros(10), samples_per_rev=4)
-
-    def test_rev_matrix_shape(self):
-        a = AngularSeries(np.arange(12.0), samples_per_rev=4)
-        assert a.rev_matrix().shape == (3, 4)
-
-
 def test_free_workers_run_each_task_once_at_a_short_switch_interval():
     # threads switch every microsecond, so a take of the next task that is
     # not atomic would run some task twice or never
@@ -147,7 +138,32 @@ def test_free_workers_run_each_task_once_at_a_short_switch_interval():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        millenv.core._on_free_workers(tasks, 8)
+        millenv.core._on_workers(tasks, 8)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(ran) == list(range(2000))
+
+
+@pytest.mark.parametrize("n_tasks", [0, 1])
+def test_workers_start_no_thread_beyond_the_tasks(n_tasks):
+    # min(len(tasks), workers) workers: one task or none runs on the
+    # calling thread alone
+    ran = []
+    tasks = [lambda: ran.append(threading.current_thread())] * n_tasks
+    threads = threading.active_count()
+    millenv.core._on_workers(tasks, 8)
+    assert ran == [threading.current_thread()] * n_tasks
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, float("nan"), "2", None])
+def test_count_rejects_what_operator_index_does_not_take(value):
+    with pytest.raises(RangeError, match="n must be a whole number"):
+        millenv.core._count(value, "n", 1)
+
+
+def test_count_takes_integers_at_or_above_the_least():
+    assert millenv.core._count(np.int64(3), "n", 3) == 3
+    assert type(millenv.core._count(np.int64(3), "n", 3)) is int
+    with pytest.raises(RangeError, match="n must be >= 3, got 2"):
+        millenv.core._count(2, "n", 3)

@@ -161,7 +161,8 @@ def assert_plan_average_is_synchronous_average(xs, track, spr):
     # the block-wise running sums analyze_all_channels takes, every record
     # of xs in one call that computes each block's taps once, bit for bit;
     # and the whole row split into 1, 2, 3 and 7 column parts, each part
-    # averaged on its own and the parts put side by side, byte for byte
+    # averaged on its own and the parts put side by side, byte for byte, as
+    # plan.average does on the usable CPUs
     plan = revolution_plan(xs[0], track, spr)
     arrays = [x.samples for x in xs]
     averages = plan._average(arrays, (0, spr))
@@ -174,6 +175,7 @@ def assert_plan_average_is_synchronous_average(xs, track, spr):
         parts = [plan._average(arrays, cols)
                  for cols in zip(edges[:-1], edges[1:])]
         assert np.hstack(parts).tobytes() == averages.tobytes()
+    assert plan.average(arrays).tobytes() == averages.tobytes()
 
 
 @pytest.mark.parametrize("n", [30000, 24989, 19999])
@@ -183,7 +185,7 @@ def test_resample_plan_matches_per_call_interpolation(asymmetric_run, n):
     for spr in (SAMPLES_PER_REV, 1026, _PLAN_BLOCK + 1000):
         xs = [head(out.channels[ch], n) for ch in ("ax", "fz")]
         for x in xs:
-            got = resample_to_angle(x, track, spr).samples
+            got = resample_to_angle(x, track, spr).ravel()
             ref = reference_resample_to_angle(x, track.pulse_times_s, spr)
             assert rel_max_err(got, ref) <= 1e-12
         assert_plan_average_is_synchronous_average(xs, track, spr)
@@ -194,7 +196,7 @@ def test_resample_plan_clips_at_record_edges():
     # and after the last sample fall back to the edge samples
     x = TimeSeries(np.sin(np.arange(101) * 0.3), FS)
     tacho = TachoTrack(np.array([0.0, 50.0, 100.0]) / FS)
-    got = resample_to_angle(x, tacho, 8).samples
+    got = resample_to_angle(x, tacho, 8).ravel()
     ref = reference_resample_to_angle(x, tacho.pulse_times_s, 8)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
     y = x.with_samples(np.cos(np.arange(101) * 0.7) + 2.0)

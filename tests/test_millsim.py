@@ -10,7 +10,8 @@ import millenv.millsim as millsim
 from millenv import (ConfigError, Cutter, SimConfig, band_filter, detect_pulses,
                      detrend, envelope, resample_to_angle, simulate,
                      synchronous_average)
-from conftest import BAND, RPM, analyze_channel, run_simulation, sector_peaks
+from conftest import (BAND, RPM, WAIT_S, analyze_channel, run_simulation,
+                      sector_peaks)
 
 
 class TestSimConfig:
@@ -298,11 +299,6 @@ def test_shaping_at_the_last_samples(pos):
     expected = np.convolve(_impulse_train(np.array([pos]), np.array([2.0]), 10),
                            kernel)[:10]
     assert np.array_equal(train, expected)
-
-
-#: bound on each wait of a test that holds one task back: a lost handoff
-#: fails the test instead of hanging it
-WAIT_S = 60.0
 
 
 def _fail_shaping(monkeypatch):

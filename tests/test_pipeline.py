@@ -12,7 +12,7 @@ from millenv import (Band, CoverageError, Cutter, InputError, RangeError,
                      classify, slice_time, tooth_segmentation)
 from millenv.fileio import dump_report, report_document
 from millenv.sync import RevolutionPlan
-from conftest import BAND, analyze_channel, run_simulation
+from conftest import BAND, WAIT_S, analyze_channel, run_simulation
 from reference_pipeline import (amplitude_near, reference_classify,
                                 reference_rev_spectrum)
 
@@ -27,10 +27,39 @@ class TestCutter:
             Cutter(z=6, diameter_mm=20.0, feed_per_tooth_mm=0.1,
                    cutting_speed_m_min=600.0)  # 9549 rpm
 
-    def test_bad_tooth_count(self):
-        with pytest.raises(RangeError):
-            Cutter(z=0, diameter_mm=80.0, feed_per_tooth_mm=0.1,
+    @pytest.mark.parametrize("z", [0, 6.5, 6.0, "6"])
+    def test_bad_tooth_count(self, z):
+        with pytest.raises(RangeError, match="tooth count must be"):
+            Cutter(z=z, diameter_mm=80.0, feed_per_tooth_mm=0.1,
                    cutting_speed_m_min=340.0)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["diameter_mm", "feed_per_tooth_mm",
+                                      "cutting_speed_m_min"])
+    def test_parameters_finite_and_positive(self, name, value):
+        # a NaN diameter gave a NaN rpm, which passed the overspeed check
+        kwargs = {"diameter_mm": 80.0, "feed_per_tooth_mm": 0.1,
+                  "cutting_speed_m_min": 340.0, name: value}
+        with pytest.raises(RangeError, match=f"{name} must be finite and "
+                                             "positive"):
+            Cutter(z=6, **kwargs)
+
+    def test_tooth_count_stored_as_int(self):
+        cutter = Cutter(z=np.int64(6), diameter_mm=80.0,
+                        feed_per_tooth_mm=0.1, cutting_speed_m_min=340.0)
+        assert type(cutter.z) is int and cutter.z == 6
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("min_revs", [0, np.nan, 2.5, 20.0])
+    def test_min_revs_whole_and_at_least_one(self, min_revs):
+        # a NaN min_revs passed both revolution gates, and analyze died on
+        # an unassigned mean speed
+        with pytest.raises(RangeError, match="min_revs must be"):
+            Thresholds(min_revs=min_revs)
+
+    def test_min_revs_stored_as_int(self):
+        assert type(Thresholds(min_revs=np.int32(5)).min_revs) is int
 
 
 def synthetic_spectrum(f_rot, z, order_amps, tile=1, spr=1152):
@@ -441,6 +470,17 @@ class TestAnalyzeAllChannels:
         with pytest.raises(RangeError, match="samples_per_rev must be >= 2"):
             analyze(short, track, cutter, BAND, samples_per_rev=0)
 
+    @pytest.mark.parametrize("spr", [1152.0, 1152.5])
+    def test_float_samples_per_rev_is_a_range_error(self, symmetric_run,
+                                                    cutter, spr):
+        # revolution_plan's check comes before the test for divisibility
+        # by z, so 1152.5 is not reported as indivisible
+        out, track, _ = symmetric_run
+        with pytest.raises(RangeError, match="samples_per_rev must be a "
+                                             f"whole number, got {spr}"):
+            analyze(out.channels["ax"], track, cutter, BAND,
+                    samples_per_rev=spr)
+
     def test_channel_without_revolutions_does_not_reach_the_next(
             self, symmetric_run, cutter):
         out, track, full = symmetric_run
@@ -486,7 +526,9 @@ def test_worker_count_changes_no_output(asymmetric_run, cutter, monkeypatch):
     channels, bands = _seven_channels(asymmetric_run)
     outcomes = []
     for cpus in (1, 2, 8):
-        monkeypatch.setattr(millenv.pipeline, "_usable_cpus", lambda: cpus)
+        # the envelopes read the count in pipeline, the average in sync
+        for module in (millenv.pipeline, millenv.sync):
+            monkeypatch.setattr(module, "_usable_cpus", lambda: cpus)
         results, errors = analyze_all_channels(channels, track, cutter, bands,
                                                samples_per_rev=1152)
         assert list(results) == ["ax", "az", "fx", "fz", "ax2"]
@@ -498,13 +540,15 @@ def test_worker_count_changes_no_output(asymmetric_run, cutter, monkeypatch):
 @pytest.mark.parametrize("failing", ["ax", "ay", "columns"])
 def test_worker_failure_propagates_and_no_thread_outlives_the_call(
         asymmetric_run, cutter, monkeypatch, failing):
-    # with 3 workers ax's envelope runs on the calling thread and ay's on a
-    # started one; "columns" fails the average of the last column part,
-    # which also runs on a started thread
+    # 3 workers: the first envelope task and the second fail on whichever
+    # workers take them; for "columns" the calling thread holds its first
+    # column part until a started thread has failed one of the three
     out, track, _ = asymmetric_run
     channels = [out.channels[c] for c in ("ax", "ay", "az", "fx", "fy", "fz")]
     real = millenv.pipeline.band_envelope
     real_average = RevolutionPlan._average
+    caller = threading.current_thread()
+    failed = threading.Event()
 
     def band_envelope(x, *args, **kwargs):
         if x.channel == failing:
@@ -512,16 +556,19 @@ def test_worker_failure_propagates_and_no_thread_outlives_the_call(
         return real(x, *args, **kwargs)
 
     def average(plan, arrays, cols):
-        if failing == "columns" and cols[1] == plan.samples_per_rev:
-            assert threading.current_thread() is not threading.main_thread()
+        if failing == "columns" and threading.current_thread() is caller:
+            assert failed.wait(WAIT_S)
+        elif failing == "columns":
+            failed.set()
             raise RuntimeError(f"average of columns {cols} failed")
         return real_average(plan, arrays, cols)
 
-    monkeypatch.setattr(millenv.pipeline, "_usable_cpus", lambda: 3)
+    for module in (millenv.pipeline, millenv.sync):
+        monkeypatch.setattr(module, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(millenv.pipeline, "band_envelope", band_envelope)
     monkeypatch.setattr(RevolutionPlan, "_average", average)
     threads = threading.active_count()
-    match = ("average of columns \\(768, 1152\\) failed"
+    match = ("average of columns \\((0|384|768), (384|768|1152)\\) failed"
              if failing == "columns" else f"envelope of {failing} failed")
     with pytest.raises(RuntimeError, match=match):
         analyze_all_channels(channels, track, cutter, BAND,

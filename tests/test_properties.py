@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_fileio as ref
-from millenv import (AnalysisResult, AngularSeries, SizeError, ToothProfile,
-                     averaged_rev_spectrum)
+from millenv import (AnalysisResult, SizeError, ToothProfile,
+                     averaged_rev_spectrum, synchronous_average)
 from millenv.fileio import write_svg, write_xy
 
 TEETH = st.integers(1, 16)
@@ -28,14 +28,16 @@ def test_asymmetry_index_zero_without_load(z):
     assert np.all(ToothProfile(np.zeros(z)).asymmetry_index == 0.0)
 
 
-@given(st.integers(0, 64), st.integers(1, 16))
-def test_angular_series_holds_whole_revolutions(size, samples_per_rev):
-    if size > 0 and size % samples_per_rev == 0:
-        a = AngularSeries(np.zeros(size), samples_per_rev)
-        assert a.n_revs * a.samples_per_rev == size
+@given(st.lists(st.integers(0, 4), max_size=3))
+def test_synchronous_average_takes_only_rows_of_revolutions(shape):
+    # one row per revolution: a 1-D series or a 3-D stack is not averaged
+    # as if it were one
+    revolutions = np.zeros(shape)
+    if len(shape) == 2 and shape[0] >= 1:
+        assert synchronous_average(revolutions).shape == (shape[1],)
     else:
         with pytest.raises(SizeError):
-            AngularSeries(np.zeros(size), samples_per_rev)
+            synchronous_average(revolutions)
 
 
 @given(st.floats(1.0, 1e5), TEETH,

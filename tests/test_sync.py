@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,8 +188,8 @@ class TestResampleToAngle:
         pulses = np.arange(int(f_rot) + 1) / f_rot
         ang = resample_to_angle(TimeSeries(x, FS), TachoTrack(pulses), 1024)
         theta = 2 * np.pi * np.arange(1024) / 1024
-        expected = np.tile(np.cos(6 * theta), ang.n_revs)
-        assert rms(ang.samples - expected) / rms(expected) <= 0.005
+        expected = np.tile(np.cos(6 * theta), len(ang))
+        assert rms(ang.ravel() - expected) / rms(expected) <= 0.005
 
     def test_chirp_with_angle_domain_cosine(self):
         # ground truth generated in the angle domain, then mapped to time
@@ -200,14 +202,33 @@ class TestResampleToAngle:
         ks = np.arange(int(revs[-1]) + 1)
         pulses = (np.sqrt(f0 * f0 + 2 * beta * ks) - f0) / beta
         ang = resample_to_angle(TimeSeries(x, FS), TachoTrack(pulses), 1024)
-        expected = np.tile(np.cos(2 * np.pi * np.arange(1024) / 1024), ang.n_revs)
-        assert rms(ang.samples - expected) / rms(expected) <= 0.01
+        expected = np.tile(np.cos(2 * np.pi * np.arange(1024) / 1024), len(ang))
+        assert rms(ang.ravel() - expected) / rms(expected) <= 0.01
         # angular spectrum: single order peak at order 1
-        spec = np.abs(np.fft.rfft(ang.samples))
+        spec = np.abs(np.fft.rfft(ang.ravel()))
         peak = int(np.argmax(spec[1:])) + 1
-        assert peak == ang.n_revs  # order 1 = one cycle per revolution
+        assert peak == len(ang)  # order 1 = one cycle per revolution
         rest = np.delete(spec[1:], peak - 1)
         assert rest.max() < 0.05 * spec[peak]
+
+    def test_one_read_only_row_per_revolution(self):
+        # 20 revolutions of 1250 samples inside a 25 001-sample record
+        pulses = np.arange(21) / 20.0
+        x = TimeSeries(np.arange(25001.0), FS)
+        ang = resample_to_angle(x, TachoTrack(pulses), 100)
+        assert ang.shape == (20, 100)
+        assert not ang.flags.writeable
+        # at constant speed sample j of revolution r lies at 1250 r + 12.5 j,
+        # and the cubic interpolation of a ramp is the ramp
+        expected = 1250.0 * np.arange(20)[:, None] + 12.5 * np.arange(100)
+        np.testing.assert_allclose(ang, expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("spr", [1024.0, 1024.5, "1024", None])
+    def test_samples_per_rev_must_be_a_whole_number(self, spr):
+        x = TimeSeries(np.zeros(25000), FS)
+        with pytest.raises(RangeError, match=f"samples_per_rev must be a "
+                                             f"whole number, got {spr!r}"):
+            resample_to_angle(x, TachoTrack([0.0, 0.05]), spr)
 
     def test_signal_shorter_than_one_rev(self):
         ts = TimeSeries(np.zeros(100), FS)
@@ -223,9 +244,9 @@ class TestResampleToAngle:
         pulses = np.arange(21) / f_rot
         ang = resample_to_angle(TimeSeries(x, FS), TachoTrack(pulses), 1000)
         # at constant speed angular sampling is uniform time sampling
-        t_target = (np.arange(ang.samples.size) / 1000) / f_rot
+        t_target = (np.arange(ang.size) / 1000) / f_rot
         expected = np.interp(t_target, np.arange(x.size) / FS, x)
-        assert rms(ang.samples - expected) / rms(expected) <= 0.005
+        assert rms(ang.ravel() - expected) / rms(expected) <= 0.005
 
 
 class TestSynchronousAverage:
@@ -259,10 +280,15 @@ class TestSynchronousAverage:
         assert np.array_equal(synchronous_average(axy),
                               synchronous_average(ax) + synchronous_average(ay))
 
+    @pytest.mark.parametrize("shape", [(128,), (0, 128), (2, 4, 16)])
+    def test_rejects_other_than_rows_of_revolutions(self, shape):
+        # a flat series of N revolutions would otherwise average as one
+        with pytest.raises(SizeError, match=re.escape(f"got shape {shape}")):
+            synchronous_average(np.zeros(shape))
+
 
 def make_angular(values, spr):
-    from millenv import AngularSeries
-    return AngularSeries(values, spr)
+    return np.reshape(values, (-1, spr))
 
 
 def resample_like(pattern, n_revs):
@@ -307,6 +333,17 @@ class TestToothSegmentation:
     def test_indivisible_length_names_fix(self):
         with pytest.raises(SizeError, match="multiple of 6"):
             tooth_segmentation(np.zeros(1000), 6)
+
+    def test_rejects_revolutions_not_averaged(self):
+        # 6 rows of 192 samples would otherwise read as one 1152-sample
+        # revolution
+        with pytest.raises(SizeError, match="one-dimensional"):
+            tooth_segmentation(np.ones((6, 192)), 6)
+
+    @pytest.mark.parametrize("z", [6.0, 0])
+    def test_tooth_count_is_a_whole_number_of_at_least_one(self, z):
+        with pytest.raises(RangeError, match="tooth count must be"):
+            tooth_segmentation(np.zeros(1152), z)
 
     def test_all_zero_envelope(self):
         profile = tooth_segmentation(np.zeros(1152), 6)
