@@ -75,14 +75,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _count(value, name: str, least: int) -> int:
-    """`operator.index(value)` if it is at least `least`, else a RangeError."""
+def _count(value, name: str, least: int, error=RangeError) -> int:
+    """`operator.index(value)` if it is at least `least`, else an `error`."""
     try:
         count = operator.index(value)
     except TypeError:
-        raise RangeError(f"{name} must be a whole number, got {value!r}") from None
+        raise error(f"{name} must be a whole number, got {value!r}") from None
     if count < least:
-        raise RangeError(f"{name} must be >= {least}, got {count}")
+        raise error(f"{name} must be >= {least}, got {count}")
     return count
 
 

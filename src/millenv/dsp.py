@@ -6,14 +6,14 @@ raised-cosine edges (zero phase, no group delay), and the FFT construction of
 the analytic signal whose magnitude is the envelope. There is one mask
 evaluation, over the band's own ``rfft`` bins, and one set of analytic weights,
 for one-sided bins at any length, odd or even, without padding.
-`band_envelope` computes and inverse-transforms the band's bins alone. Its
-forward transform is at most 32 rfft rows of the record's polyphase
-components, each at least n/32 points long and at least as long as the
-band, combined by Horner's rule into the band's bins only. The inverse is
-D FFTs of L = n/D points, L the smallest divisor of n that holds the band,
-over L-wide rows zero past the band; the magnitudes overwrite the rows
-already read, and one transposing copy writes the envelope. A prime n
-takes one rfft and one inverse FFT of n points, and `band_filter`,
+`band_envelope` computes and inverse-transforms the band's bins alone, and
+both transforms take one row layout: D <= 32 rows of L = n/D points, L the
+smallest divisor of n that is at least n/32 and as long as the band. The
+forward transform is the rffts of the record's D polyphase components,
+combined by Horner's rule into the band's bins only. The inverse is D FFTs
+of L points over L-wide rows zero past the band; the magnitudes overwrite
+the rows already read, and one transposing copy writes the envelope. A
+prime n takes one rfft and one inverse FFT of n points, and `band_filter`,
 `analytic_signal` and `envelope` take the full rfft: the last two weight
 all n/2 + 1 bins and inverse-transform them at once.
 
@@ -26,7 +26,6 @@ is not finite the record is checked, and a non-finite sample is an
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,50 +219,47 @@ def envelope(x: TimeSeries) -> TimeSeries:
                           channel=x.channel + "_env")
 
 
-#: rows of one running twiddle product in `_envelope_into`; further rows are
-#: built by doubling, each block from one `exp`, so rounding grows with the
-#: log of the row count rather than with the count itself
-_TWIDDLE_RUN = 32
-
 #: complex outputs per group of inverse FFTs in `_envelope_into`, at least
 #: one row; each group's magnitudes overwrite block rows already read
 _INVERSE_GROUP = 1 << 16
 
-#: most rows of `_band_rfft`'s forward transforms: the rows are at least
-#: n/32 points long, so a band of a few bins, or none, still takes a few
-#: long transforms and a short combine, not n transforms of one point
-_FORWARD_ROWS = 32
+#: most rows of both transforms of `band_envelope`
+_MAX_ROWS = 32
 
 
-def _smallest_divisor_at_least(n: int, m: int) -> int:
-    """The smallest divisor of n that is at least m (m <= n)."""
-    low = np.arange(1, math.isqrt(n) + 1)
-    low = low[n % low == 0]
-    divisors = np.concatenate([low, n // low])
-    return int(divisors[divisors >= m].min())
+def _band_rows(n: int, width: int) -> int:
+    """D, the most rows, up to `_MAX_ROWS`, of n/D points holding width bins.
+
+    The row length L = n/D is the smallest divisor of n at least width and
+    n/32, so a band of a few bins, or none, takes a few long transforms,
+    not n of one point. D = 1 at a prime n or for a band of more than half
+    the bins.
+    """
+    for rows in range(min(_MAX_ROWS, n // max(width, 1)), 1, -1):
+        if n % rows == 0:
+            return rows
+    return 1
 
 
 def _band_rfft(x: TimeSeries, k0: int, width: int) -> np.ndarray:
     """x's rfft bins [k0, k0 + width), from cache-sized transforms.
 
-    With L the smallest divisor of n that is at least width and n/32, and
-    D = n / L, one transposing copy puts samples p, p + D, ... in row p,
-    and one batch of rffts transforms the rows. Bin k is the sum over p of
-    row p's bin k mod L times exp(-2*pi*i*k*p/n), by Horner's rule over
-    the rows. A row bin above L/2 is the conjugate of its mirror, so each
-    run of bins whose residues run up to L/2, or down from L to above it,
-    reads one slice of every row: at most three runs, nothing gathered.
-    D = 1, a prime n or a band of more than half the bins, is the plain
-    rfft. Bin 0, the sum of the row sums, is checked as `_check_bin0`
-    checks it.
+    With `_band_rows`' D rows of L = n / D points, one transposing copy
+    puts samples p, p + D, ... in row p, and one batch of rffts transforms
+    the rows. Bin k is the sum over p of row p's bin k mod L times
+    exp(-2*pi*i*k*p/n), by Horner's rule over the rows. A row bin above L/2
+    is the conjugate of its mirror, so each run of bins whose residues run
+    up to L/2, or down from L to above it, reads one slice of every row: at
+    most three runs, nothing gathered. D = 1 is the plain rfft. Bin 0, the
+    sum of the row sums, is checked as `_check_bin0` checks it.
     """
     n = len(x)
-    cols = _smallest_divisor_at_least(n, max(width, -(-n // _FORWARD_ROWS)))
-    rows = n // cols
+    rows = _band_rows(n, width)
     if rows == 1:
         spec = np.fft.rfft(x.samples)
         _check_bin0(x, spec[0])
         return spec[k0:k0 + width]
+    cols = n // rows
     spectra = np.fft.rfft(  # the copy is freed once the rows are transformed
         np.ascontiguousarray(x.samples.reshape(cols, rows).T), axis=1)
     _check_bin0(x, spectra[:, 0].sum())
@@ -308,10 +304,10 @@ def _envelope_into(band: np.ndarray, env: np.ndarray) -> None:
     """Write into env the magnitude of the analytic signal band stands for.
 
     band holds `_analytic`'s bins [k0, k0 + B) of n = env.size points. With
-    L the smallest divisor of n that is at least B and D = n / L, sample
-    q*D + p is, up to a phase, the length-L inverse FFT of the bins k times
-    exp(2*pi*i*(k - k0)*p/n), at q. D = 1, which a band of more than half
-    the bins always takes, is one inverse FFT of n points. Otherwise the D
+    `_band_rows`' D rows of L = n / D points, the layout of the forward
+    transform, sample q*D + p is, up to a phase, the length-L inverse FFT
+    of the bins k times exp(2*pi*i*(k - k0)*p/n), at q: row p is row p - 1
+    times one step. D = 1 is one inverse FFT of n points. Otherwise the D
     rows are built L wide, zero past the band, in one complex block, and
     inverse-transformed about `_INVERSE_GROUP` points at a time, each group
     reading its rows in place. Magnitude row p goes into floats
@@ -319,25 +315,18 @@ def _envelope_into(band: np.ndarray, env: np.ndarray) -> None:
     one transposing copy then writes env.
     """
     n, width = env.size, band.size
-    cols = _smallest_divisor_at_least(n, width)
-    rows = n // cols
+    rows = _band_rows(n, width)
     if rows == 1:
         np.abs(np.fft.ifft(band, n, norm="forward"), out=env)
         return
+    cols = n // rows
     block = np.empty((rows, cols), dtype=complex)
     block[:, width:] = 0.0
     phases = block[:, :width]
     phases[0] = band
-    bins = np.arange(width)
-    step = np.exp((2j * np.pi / n) * bins)
-    done = min(rows, _TWIDDLE_RUN)
-    for p in range(1, done):
+    step = np.exp((2j * np.pi / n) * np.arange(width))
+    for p in range(1, rows):
         np.multiply(phases[p - 1], step, out=phases[p])
-    while done < rows:
-        m = min(done, rows - done)
-        np.multiply(phases[:m], np.exp((2j * np.pi * done / n) * bins),
-                    out=phases[done:done + m])
-        done += m
     mags = block.reshape(-1).view(float)[:n].reshape(rows, cols)
     group = max(1, _INVERSE_GROUP // cols)
     for p in range(0, rows, group):
@@ -351,16 +340,15 @@ def band_envelope(x: TimeSeries, b: Band, taper_hz: float | None = None, *,
     """``envelope(band_filter(x, b, taper_hz))`` from the band's bins only.
 
     The band mask is applied to the ``rfft`` bins [k0, k0 + B) where it is
-    nonzero. `_band_rfft` computes those bins alone, from at most 32 rfft
-    rows of the record's polyphase components, equal to the full rfft's to
-    rounding, and `_envelope_into` inverse-transforms them alone: D inverse
-    FFTs of n/D points, a few at a time, replace the inverse FFT of n
-    points. A prime n gives one rfft and one inverse FFT of n points. One
-    transposing copy writes the magnitudes into the envelope, which is
-    `out` when given: a float array of len(x) samples that no one else
-    writes, frozen into the result. At even lengths the result equals the
-    two-step chain to rounding; the same edge caveat as for `envelope`
-    applies.
+    nonzero. With `_band_rows`' D <= 32, `_band_rfft` computes those bins
+    alone from D rfft rows of the record's polyphase components, equal to
+    the full rfft's to rounding, and `_envelope_into` inverse-transforms
+    them alone: D inverse FFTs of n/D points, a few at a time. A prime n
+    gives one rfft and one inverse FFT of n points. One transposing copy
+    writes the magnitudes into the envelope, which is `out` when given: a
+    float array of len(x) samples that no one else writes, frozen into the
+    result. At even lengths the result equals the two-step chain to
+    rounding; the same edge caveat as for `envelope` applies.
     """
     k0, mask = _band_bins(x, b, taper_hz)
     band = _analytic(_band_rfft(x, k0, mask.size) * mask, k0, len(x))

@@ -33,7 +33,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import CHANNEL_UNITS, TimeSeries, _Fresh, _on_workers, _usable_cpus
+from .core import (CHANNEL_UNITS, TimeSeries, _count, _Fresh, _on_workers,
+                   _usable_cpus)
 from .errors import ConfigError
 from .pipeline import Cutter
 
@@ -85,8 +86,7 @@ class SimConfig:
                 f"sample rate ({0.4 * self.sample_rate_hz} Hz)")
         if self.eccentricity < 0.0 or self.noise_rms < 0.0:
             raise ConfigError("eccentricity and noise_rms must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0, ConfigError))
         if self.duration_s <= 0.0 or self.sample_rate_hz <= 0.0:
             raise ConfigError("duration_s and sample_rate_hz must be positive")
         if self.duration_s * self.sample_rate_hz <= 0.5:  # rounds to n = 0

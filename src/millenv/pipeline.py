@@ -42,7 +42,7 @@ from .dsp import (Band, _one_sided_amplitudes, band_envelope, band_filter,
                   envelope)
 from .errors import (AnalysisError, CoverageError, InputError, RangeError,
                      SizeError)
-from .sync import (RevolutionPlan, TachoTrack, ToothProfile,
+from .sync import (RevolutionPlan, TachoTrack, ToothProfile, _check_offset,
                    resample_to_angle, revolution_plan, synchronous_average,
                    tooth_segmentation)
 
@@ -320,8 +320,8 @@ def analyze_all_channels(channels: Iterable[TimeSeries], tacho: TachoTrack,
 
     `bands` and `taper_hz` each hold one value for all channels or a
     mapping from channel label to value; a channel missing from a mapping
-    is an InputError. Channels share one `RevolutionPlan` until the record
-    length or rate changes. The checks and plans run on the calling thread.
+    is an InputError. Channels of one record length and rate share one
+    `RevolutionPlan`. The checks and plans run on the calling thread.
     The envelopes run one channel per task on min(channels, usable CPUs)
     workers, the calling thread one of them; `RevolutionPlan.average` then
     averages each plan's channels, and the verdicts run on the calling
@@ -336,15 +336,17 @@ def analyze_all_channels(channels: Iterable[TimeSeries], tacho: TachoTrack,
     channels = list(channels)
     outcomes: list[AnalysisResult | AnalysisError | None] = [None] * len(channels)
     jobs: list[_Job] = []
-    plan = None
+    plans: dict[tuple[int, float], RevolutionPlan] = {}
     for index, ts in enumerate(channels):
         try:
             band = _for_channel(bands, ts.channel, "band")
             taper = _for_channel(taper_hz, ts.channel, "taper")
             _require_finite(ts)
-            if plan is None or shape != (len(ts), ts.sample_rate_hz):
-                plan = revolution_plan(ts, tacho, samples_per_rev)
-                shape = (len(ts), ts.sample_rate_hz)
+            _check_offset(tooth0_offset_frac)
+            shape = (len(ts), ts.sample_rate_hz)
+            if shape not in plans:
+                plans[shape] = revolution_plan(ts, tacho, samples_per_rev)
+            plan = plans[shape]
             if samples_per_rev % z:
                 raise SizeError(
                     f"samples_per_rev={samples_per_rev} is not divisible by z={z}; "

@@ -315,9 +315,14 @@ def tooth_segmentation(avg_rev, z: int,
         raise SizeError(
             f"averaged revolution of {n} samples is not divisible by z={z}; "
             f"choose samples_per_rev as a multiple of {z}")
-    if not (0.0 <= tooth0_offset_frac < 1.0):
-        raise RangeError(
-            f"tooth0_offset_frac must be in [0, 1), got {tooth0_offset_frac}")
+    _check_offset(tooth0_offset_frac)
     start = int(round(tooth0_offset_frac * n)) % n
     sectors = np.roll(avg, -start).reshape(z, n // z)
     return ToothProfile(np.sqrt(np.mean(np.square(sectors), axis=1)))
+
+
+def _check_offset(tooth0_offset_frac: float) -> None:
+    """RangeError unless tooth0_offset_frac is in [0, 1); NaN is not."""
+    if not 0.0 <= tooth0_offset_frac < 1.0:
+        raise RangeError(
+            f"tooth0_offset_frac must be in [0, 1), got {tooth0_offset_frac}")

@@ -20,8 +20,8 @@ import numpy as np
 
 from millenv import TimeSeries
 import millenv.dsp
-from millenv.dsp import (_band_bins, _band_mask, _check_below_nyquist,
-                         _checked_taper, _smallest_divisor_at_least)
+from millenv.dsp import (_band_bins, _band_mask, _band_rows,
+                         _check_below_nyquist, _checked_taper)
 from millenv.errors import SizeError
 
 
@@ -79,12 +79,12 @@ def reference_decimated_band_envelope(x: TimeSeries, b,
                                       taper_hz: float | None) -> np.ndarray:
     """The band-only inverse with B-wide phase rows and strided magnitudes.
 
-    With L the smallest divisor of n that holds the band's B bins and
-    D = n / L, the D phase rows are built B wide, as `band_envelope` builds
-    them (a running product of `_TWIDDLE_RUN` rows, then doubling), and
-    ``ifft(rows, n=L)`` pads a copy of each group of about `_INVERSE_GROUP`
-    points to L. Each group's magnitudes go into every D-th sample of the
-    envelope. The same FFTs of the same zero-padded data, so the same bytes.
+    With `_band_rows`' D rows of L = n / D points, the D phase rows are
+    built B wide, each the previous row times one step, as `band_envelope`
+    builds them, and ``ifft(rows, n=L)`` pads a copy of each group of about
+    `_INVERSE_GROUP` points to L. Each group's magnitudes go into every
+    D-th sample of the envelope. The same FFTs of the same zero-padded
+    data, so the same bytes.
     """
     k0, mask = _band_bins(x, b, taper_hz)
     n = len(x)
@@ -94,8 +94,8 @@ def reference_decimated_band_envelope(x: TimeSeries, b,
     band[max(1 - k0, 0):(n + 1) // 2 - k0] *= 2.0
     band *= 1.0 / n
     width = band.size
-    cols = _smallest_divisor_at_least(n, width)
-    rows = n // cols
+    rows = _band_rows(n, width)
+    cols = n // rows
     env = np.empty(n)
     grid = env.reshape(cols, rows)  # [q, p] is sample q*D + p
     if rows == 1:
@@ -103,16 +103,9 @@ def reference_decimated_band_envelope(x: TimeSeries, b,
         return env
     phases = np.empty((rows, width), dtype=complex)
     phases[0] = band
-    bins = np.arange(width)
-    step = np.exp((2j * np.pi / n) * bins)
-    done = min(rows, millenv.dsp._TWIDDLE_RUN)
-    for p in range(1, done):
+    step = np.exp((2j * np.pi / n) * np.arange(width))
+    for p in range(1, rows):
         np.multiply(phases[p - 1], step, out=phases[p])
-    while done < rows:
-        m = min(done, rows - done)
-        np.multiply(phases[:m], np.exp((2j * np.pi * done / n) * bins),
-                    out=phases[done:done + m])
-        done += m
     group = max(1, millenv.dsp._INVERSE_GROUP // cols)
     for p in range(0, rows, group):
         rows_out = np.fft.ifft(phases[p:p + group], cols, axis=1,

@@ -82,21 +82,24 @@ def test_band_envelope_near_reference_at_odd_lengths(asymmetric_run, n,
         assert rel_max_err(env[inner], ref[inner]) <= bound
 
 
-@pytest.mark.parametrize("band, rows", [(BAND, 25),
-                                        (Band(1500.0, 1600.0), 250)],
-                         ids=["D=25", "D=250"])
+# on the 30 000-sample record: the reference band's 1 199 bins take rows of
+# L = 1 200 points, and Band(1500, 1600)'s 120 bins, which rows of their
+# own width would split into 250 rows, take 30 rows of L = 1 000 >= n/32
+@pytest.mark.parametrize("band, rows, cols",
+                         [(BAND, 25, 1200), (Band(1500.0, 1600.0), 30, 1000)],
+                         ids=["D=25", "D=30"])
 def test_band_envelope_inverse_groups_change_no_byte(asymmetric_run,
-                                                    monkeypatch, band, rows):
+                                                    monkeypatch, band, rows,
+                                                    cols):
     # the inverse FFT rows are taken a group at a time, and each group's
     # magnitudes overwrite block rows already read; groups of 1 row, of 7
     # rows, whose last group is partial, and of all rows give the bytes of
-    # the B-wide rows with strided magnitudes. D = 250 builds rows past
-    # _TWIDDLE_RUN by doubling
+    # the B-wide rows with strided magnitudes
     out, _, _ = asymmetric_run
     x = out.channels["ax"]
     _, mask = _band_bins(x, band, TAPER_HZ)
-    cols = millenv.dsp._smallest_divisor_at_least(len(x), mask.size)
-    assert len(x) // cols == rows
+    assert millenv.dsp._band_rows(len(x), mask.size) == rows
+    assert len(x) == rows * cols
     ref = reference_decimated_band_envelope(x, band, TAPER_HZ)
     monkeypatch.setattr(millenv.dsp, "_band_rfft", rfft_slice)
     for group in (1, 7, rows):
@@ -113,13 +116,19 @@ def bins_band(n, k0, width):
     return Band(k0 * df, (k0 + width - 1) * df)
 
 
-# (D, L, B): D = 1 at a prime n and for a band of more than half the bins;
-# then L = B, and L = 101 > B = 95, where no divisor of n = D * 101 lies in
-# [95, 101). D = 33 and above builds rows past _TWIDDLE_RUN by doubling
+# (D, L, B), n = D * L: D = 1 at a prime n and for a band of more than half
+# the bins; then L = B, and L = 101 > B = 95, where no divisor of n = D * 101
+# lies in [95, 101). The rest are n = 33, 64, 65, 250 and 1 250 times 100
+# or 101, which rows as long as the band would split into that many rows,
+# more than 32: L is the smallest divisor of n at least n/32 and B
 @pytest.mark.parametrize("rows, cols, width", [
     (1, 1009, 95), (1, 1000, 501),
-    *[(d, cols, width) for d in (25, 32, 33, 64, 65, 250, 1250)
-      for cols, width in ((100, 100), (101, 95))]])
+    (25, 100, 100), (25, 101, 95), (32, 100, 100), (32, 101, 95),
+    (30, 110, 100), (11, 303, 95),     # n = 33 * 100, 33 * 101
+    (32, 200, 100), (32, 202, 95),     # 64 *
+    (26, 250, 100), (13, 505, 95),     # 65 *
+    (25, 1000, 100), (25, 1010, 95),   # 250 *
+    (25, 5000, 100), (25, 5050, 95)])  # 1 250 *
 def test_band_envelope_bytes_match_decimated_reference(monkeypatch, rows,
                                                       cols, width):
     n = rows * cols
@@ -128,18 +137,21 @@ def test_band_envelope_bytes_match_decimated_reference(monkeypatch, rows,
     x = TimeSeries(np.random.default_rng(n).normal(size=n), FS)
     got_k0, mask = _band_bins(x, band, 0.0)
     assert (got_k0, mask.size) == (k0, width)
-    assert millenv.dsp._smallest_divisor_at_least(n, width) == cols
+    assert millenv.dsp._band_rows(n, width) == rows
     monkeypatch.setattr(millenv.dsp, "_band_rfft", rfft_slice)
     env = band_envelope(x, band, 0.0).samples
     ref = reference_decimated_band_envelope(x, band, 0.0)
     assert env.tobytes() == ref.tobytes()
 
 
-def test_band_envelope_working_memory():
-    # one 500 000-sample envelope into a given buffer: the 16 B per sample
-    # of phase rows plus one inverse group. Peaks under numpy 2.4: 9.9 MB,
-    # and 10.9 MB with B-wide rows padded to L a group at a time
-    n = 500_000
+# one envelope into a given buffer. At 500 000 samples, the 16 B per
+# sample of phase rows plus one inverse group: peaks under numpy 2.4 of
+# 9.8 MB, and 10.9 MB with B-wide rows padded to L a group at a time. At
+# the prime 499 979, one row each way, one rfft and one ifft of n points:
+# 8.6 MB, and 16.8 MB with the one-row inverse taken as a block of one row
+@pytest.mark.parametrize("n, bound", [(500_000, 10.4e6), (499_979, 9.1e6)],
+                         ids=["n=500000", "prime"])
+def test_band_envelope_working_memory(n, bound):
     x = TimeSeries(np.random.default_rng(5).normal(size=n), FS)
     buffer = np.empty(n)
     tracemalloc.start()
@@ -148,7 +160,7 @@ def test_band_envelope_working_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10.4e6
+    assert peak < bound
 
 
 def test_analytic_signal_matches_reference_at_even_length():
@@ -219,7 +231,9 @@ def test_band_through_0_hz_is_detrended(asymmetric_run, cutter):
 
 def test_channels_of_one_shape_share_one_plan(asymmetric_run, cutter,
                                               monkeypatch):
-    # one plan per channel was 4-10% slower on the 20 s reference record
+    # one plan per channel was 4-10% slower on the 20 s reference record;
+    # the second full-length channel takes the first one's plan, not a new
+    # one after the cut channel
     out, track, _ = asymmetric_run
     full, ay = out.channels["ax"], out.channels["ay"]
     cut = head(full, 25001)
@@ -237,7 +251,7 @@ def test_channels_of_one_shape_share_one_plan(asymmetric_run, cutter,
     monkeypatch.setattr(millenv.pipeline, "revolution_plan", counted)
     results, errors = analyze_all_channels(channels, track, cutter, BAND,
                                            samples_per_rev=SAMPLES_PER_REV)
-    assert not errors and len(calls) == 3
+    assert not errors and len(calls) == 2
     for x, res in zip(channels, alone):
         shared = results[x.channel]
         assert shared.mean_rpm == res.mean_rpm
@@ -254,9 +268,9 @@ def test_channels_of_one_shape_share_one_plan(asymmetric_run, cutter,
     assert len(calls) == 1
 
 
-# n/D, the length of each inverse FFT, is the smallest divisor of n that
-# holds the band: lengths with few divisors (primes, 2 * prime, 2**k +- 1)
-# and 5-smooth ones with many.
+# n/D, the length of each row transform both ways, is the smallest divisor
+# of n that holds the band and is at least n/32: lengths with few divisors
+# (primes, 2 * prime, 2**k +- 1) and 5-smooth ones with many.
 LENGTHS = (4, 5, 6, 7,
            11, 101, 1009, 24989, 25013,
            22, 202, 2018, 49978,
@@ -326,8 +340,7 @@ def assert_band_rfft_matches_full_rfft(x, k0, width):
     if width:
         assert np.abs(got - full[k0:k0 + width]).max() <= (
             1e-13 * np.abs(full).max())
-    if millenv.dsp._smallest_divisor_at_least(
-            n, max(width, math.ceil(n / 32))) == n:
+    if millenv.dsp._band_rows(n, width) == 1:
         assert got.tobytes() == full[k0:k0 + width].tobytes()
 
 
@@ -362,22 +375,36 @@ def test_band_rfft_matches_full_rfft(n, k0, width):
     assert_band_rfft_matches_full_rfft(x, k0, width)
 
 
+def test_band_rows_is_the_most_rows_up_to_32():
+    # D divides n into rows of at least B points, and no larger D <= 32 does
+    for n in (*range(4, 300), *LENGTHS, 499_979, 500_000):
+        for width in {*range(0, min(n // 2 + 2, 300)), n // 33, n // 32,
+                      n // 31, n // 2, n // 2 + 1}:
+            rows = millenv.dsp._band_rows(n, width)
+            assert rows == max(d for d in range(1, 33)
+                               if n % d == 0 and n // d >= width)
+
+
 def test_band_rfft_takes_at_most_32_rows(monkeypatch):
     # a band narrower than a bin holds at most one bin (none here: the
     # taper zeroes it); rows as long as the band would be n transforms of
-    # one point
+    # one point each way. Both transforms take at most 32 rows in all
     n = 500_000
     x = TimeSeries(np.random.default_rng(6).normal(size=n), FS)
-    shapes = []
-    rfft = np.fft.rfft
+    rows = {"rfft": 0, "ifft": 0}
 
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return rfft(a, *args, **kwargs)
+    def counted(name):
+        fn = getattr(np.fft, name)
 
-    monkeypatch.setattr(np.fft, "rfft", counted)
+        def wrapper(a, *args, **kwargs):
+            rows[name] += math.prod(np.shape(a)[:-1])
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in rows:
+        monkeypatch.setattr(np.fft, name, counted(name))
     band_envelope(x, Band(2000.0, 2000.01))
-    assert shapes and all(math.prod(shape[:-1]) <= 32 for shape in shapes)
+    assert rows == {"rfft": 32, "ifft": 32}
 
 
 @settings(max_examples=300, deadline=None)

@@ -32,6 +32,17 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="^per_tooth_gain entries"):
             SimConfig(cutter, (1.0,) * 5 + (gain,))
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "1", None])
+    def test_seed_must_be_a_whole_number(self, cutter, seed):
+        # numpy's SeedSequence would otherwise refuse it inside simulate
+        with pytest.raises(ConfigError,
+                           match=f"^seed must be a whole number, got {seed!r}"):
+            SimConfig(cutter, (1.0,) * 6, seed=seed)
+
+    def test_seed_is_kept_as_an_int(self, cutter):
+        seed = SimConfig(cutter, (1.0,) * 6, seed=np.uint8(3)).seed
+        assert type(seed) is int and seed == 3
+
     def test_damping_bounds(self, cutter):
         with pytest.raises(ConfigError):
             SimConfig(cutter, (1.0,) * 6, damping_ratio=1.0)

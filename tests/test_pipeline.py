@@ -470,6 +470,26 @@ class TestAnalyzeAllChannels:
         with pytest.raises(RangeError, match="samples_per_rev must be >= 2"):
             analyze(short, track, cutter, BAND, samples_per_rev=0)
 
+    @pytest.mark.parametrize("offset", [1.0, -0.1, float("nan")])
+    def test_tooth0_offset_outside_0_1_fails_before_any_fft(
+            self, symmetric_run, cutter, monkeypatch, offset):
+        # checked with the channel, not after its envelope and average
+        out, track, _ = symmetric_run
+        channels = [out.channels[c] for c in ("ax", "ay")]
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT ran before the offset was checked")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        results, errors = analyze_all_channels(
+            channels, track, cutter, BAND, samples_per_rev=1152,
+            tooth0_offset_frac=offset)
+        assert not results and sorted(errors) == ["ax", "ay"]
+        for err in errors.values():
+            assert isinstance(err, RangeError)
+            assert str(err) == ("tooth0_offset_frac must be in [0, 1), "
+                                f"got {offset}")
+
     @pytest.mark.parametrize("spr", [1152.0, 1152.5])
     def test_float_samples_per_rev_is_a_range_error(self, symmetric_run,
                                                     cutter, spr):
