@@ -76,8 +76,11 @@ def _usable_cpus() -> int:
 
 
 def _count(value, name: str, least: int, error=RangeError) -> int:
-    """`operator.index(value)` if it is at least `least`, else an `error`."""
+    """`operator.index(value)` if it is at least `least`, else an `error`.
+    A bool is refused, as the config loader refuses JSON `true`."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise error(f"{name} must be a whole number, got {value!r}") from None

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Spectrum, TimeSeries, _Fresh, _require_finite, detrend
-from .errors import RangeError, SizeError
+from .errors import InputError, RangeError, SizeError
 
 _WINDOW_KINDS = ("hann", "rectangular")
 
@@ -335,6 +335,19 @@ def _envelope_into(band: np.ndarray, env: np.ndarray) -> None:
     env.reshape(cols, rows)[...] = mags.T  # [q, p] is sample q*D + p
 
 
+def _check_out(out, n: int) -> None:
+    """Refuse an `out` buffer `band_envelope` could not fill with n samples."""
+    if not isinstance(out, np.ndarray):
+        raise InputError(f"out must be a numpy array, got {type(out).__name__}")
+    if out.shape != (n,):
+        raise SizeError(f"out must be one-dimensional with {n} samples, "
+                        f"got shape {out.shape}")
+    if out.dtype != np.float64:
+        raise InputError(f"out must be a float64 array, got {out.dtype}")
+    if not out.flags.writeable:
+        raise InputError("out must be a writeable array, got a read-only one")
+
+
 def band_envelope(x: TimeSeries, b: Band, taper_hz: float | None = None, *,
                   out: np.ndarray | None = None) -> TimeSeries:
     """``envelope(band_filter(x, b, taper_hz))`` from the band's bins only.
@@ -346,10 +359,14 @@ def band_envelope(x: TimeSeries, b: Band, taper_hz: float | None = None, *,
     them alone: D inverse FFTs of n/D points, a few at a time. A prime n
     gives one rfft and one inverse FFT of n points. One transposing copy
     writes the magnitudes into the envelope, which is `out` when given: a
-    float array of len(x) samples that no one else writes, frozen into the
-    result. At even lengths the result equals the two-step chain to
-    rounding; the same edge caveat as for `envelope` applies.
+    writeable one-dimensional float64 array of len(x) samples that no one
+    else writes, frozen into the result. It is checked before any
+    transform: `SizeError` for its shape, `InputError` for its dtype or a
+    read-only buffer. At even lengths the result equals the two-step chain
+    to rounding; the same edge caveat as for `envelope` applies.
     """
+    if out is not None:
+        _check_out(out, len(x))
     k0, mask = _band_bins(x, b, taper_hz)
     band = _analytic(_band_rfft(x, k0, mask.size) * mask, k0, len(x))
     env = np.empty(len(x)) if out is None else out

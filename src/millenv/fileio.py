@@ -3,8 +3,10 @@
 Recordings travel as plain CSV: header row, comma separator, LF line
 endings, one column per channel plus an optional leading time_s column.
 Floats are written with Python's shortest round-trip representation, so a
-write/read cycle reproduces sample values exactly. Reports are JSON with
-sorted keys; re-serializing a report is byte-identical.
+write/read cycle reproduces sample values exactly. A recording is written a
+block of rows at a time, each block by one `%` over a row template of `%r`
+cells, which is `repr` of each float. Reports are JSON with sorted keys;
+re-serializing a report is byte-identical.
 
 Plot data goes out twice: a two-column `.txt` file with every point, each
 value formatted with `%.9g`, and an SVG rendering whose polyline points are
@@ -237,7 +239,12 @@ def read_recording(path, *, columns: dict[str, str] | None = None,
 
 
 def write_recording(channels: dict[str, TimeSeries], path) -> None:
-    """Write channels as CSV in canonical column order, after a time_s column."""
+    """Write channels as CSV in canonical column order, after a time_s column.
+
+    Each block of `_WRITE_BLOCK_ROWS` rows is one `%` over the row template
+    `"%r,...,%r\\n"` repeated once a row, so every cell is the `repr` of its
+    float, as one `repr` per cell would write it.
+    """
     order = [ch for ch in CHANNELS if ch in channels]
     if not order:
         raise InputError("no channels to write")
@@ -247,14 +254,15 @@ def write_recording(channels: dict[str, TimeSeries], path) -> None:
         if len(channels[ch]) != n or channels[ch].sample_rate_hz != rate:
             raise InputError("all channels must share one length and rate")
     arrays = [channels[ch].samples for ch in order]
+    row = ",".join(["%r"] * (1 + len(order))) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["time_s"] + order) + "\n")
         for start in range(0, n, _WRITE_BLOCK_ROWS):
             stop = min(start + _WRITE_BLOCK_ROWS, n)
             # np.arange(start, stop) / rate is bit-identical to i / rate
             block = [np.arange(start, stop) / rate] + [a[start:stop] for a in arrays]
-            rows = np.column_stack(block).tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+            fh.write(row * (stop - start)
+                     % tuple(np.column_stack(block).ravel().tolist()))
 
 
 def report_document(results: dict[str, AnalysisResult],

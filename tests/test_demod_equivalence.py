@@ -9,6 +9,7 @@ and the band's bins are checked against the full rfft.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 import millenv.dsp
 import millenv.pipeline
-from millenv import (Band, TachoTrack, TimeSeries, analyze,
-                     analyze_all_channels, analytic_signal, band_filter,
-                     detrend, resample_to_angle, synchronous_average)
+from millenv import (Band, InputError, SizeError, TachoTrack, TimeSeries,
+                     analyze, analyze_all_channels, analytic_signal,
+                     band_filter, detrend, resample_to_angle,
+                     synchronous_average)
 from millenv.dsp import _band_bins, _band_rfft, band_envelope
 from millenv.sync import _PLAN_BLOCK, revolution_plan
 from conftest import BAND, FS, SAMPLES_PER_REV
@@ -108,6 +110,48 @@ def test_band_envelope_inverse_groups_change_no_byte(asymmetric_run,
         env = band_envelope(x, band, TAPER_HZ, out=buffer)
         assert env.samples is buffer and not buffer.flags.writeable
         assert buffer.tobytes() == ref.tobytes()
+
+
+def frozen(n):
+    buffer = np.empty(n)
+    buffer.flags.writeable = False  # as an earlier call leaves its envelope
+    return buffer
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda n: np.empty(n - 1), SizeError,
+     "out must be one-dimensional with 30000 samples, got shape (29999,)"),
+    (lambda n: np.empty(n + 1), SizeError, "got shape (30001,)"),
+    (lambda n: np.empty((n, 1)), SizeError, "got shape (30000, 1)"),
+    (lambda n: np.empty(n, dtype=np.int64), InputError,
+     "out must be a float64 array, got int64"),
+    (lambda n: np.empty(n, dtype=np.float32), InputError,
+     "out must be a float64 array, got float32"),
+    (frozen, InputError, "out must be a writeable array, got a read-only one"),
+    (lambda n: [0.0] * n, InputError, "out must be a numpy array, got list"),
+], ids=["short", "long", "2-D", "int", "float32", "read-only", "list"])
+def test_band_envelope_checks_out_before_any_transform(monkeypatch, make,
+                                                      error, message):
+    # a short buffer gave a short envelope, an int one a truncated envelope,
+    # and a read-only one failed only after both transforms had run
+    x = TimeSeries(np.random.default_rng(28).normal(size=30_000), FS)
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a transform ran before out was checked")
+
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
+    monkeypatch.setattr(millenv.dsp, "_band_bins", no_transform)
+    with pytest.raises(error, match=re.escape(message)):
+        band_envelope(x, BAND, TAPER_HZ, out=make(len(x)))
+
+
+def test_band_envelope_fills_a_strided_out_view():
+    x = TimeSeries(np.random.default_rng(28).normal(size=30_000), FS)
+    base = np.zeros(2 * len(x))
+    env = band_envelope(x, BAND, TAPER_HZ, out=base[::2])
+    assert env.samples.base is base and not base[1::2].any()
+    assert (env.samples.tobytes()
+            == band_envelope(x, BAND, TAPER_HZ).samples.tobytes())
 
 
 def bins_band(n, k0, width):

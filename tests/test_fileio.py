@@ -15,6 +15,7 @@ from millenv import (AnalysisError, ConfigError, ParseError, SimConfig,
                      TimeSeries, analyze_all_channels, simulate, slice_time)
 from millenv.cli import ANALYSIS_CHANNELS
 from millenv.config import config_from_dict, load_config
+from millenv.core import CHANNELS
 from millenv.fileio import (Recording, dump_report, emit_plot_data,
                             read_recording, report_document, write_recording,
                             write_svg, write_xy)
@@ -321,7 +322,48 @@ def _random_channels(n, rate):
     return channels
 
 
+#: Cells whose shortest repr is easy to get wrong: a signed zero, the least
+#: subnormal, the least normal, the largest finite float, two fractions
+#: with no short binary form, then the non-finite values.
+EDGE_CELLS = (-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              0.1, 1 / 3, math.inf, math.nan)
+BLOCK_ROWS = millenv.fileio._WRITE_BLOCK_ROWS
+
+
+def _edge_channels(n, labels, cells):
+    """Every other sample of each channel cycles through `cells`, from a
+    different cell per channel; the rest are random normals."""
+    rng = np.random.default_rng(n)
+    channels = {}
+    for i, ch in enumerate(labels):
+        samples = rng.standard_normal(n)
+        samples[::2] = np.resize(np.roll(cells, i), samples[::2].size)
+        channels[ch] = TimeSeries(samples, FS, ch)
+    return channels
+
+
 class TestWriteRecording:
+    @pytest.mark.parametrize("labels", [("fy",), CHANNELS],
+                             ids=["one channel", "every channel"])
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                   BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 37])
+    def test_edge_cells_match_per_cell_writer_and_read_back(self, tmp_path,
+                                                            n, labels):
+        for cells in (EDGE_CELLS, EDGE_CELLS[:6]):
+            channels = _edge_channels(n, labels, cells)
+            write_recording(channels, tmp_path / "new.csv")
+            ref.write_recording(channels, tmp_path / "old.csv")
+            new = (tmp_path / "new.csv").read_bytes()
+            assert new == (tmp_path / "old.csv").read_bytes()
+            assert new.count(b"\n") == n + 1
+        # the finite cells come back bit for bit, at the rate written
+        rec = read_recording(tmp_path / "new.csv", sample_rate_hz=FS,
+                             detect_tacho=False)
+        assert rec.warnings == [] and rec.sample_rate_hz == FS
+        assert list(rec.channels) == list(labels)
+        for ch, ts in channels.items():
+            assert rec.channels[ch].samples.tobytes() == ts.samples.tobytes()
+
     def test_bytes_match_per_cell_writer(self, tmp_path):
         n = 2 * millenv.fileio._WRITE_BLOCK_ROWS + 37
         channels = _random_channels(n, 3.0)

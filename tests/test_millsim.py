@@ -39,6 +39,13 @@ class TestSimConfig:
                            match=f"^seed must be a whole number, got {seed!r}"):
             SimConfig(cutter, (1.0,) * 6, seed=seed)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_seed_is_not_a_bool(self, cutter, flag):
+        # the config loader refuses JSON true; SimConfig took it as seed 1
+        with pytest.raises(ConfigError,
+                           match=f"^seed must be a whole number, got {flag}$"):
+            SimConfig(cutter, (1.0,) * 6, seed=flag)
+
     def test_seed_is_kept_as_an_int(self, cutter):
         seed = SimConfig(cutter, (1.0,) * 6, seed=np.uint8(3)).seed
         assert type(seed) is int and seed == 3

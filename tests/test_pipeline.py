@@ -49,6 +49,14 @@ class TestCutter:
                         feed_per_tooth_mm=0.1, cutting_speed_m_min=340.0)
         assert type(cutter.z) is int and cutter.z == 6
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_tooth_count_is_not_a_bool(self, flag):
+        # Cutter(True, ...) built a one-tooth cutter
+        with pytest.raises(RangeError, match=f"^tooth count must be a whole "
+                                             f"number, got {flag}$"):
+            Cutter(z=flag, diameter_mm=20.0, feed_per_tooth_mm=0.1,
+                   cutting_speed_m_min=85.0)
+
 
 class TestThresholds:
     @pytest.mark.parametrize("min_revs", [0, np.nan, 2.5, 20.0])
@@ -60,6 +68,12 @@ class TestThresholds:
 
     def test_min_revs_stored_as_int(self):
         assert type(Thresholds(min_revs=np.int32(5)).min_revs) is int
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_min_revs_is_not_a_bool(self, flag):
+        with pytest.raises(RangeError, match=f"^min_revs must be a whole "
+                                             f"number, got {flag}$"):
+            Thresholds(min_revs=flag)
 
 
 def synthetic_spectrum(f_rot, z, order_amps, tile=1, spr=1152):

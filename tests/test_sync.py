@@ -9,6 +9,7 @@ from millenv import (CoverageError, InputError, PulseDetectionError,
                      TimeSeries, detect_pulses,
                      resample_to_angle, rms, speed_profile,
                      synchronous_average, tooth_segmentation)
+from millenv.sync import revolution_plan
 from conftest import FS, sector_peaks
 from reference_sync import reference_detect_pulses
 
@@ -229,6 +230,13 @@ class TestResampleToAngle:
         with pytest.raises(RangeError, match=f"samples_per_rev must be a "
                                              f"whole number, got {spr!r}"):
             resample_to_angle(x, TachoTrack([0.0, 0.05]), spr)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_samples_per_rev_is_not_a_bool(self, flag):
+        x = TimeSeries(np.zeros(25000), FS)
+        with pytest.raises(RangeError, match=f"^samples_per_rev must be a "
+                                             f"whole number, got {flag}$"):
+            revolution_plan(x, TachoTrack([0.0, 0.05]), flag)
 
     def test_signal_shorter_than_one_rev(self):
         ts = TimeSeries(np.zeros(100), FS)
