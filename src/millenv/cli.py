@@ -172,12 +172,8 @@ def _cmd_impact(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.peaks < 0:
         raise RangeError(f"--peaks must be >= 0, got {args.peaks}")
-    rec = _load_recording(args.in_path, sample_rate_hz=args.rate,
-                          detect_tacho=False)
-    if args.channel not in rec.channels:
-        raise AnalysisError(
-            f"channel {args.channel!r} not in recording "
-            f"(has {sorted(rec.channels)})")
+    rec = _load_recording(args.in_path, columns={args.channel: args.channel},
+                          sample_rate_hz=args.rate)
     ts = rec.channels[args.channel]
     w = RECTANGULAR if args.window == "rectangular" else HANN
     spec = amplitude_spectrum(ts, w)

@@ -25,7 +25,8 @@ Schema (all sections except "cutter" optional):
 
 Every number, sim.per_tooth_gain's included, must be a finite JSON number
 ("6", "0.2" and true are not) and is kept as written: a threshold of 10 is
-reported as 10. The counts (cutter.z, thresholds.min_revs, sim.seed,
+reported as 10. Each key converts by the annotation of the dataclass field
+it fills, so the `int` fields (cutter.z, thresholds.min_revs, sim.seed,
 sync.samples_per_rev) must be whole: 6.0 reads as 6. A null means "unset"
 only for keys whose default is unset (bands taper_hz, sim.rpm, sim.rpm_end,
 sync and io numbers, sim.per_tooth_gain); elsewhere it is an error naming
@@ -34,8 +35,8 @@ map channels to column-name strings. A value out of range, such as a
 taper_hz above half its band, a non-positive threshold, a non-positive
 io.sample_rate_hz, or a band above half of io.sample_rate_hz when that rate
 is set, is a ConfigError at load.
-"sync.samples_per_rev" must be at least 2 and a multiple of the tooth
-count z.
+"sync.samples_per_rev" must be a multiple of the tooth count z and at
+least 2z, the angle samples the carrier order z needs per revolution.
 Without it, `analyze` uses the smallest multiple of z at or above 1024.
 "metadata" must be an object; it is never read (reports echo the file), but
 every number in it, however deeply nested, must be finite, so that the echo
@@ -81,10 +82,10 @@ class RunConfig:
     sim: SimConfig | None = None
 
     def __post_init__(self):
-        spr = self.samples_per_rev
-        if spr is not None and (spr < 2 or spr % self.cutter.z):
+        spr, z = self.samples_per_rev, self.cutter.z
+        if spr is not None and (spr < 2 * z or spr % z):
             raise ConfigError(f"sync.samples_per_rev={spr} must be positive, "
-                              f"at least 2 and divisible by z={self.cutter.z}")
+                              f"at least 2z={2 * z} and divisible by z={z}")
         if (self.tooth0_offset_frac is not None
                 and not (0.0 <= self.tooth0_offset_frac < 1.0)):
             raise ConfigError(
@@ -126,17 +127,22 @@ def _section(doc: dict, name: str, required: bool = False,
     return sec
 
 
-def _build(cls, sec: dict, what: str, counts: tuple[str, ...] = (),
-           numbers: tuple[str, ...] = (), **fixed):
-    """cls(**sec, **fixed), each set count (as an int) and number (as
-    written) through `_finite`; a null only where cls's default is None."""
-    unset = {f.name for f in fields(cls) if f.default is None}
-    kwargs = dict(sec)
+def _numbers(cls, sec: dict, what: str) -> dict:
+    """sec with each key that fills an `int` or `float` field of cls, as
+    annotated, through `_finite`; a null passes where the default is None."""
+    out = dict(sec)
+    for f in fields(cls):
+        kind = f.type.removesuffix(" | None")
+        if kind in ("int", "float") and f.name in sec and not (
+                sec[f.name] is None and f.default is None):
+            out[f.name] = _finite(sec[f.name], f"{what}.{f.name}", kind == "int")
+    return out
+
+
+def _build(cls, sec: dict, what: str, **fixed):
+    """cls(**sec, **fixed), each key converted by `_numbers`."""
     try:
-        for key in counts + numbers:
-            if key in sec and not (sec[key] is None and key in unset):
-                kwargs[key] = _finite(sec[key], f"{what}.{key}", key in counts)
-        return cls(**kwargs, **fixed)
+        return cls(**_numbers(cls, sec, what), **fixed)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid {what} settings: {err}") from None
 
@@ -167,12 +173,6 @@ def _check_finite_numbers(value, name: str) -> None:
             _check_finite_numbers(item, f"{name}[{i}]")
 
 
-def _number(sec: dict, key: str, what: str, integral: bool = False):
-    """sec[key] through `_finite`; None if unset."""
-    value = sec.get(key)
-    return None if value is None else _finite(value, f"{what}.{key}", integral)
-
-
 def config_from_dict(doc: dict) -> RunConfig:
     known = {"cutter", "bands", "thresholds", "sync", "io", "sim", "metadata"}
     unknown = set(doc) - known
@@ -180,8 +180,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
     _check_finite_numbers(_section(doc, "metadata"), "metadata")
 
-    cutter = _build(Cutter, _section(doc, "cutter", required=True), "cutter", ("z",),
-                    ("diameter_mm", "feed_per_tooth_mm", "cutting_speed_m_min"))
+    cutter = _build(Cutter, _section(doc, "cutter", required=True), "cutter")
 
     bands = {}
     for ch, entry in _section(doc, "bands").items():
@@ -189,16 +188,13 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"band configured for unknown channel {ch!r}")
         if not isinstance(entry, dict):
             raise ConfigError(f"band for {ch!r} must be an object")
-        bands[ch] = _build(BandSettings, entry, f"bands.{ch}", (),
-                           ("f_lo_hz", "f_hi_hz", "taper_hz"))
+        bands[ch] = _build(BandSettings, entry, f"bands.{ch}")
 
-    thresholds = _build(Thresholds, _section(doc, "thresholds"), "thresholds",
-                        ("min_revs",), ("asym_ratio", "weak_tooth_drop", "ecc_ratio",
-                                        "misalign_ratio", "min_carrier", "max_rpm_drift"))
+    thresholds = _build(Thresholds, _section(doc, "thresholds"), "thresholds")
 
     sync = _section(doc, "sync", keys=("samples_per_rev", "tooth0_offset_frac"))
-    io_sec = _section(doc, "io", keys=("sample_rate_hz", "columns"))
-    columns = io_sec.get("columns")
+    io_sec = dict(_section(doc, "io", keys=("sample_rate_hz", "columns")))
+    columns = io_sec.pop("columns", None)
     if columns is None:
         columns = {}
     elif not (isinstance(columns, dict)
@@ -216,20 +212,13 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(
                 f"sim.per_tooth_gain must be a list of numbers, got {gains!r}")
         gains = [_finite(g, f"sim.per_tooth_gain[{i}]") for i, g in enumerate(gains)]
-        sim = _build(SimConfig, sim_sec, "sim", ("seed",), (
-            "rpm", "rpm_end", "resonance_hz", "damping_ratio", "eccentricity",
-            "noise_rms", "duration_s", "sample_rate_hz"),
-            cutter=cutter, per_tooth_gain=tuple(gains))
+        sim = _build(SimConfig, sim_sec, "sim", cutter=cutter,
+                     per_tooth_gain=tuple(gains))
 
-    return RunConfig(
-        cutter=cutter,
-        bands=bands,
-        thresholds=thresholds,
-        samples_per_rev=_number(sync, "samples_per_rev", "sync", integral=True),
-        tooth0_offset_frac=_number(sync, "tooth0_offset_frac", "sync"),
-        sample_rate_hz=_number(io_sec, "sample_rate_hz", "io"),
-        columns=dict(columns),
-        sim=sim)
+    return RunConfig(cutter=cutter, bands=bands, thresholds=thresholds,
+                     columns=dict(columns), sim=sim,
+                     **_numbers(RunConfig, sync, "sync"),
+                     **_numbers(RunConfig, io_sec, "io"))
 
 
 def _read_document(path) -> dict:

@@ -149,17 +149,17 @@ def _scan_rows(fh, path, header: list[str],
 
 
 def read_recording(path, *, columns: dict[str, str] | None = None,
-                   sample_rate_hz: float | None = None,
-                   detect_tacho: bool = True) -> Recording:
+                   sample_rate_hz: float | None = None) -> Recording:
     """Read a multi-channel CSV recording.
 
     `columns` maps channel labels to CSV column names; by default every
     header matching a known channel label is taken as-is. A column that is
-    read, time_s included, must appear once in the header. A declared
-    `sample_rate_hz` wins over the time_s column; if both are present and
-    disagree by more than 0.1% a warning is recorded. A tacho column, when
-    present, is run through pulse detection (threshold at mid-swing). One
-    leading byte-order mark, as spreadsheet exports write, is skipped.
+    read, time_s included, must appear once in the header. The time_s rate
+    is (n - 1) over its span, or 1 / its median gap if the two differ by
+    over 0.1%. A declared `sample_rate_hz` wins over it, with a warning if
+    they differ by over 0.1%. A tacho column that is read is run through
+    pulse detection (threshold at mid-swing). One leading byte-order mark,
+    as spreadsheet exports write, is skipped.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -207,6 +207,9 @@ def read_recording(path, *, columns: dict[str, str] | None = None,
         if dt <= 0:
             raise ParseError(f"{path}: time_s column is not increasing")
         derived = 1.0 / float(dt)
+        n, span_s = time_values.size, float(time_values[-1] - time_values[0])
+        if span_s > 0 and abs((n - 1) / span_s - derived) <= 1e-3 * derived:
+            derived = (n - 1) / span_s
         if rate is None:
             rate = derived
         elif abs(derived - rate) > 1e-3 * rate:
@@ -221,7 +224,7 @@ def read_recording(path, *, columns: dict[str, str] | None = None,
                 for ch, values in data.items()}
 
     tacho_track = None
-    if detect_tacho and "tacho" in channels:
+    if "tacho" in channels:
         sig = channels["tacho"].samples
         lo, hi = float(sig.min()), float(sig.max())
         swing = hi - lo

@@ -351,6 +351,10 @@ def analyze_all_channels(channels: Iterable[TimeSeries], tacho: TachoTrack,
                 raise SizeError(
                     f"samples_per_rev={samples_per_rev} is not divisible by z={z}; "
                     f"use a multiple of {z} (e.g. {default_samples_per_rev(z)})")
+            if samples_per_rev < 2 * z:
+                raise RangeError(
+                    f"samples_per_rev={samples_per_rev} is below 2z={2 * z}, "
+                    f"the angle samples carrier order {z} needs per revolution")
             if plan.revs.size < cfg.min_revs:
                 raise CoverageError(
                     f"signal covers {plan.revs.size} complete revolution(s); "

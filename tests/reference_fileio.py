@@ -37,15 +37,16 @@ def _parse_float(cell: str, lineno: int, column: str) -> float:
 
 
 def read_recording(path, *, columns: dict[str, str] | None = None,
-                   sample_rate_hz: float | None = None,
-                   detect_tacho: bool = True) -> Recording:
+                   sample_rate_hz: float | None = None) -> Recording:
     """Read a multi-channel CSV recording.
 
     `columns` maps channel labels to CSV column names; by default every
-    header matching a known channel label is taken as-is. A declared
+    header matching a known channel label is taken as-is. The time_s
+    column's rate is (n - 1) over its span unless that differs from the
+    median gap's rate by more than 0.1%; then the median's. A declared
     `sample_rate_hz` wins over the time_s column; if both are present and
-    disagree by more than 0.1% a warning is recorded. A tacho column, when
-    present, is run through pulse detection (threshold at mid-swing).
+    disagree by more than 0.1% a warning is recorded. A tacho column that
+    is read is run through pulse detection (threshold at mid-swing).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -93,6 +94,10 @@ def read_recording(path, *, columns: dict[str, str] | None = None,
         if dt <= 0:
             raise ParseError(f"{path}: time_s column is not increasing")
         derived = 1.0 / float(dt)
+        span_s = time_values[-1] - time_values[0]
+        span_rate = (len(time_values) - 1) / span_s if span_s > 0 else math.nan
+        if abs(span_rate - derived) <= 1e-3 * derived:
+            derived = span_rate
         if rate is None:
             rate = derived
         elif abs(derived - rate) > 1e-3 * rate:
@@ -109,7 +114,7 @@ def read_recording(path, *, columns: dict[str, str] | None = None,
                 for ch, values in data.items()}
 
     tacho_track = None
-    if detect_tacho and "tacho" in channels:
+    if "tacho" in channels:
         sig = channels["tacho"].samples
         lo, hi = float(sig.min()), float(sig.max())
         swing = hi - lo

@@ -43,7 +43,7 @@ PARAMETERS = {
     "split_impacts": "force response",
     "synchronous_average": "revolutions",
     "tooth_segmentation": "avg_rev z tooth0_offset_frac",
-    "fileio.read_recording": "path columns sample_rate_hz detect_tacho",
+    "fileio.read_recording": "path columns sample_rate_hz",
     "fileio.write_recording": "channels path",
     "fileio.write_svg": "path x y title x_label y_label",
     "fileio.emit_plot_data": "path_base x y title x_label y_label",

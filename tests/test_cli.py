@@ -1,11 +1,15 @@
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from millenv import Band, Cutter, Thresholds, TimeSeries, analyze_all_channels
+from millenv import (Band, Cutter, SimConfig, Thresholds, TimeSeries,
+                     analyze_all_channels)
 from millenv.cli import main
+from millenv.config import BandSettings, RunConfig, load_config
 from millenv.fileio import (_x_lines, dump_report, read_recording,
                             report_document, write_recording)
 from conftest import FS
@@ -41,6 +45,28 @@ def config_with(tmp_path, section, key, value):
     doc.setdefault(section, {})[key] = value
     path.write_text(json.dumps(doc))
     return path
+
+
+#: The config section each dataclass's fields are read from, and where the
+#: loaded RunConfig holds that dataclass; RunConfig's own numbers come from
+#: "sync" and "io".
+NUMBER_SECTIONS = (
+    ("cutter", Cutter, lambda cfg: cfg.cutter),
+    ("thresholds", Thresholds, lambda cfg: cfg.thresholds),
+    ("sim", SimConfig, lambda cfg: cfg.sim),
+    ("bands.default", BandSettings, lambda cfg: cfg.bands["default"]),
+    ({"samples_per_rev": "sync", "tooth0_offset_frac": "sync",
+      "sample_rate_hz": "io"}, RunConfig, lambda cfg: cfg),
+)
+
+#: (section, key, default, owner) for every int or float field that a
+#: config key fills, from the dataclasses' own annotations
+NUMBER_KEYS = [
+    pytest.param(section if isinstance(section, str) else section[f.name],
+                 f.name, f.default, owner, id=f"{cls.__name__}.{f.name}")
+    for section, cls, owner in NUMBER_SECTIONS
+    for f in dataclasses.fields(cls)
+    if f.type.removesuffix(" | None") in ("int", "float")]
 
 
 @pytest.fixture()
@@ -220,16 +246,19 @@ class TestSimulateCommand:
         assert err.startswith("config error: ") and path in err
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("z, spr", [(1, 1), (6, 6)])
     def test_one_sample_per_rev_is_config_error(self, tmp_path, capsys,
-                                                command):
-        # 1 is divisible by z = 1, but a revolution needs 2 angle samples;
-        # loaded, every channel's analysis failed and analyze exited 1
+                                                command, z, spr):
+        # spr is divisible by z, but the carrier order z needs 2z angle
+        # samples; loaded, every channel's analysis failed and analyze
+        # exited 1
         cfg = write_config(
             tmp_path / "c.json",
-            cutter={"z": 1, "diameter_mm": 80.0, "feed_per_tooth_mm": 0.1,
+            cutter={"z": z, "diameter_mm": 80.0, "feed_per_tooth_mm": 0.1,
                     "cutting_speed_m_min": 340.0},
-            sync={"samples_per_rev": 1},
-            sim={"per_tooth_gain": [1.0], "rpm": 1352.8, "duration_s": 1.2})
+            sync={"samples_per_rev": spr},
+            sim={"per_tooth_gain": [1.0] * z, "rpm": 1352.8,
+                 "duration_s": 1.2})
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "x")]
         if command == "analyze":  # the config fails before the input is read
             argv += ["--in", str(tmp_path / "missing.csv")]
@@ -237,6 +266,56 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "sync.samples_per_rev" in err
+        doc = json.loads(cfg.read_text())
+        doc["sync"]["samples_per_rev"] = 2 * z
+        cfg.write_text(json.dumps(doc))
+        assert load_config(cfg).samples_per_rev == 2 * z
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {**doc, "sync": {"tooth0_offset_frac": 1.0}},
+         "tooth0_offset_frac must be in [0, 1), got 1.0"),
+        (lambda doc: {**doc, "io": {"columns": {"bx": "ax"}}},
+         "unknown channel 'bx' in io.columns; expected one of ('ax', 'ay', "
+         "'az', 'fx', 'fy', 'fz', 'tacho', 'hammer')"),
+        # the recording holds ay, which has no band
+        (lambda doc: {**doc, "bands": {"ax": doc["bands"]["default"]}},
+         "no band configured for channel 'ay' and no default band"),
+        (lambda doc: {**doc, "bands": {"default": 5}},
+         "band for 'default' must be an object"),
+        (lambda doc: [doc], "{path}: top level must be a JSON object"),
+    ])
+    def test_config_error_branch_exits_3_with_message(
+            self, tmp_path, capsys, symmetric_run, edit, message):
+        out, _, _ = symmetric_run
+        recording = tmp_path / "rec.csv"
+        write_recording({ch: out.channels[ch] for ch in ("ax", "ay", "tacho")},
+                        recording)
+        cfg = write_config(tmp_path / "c.json")
+        cfg.write_text(json.dumps(edit(json.loads(cfg.read_text()))))
+        assert main(["analyze", "--config", str(cfg), "--in", str(recording),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"config error: {message.format(path=cfg)}\n")
+
+    @pytest.mark.parametrize("section, key, default, owner", NUMBER_KEYS)
+    @pytest.mark.parametrize("value", [True, "1", math.nan, "1e999", None])
+    def test_every_number_key_refuses_non_numbers(
+            self, tmp_path, capsys, section, key, default, owner, value):
+        # JSON 1e999 reads as inf; a null is "unset" where the default is None
+        doc = json.loads(write_config(tmp_path / "c.json").read_text())
+        target = doc
+        for part in section.split("."):
+            target = target.setdefault(part, {})
+        target[key] = "@" if value == "1e999" else value
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc).replace('"@"', "1e999"))
+        if value is None and default is None:
+            assert getattr(owner(load_config(cfg)), key) is None
+            return
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{section}.{key}" in err
 
 
 class TestAnalyzeCommand:
@@ -376,6 +455,40 @@ class TestAnalyzeCommand:
             info = _x_lines.cache_info()
             assert (info.misses, info.hits) == (4 * calls, 20 * calls)
 
+    @pytest.mark.parametrize("labels, tacho, stderr", [
+        (("ax",), None, []),
+        (("ax", "tacho"), "constant",
+         ["warning: tacho channel is constant; no pulses detected"]),
+        # the pulse at 0.4435 s zeroed: gap 8->9 spans two revolutions
+        (("ax", "tacho"), "dropped pulse",
+         ["warning: tacho channel present but unusable: inconsistent pulse "
+          "spacing (median gap 0.04436 s): gap 8->9 = 0.08872 s (2.00x "
+          "median)"]),
+        (("tacho", "hammer"), "clean",
+         ["error: recording has no vibration or force channels"]),
+    ])
+    def test_unusable_recording_exits_1(self, tmp_path, capsys, config_path,
+                                        symmetric_run, labels, tacho, stderr):
+        out, track, _ = symmetric_run
+        pulses = out.channels["tacho"].samples.copy()
+        if tacho == "constant":
+            pulses[:] = 1.0
+        elif tacho == "dropped pulse":
+            at = round(track.pulse_times_s[9] * FS)
+            pulses[at - 50:at + 100] = 0.0
+        channels = {"ax": out.channels["ax"],
+                    "tacho": out.channels["tacho"].with_samples(pulses),
+                    "hammer": out.channels["fx"].with_samples(
+                        out.channels["fx"].samples, "hammer")}
+        path = tmp_path / "rec.csv"
+        write_recording({ch: channels[ch] for ch in labels}, path)
+        assert main(["analyze", "--config", str(config_path),
+                     "--in", str(path), "--out", str(tmp_path / "o")]) == 1
+        if tacho != "clean":
+            stderr = stderr + ["error: recording has no usable tacho channel; "
+                               "envelope analysis needs a 1/rev reference"]
+        assert capsys.readouterr().err.splitlines() == stderr
+
     def test_missing_input_file(self, tmp_path, config_path):
         assert main(["analyze", "--config", str(config_path),
                      "--in", str(tmp_path / "nope.csv"),
@@ -452,6 +565,22 @@ class TestImpactCommand:
         assert band["f_lo_hz"] < 800.0 < band["f_hi_hz"]
         assert (out / "frf_magnitude.svg").is_file()
         assert (out / "frf_coherence.txt").is_file()
+
+    @pytest.mark.parametrize("labels, response, stderr", [
+        (("ax",), "ax",
+         "error: impact recording needs a 'hammer' force channel\n"),
+        (("ax", "hammer"), "fz",
+         "error: response channel 'fz' not in recording\n"),
+    ])
+    def test_missing_channel_exits_1(self, tmp_path, capsys, config_path,
+                                     labels, response, stderr):
+        force = np.zeros(2000)
+        force[400:412] = np.hanning(14)[1:-1]
+        path = tmp_path / "hits.csv"
+        write_recording({ch: TimeSeries(force, FS, ch) for ch in labels}, path)
+        assert main(["impact", "--config", str(config_path), "--in", str(path),
+                     "--out", str(tmp_path / "o"), "--response", response]) == 1
+        assert capsys.readouterr().err == stderr
 
     def test_flat_response_inconclusive(self, tmp_path, config_path):
         n = 20000
@@ -532,7 +661,26 @@ class TestSpectrumCommand:
             "column (25000 Hz) by more than 0.1%; using the declared rate\n")
         assert outputs[1].err == ""
 
-    def test_unknown_channel(self, tmp_path):
+    def test_unknown_channel(self, tmp_path, capsys):
+        # the reader names the header, or the labels it knows
         path = tmp_path / "tone.csv"
         write_recording({"ax": TimeSeries(np.zeros(100), FS, "ax")}, path)
         assert main(["spectrum", "--in", str(path), "--channel", "fz"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: column(s) ['fz'] not in header ['time_s', 'ax']\n")
+        assert main(["spectrum", "--in", str(path), "--channel", "vx"]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown channel label 'vx'; expected one of ('ax', 'ay', "
+            "'az', 'fx', 'fy', 'fz', 'tacho', 'hammer')\n")
+
+    def test_reads_only_its_channel(self, tmp_path, capsys):
+        # a tacho column is read, and so detected, only when it is asked for
+        x = TimeSeries(np.sin(np.arange(2000) / 3.0), FS, "ax")
+        path = tmp_path / "rec.csv"
+        write_recording({"ax": x, "tacho": x.with_samples(np.ones(2000),
+                                                          "tacho")}, path)
+        assert main(["spectrum", "--in", str(path), "--channel", "ax"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["spectrum", "--in", str(path), "--channel", "tacho"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: tacho channel is constant; no pulses detected\n")

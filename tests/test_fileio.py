@@ -154,6 +154,28 @@ class TestReadRecording:
         assert rec.sample_rate_hz == 25000.0
         assert any("0.1%" in w for w in rec.warnings)
 
+    @pytest.mark.parametrize("rate", [25000.0, 44100.0, 48000.0, 12345.678,
+                                      1e6 / 3])
+    @pytest.mark.parametrize("n", [7, 24989, 30000, 500000])
+    def test_time_column_gives_back_the_rate_written(self, tmp_path, rate, n):
+        # the rate of the time column's span; 1 / median gap read the 1.2 s
+        # reference recording back at 24 999.999999992346 Hz
+        path = tmp_path / "rec.csv"
+        write_recording({"fz": TimeSeries(np.zeros(n), rate, "fz")}, path)
+        rec = read_recording(path)
+        assert abs(rec.sample_rate_hz - rate) <= math.ulp(rate)
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_displaced_end_timestamp_keeps_median_rate(self, tmp_path, end):
+        # an end two gaps off moves the span's rate by 2%, beyond 0.1%
+        t = np.arange(100) / FS
+        t[end] += 2 / FS if end == -1 else -2 / FS
+        path = tmp_path / "rec.csv"
+        write_csv(path, "time_s,ax", [[ti, 0.0] for ti in t])
+        rec = read_recording(path)
+        assert rec.sample_rate_hz == 1.0 / float(np.median(np.diff(t)))
+        assert rec.warnings == []
+
     def test_agreeing_time_column_no_warning(self, tmp_path):
         path = tmp_path / "rec.csv"
         write_csv(path, "time_s,ax", [[i / FS, 0.0] for i in range(10)])
@@ -356,13 +378,28 @@ class TestWriteRecording:
             new = (tmp_path / "new.csv").read_bytes()
             assert new == (tmp_path / "old.csv").read_bytes()
             assert new.count(b"\n") == n + 1
-        # the finite cells come back bit for bit, at the rate written
-        rec = read_recording(tmp_path / "new.csv", sample_rate_hz=FS,
-                             detect_tacho=False)
+        # the finite cells come back bit for bit, at the rate written; a
+        # tacho column that is read is detected, so the tacho of edge cells
+        # is read on its own: one sample is constant, the longer ones pulse
+        # at every largest-float cell
+        kept = [ch for ch in labels if ch != "tacho"]
+        rec = read_recording(tmp_path / "new.csv",
+                             columns={ch: ch for ch in kept}, sample_rate_hz=FS)
         assert rec.warnings == [] and rec.sample_rate_hz == FS
-        assert list(rec.channels) == list(labels)
+        assert list(rec.channels) == kept
+        read = dict(rec.channels)
+        if "tacho" in labels:
+            with np.errstate(over="ignore"):  # the cells' sum overflows
+                tacho = read_recording(tmp_path / "new.csv",
+                                       columns={"tacho": "tacho"},
+                                       sample_rate_hz=FS)
+            assert tacho.warnings == (
+                ["tacho channel is constant; no pulses detected"] if n == 1
+                else [])
+            assert (tacho.tacho is None) == (n == 1)
+            read["tacho"] = tacho.channels["tacho"]
         for ch, ts in channels.items():
-            assert rec.channels[ch].samples.tobytes() == ts.samples.tobytes()
+            assert read[ch].samples.tobytes() == ts.samples.tobytes()
 
     def test_bytes_match_per_cell_writer(self, tmp_path):
         n = 2 * millenv.fileio._WRITE_BLOCK_ROWS + 37

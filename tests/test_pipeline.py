@@ -504,6 +504,25 @@ class TestAnalyzeAllChannels:
             assert str(err) == ("tooth0_offset_frac must be in [0, 1), "
                                 f"got {offset}")
 
+    def test_samples_per_rev_below_2z_fails_before_any_fft(
+            self, symmetric_run, cutter, monkeypatch):
+        # the carrier order z needs 2z angle samples per revolution; with
+        # fewer, classify met it only after every envelope and average
+        out, track, _ = symmetric_run
+        channels = [out.channels[c] for c in ("ax", "ay")]
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT ran before samples_per_rev was checked")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        results, errors = analyze_all_channels(
+            channels, track, cutter, BAND, samples_per_rev=6)
+        assert not results and sorted(errors) == ["ax", "ay"]
+        for err in errors.values():
+            assert type(err) is RangeError
+            assert str(err) == ("samples_per_rev=6 is below 2z=12, the angle "
+                                "samples carrier order 6 needs per revolution")
+
     @pytest.mark.parametrize("spr", [1152.0, 1152.5])
     def test_float_samples_per_rev_is_a_range_error(self, symmetric_run,
                                                     cutter, spr):
@@ -643,6 +662,9 @@ CHANNEL_FAULTS = (
     ("samples_per_rev", lambda args: args.update(samples_per_rev=1024),
      SizeError, "samples_per_rev=1024 is not divisible by z=6; "
                 "use a multiple of 6 (e.g. 1026)"),
+    ("samples_per_rev below 2z", lambda args: args.update(samples_per_rev=6),
+     RangeError, "samples_per_rev=6 is below 2z=12, the angle samples "
+                 "carrier order 6 needs per revolution"),
     ("few revolutions", _cut_to_half_second, CoverageError,
      "signal covers 10 complete revolution(s); need at least 20"),
     ("band above Nyquist",
