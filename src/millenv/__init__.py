@@ -17,14 +17,15 @@ from .errors import (AnalysisError, ConfigError, CoverageError, InputError,
                      RangeError, SizeError)
 from .millsim import SimConfig, SimOutput, SimTruth, simulate
 from .modal import Frf, ImpactRecord, estimate_frf, propose_bands, split_impacts
-from .pipeline import (AnalysisResult, Cutter, Finding, Thresholds, analyze,
-                       analyze_all_channels, averaged_rev_spectrum, classify)
+from .pipeline import (AnalysisResult, Cutter, Finding, Gate, Thresholds,
+                       analyze, analyze_all_channels, averaged_rev_spectrum,
+                       classify)
 from .sync import (TachoTrack, ToothProfile, detect_pulses, resample_to_angle,
                    speed_profile, synchronous_average, tooth_segmentation)
 
 __all__ = [
     "AnalysisError", "AnalysisResult", "Band", "CHANNELS",
-    "ConfigError", "CoverageError", "Cutter", "Finding", "Frf", "HANN",
+    "ConfigError", "CoverageError", "Cutter", "Finding", "Frf", "Gate", "HANN",
     "ImpactRecord", "InputError", "ParseError", "PulseDetectionError",
     "PulseQualityError", "RECTANGULAR", "RangeError", "SimConfig",
     "SimOutput", "SimTruth", "SizeError", "Spectrum", "TachoTrack",

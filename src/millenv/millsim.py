@@ -78,6 +78,8 @@ class SimConfig:
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
+        if self.resonance_hz <= 0.0:
+            raise ConfigError(f"resonance_hz must be positive, got {self.resonance_hz}")
         if not (0.0 < self.damping_ratio < 1.0):
             raise ConfigError(f"damping_ratio must be in (0, 1), got {self.damping_ratio}")
         if self.resonance_hz >= 0.4 * self.sample_rate_hz:

@@ -141,22 +141,43 @@ class Finding:
             raise RangeError("amplitude_ratio must be non-negative")
 
 
+@dataclass(frozen=True)
+class Gate:
+    """One check a verdict rests on: ``value`` compared with ``threshold``."""
+
+    name: str
+    value: float
+    threshold: float
+    passed: bool
+
+
 @dataclass(frozen=True, eq=False)
 class AnalysisResult:
     """One channel's verdict at mean spindle speed mean_rpm: the classified
-    findings, the tooth profile and the averaged revolution behind them."""
+    findings, the tooth profile, the averaged revolution and the gates."""
 
     channel: str
     mean_rpm: float
     findings: tuple[Finding, ...]
     tooth_profile: ToothProfile
     averaged_envelope: np.ndarray
-    warnings: tuple[str, ...] = ()
-    inconclusive: bool = False
+    gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "averaged_envelope", _readonly_1d(
             self.averaged_envelope, "averaged_envelope"))
+
+    @property
+    def inconclusive(self) -> bool:
+        return any(g.name == "min_carrier" and not g.passed for g in self.gates)
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return tuple(
+            f"spindle speed drifts {100 * g.value:.1f}% across the record "
+            f"(limit {100 * g.threshold:.1f}%); order tracking "
+            "absorbs the drift but Hz readings use the mean speed"
+            for g in self.gates if g.name == "max_rpm_drift" and not g.passed)
 
     @property
     def f_rot_hz(self) -> float:
@@ -199,7 +220,7 @@ def averaged_rev_spectrum(avg_rev, f_rot_hz: float) -> Spectrum:
 
 def classify(env_spec: Spectrum, tooth_profile: ToothProfile,
              cfg: Thresholds = Thresholds()
-             ) -> tuple[tuple[Finding, ...], bool]:
+             ) -> tuple[tuple[Finding, ...], tuple[Gate, ...]]:
     """Findings from an averaged-revolution spectrum plus tooth profile.
 
     `env_spec` is `averaged_rev_spectrum`'s: bin k is rotation order k, so
@@ -209,11 +230,12 @@ def classify(env_spec: Spectrum, tooth_profile: ToothProfile,
     revolution's Nyquist order, capped at max(3z, 8) but never below z. The
     carrier is order z; tooth asymmetry reads the largest order below z,
     imbalance order 1 and misalignment order 2. Returns ``(findings,
-    inconclusive)``: inconclusive when the carrier does not exceed the noise
+    gates)``. Gate ``min_carrier`` passes when the carrier exceeds the noise
     floor, cfg.min_carrier times the median of the table (only rotation
     harmonics carry signal in a synchronous spectrum, and the envelope rolls
-    off at high orders, so the orders near the carrier set the floor).
-    Spectrum-based findings are then reported untriggered.
+    off at high orders, so the orders near the carrier set the floor); if
+    it fails, spectrum-based findings are reported untriggered. For z >= 3,
+    misalignment also needs gate ``order_2_over_1``: order 2 above order 1.
     """
     f_rot = env_spec.df_hz
     z = tooth_profile.z
@@ -224,19 +246,23 @@ def classify(env_spec: Spectrum, tooth_profile: ToothProfile,
     n_orders = max(min((env_spec.n_fft - 1) // 2, max(3 * z, 8)), z)
     amps = env_spec.amplitudes[1:n_orders + 1].tolist()
     carrier = amps[z - 1]
-    inconclusive = carrier <= cfg.min_carrier * float(np.median(amps))
+    floor = cfg.min_carrier * float(np.median(amps))
+    gates = [Gate("min_carrier", carrier, floor, carrier > floor)]
+    if z >= 3:
+        gates.append(Gate("order_2_over_1", amps[1], amps[0], amps[1] > amps[0]))
 
-    def spectral(kind: str, order: int, threshold: float, gate: bool) -> Finding:
+    def spectral(kind: str, order: int, threshold: float,
+                 allowed: bool = True) -> Finding:
         r = amps[order - 1] / carrier if carrier > 0.0 else 0.0
         return Finding(kind, order * f_rot, r, threshold,
-                       triggered=bool(not inconclusive and gate
+                       triggered=bool(gates[0].passed and allowed
                                       and r >= threshold))
 
     findings: list[Finding] = []
     if z >= 2:
         findings.append(spectral("tooth_asymmetry",
                                  1 + int(np.argmax(amps[:z - 1])),
-                                 cfg.asym_ratio, True))
+                                 cfg.asym_ratio))
 
     # every weak tooth, or else the least loaded one, untriggered
     drops = -tooth_profile.asymmetry_index
@@ -252,8 +278,8 @@ def classify(env_spec: Spectrum, tooth_profile: ToothProfile,
                                  cfg.ecc_ratio, not any_weak))
     if z >= 3:
         findings.append(spectral("misalignment", 2, cfg.misalign_ratio,
-                                 amps[1] > amps[0]))
-    return tuple(findings), bool(inconclusive)
+                                 gates[1].passed))
+    return tuple(findings), tuple(gates)
 
 
 def analyze(x: TimeSeries, tacho: TachoTrack, cutter: Cutter, band: Band,
@@ -383,20 +409,18 @@ def analyze_all_channels(channels: Iterable[TimeSeries], tacho: TachoTrack,
     for plan, group in groups.items():
         mean_rpm = float(plan.rpm.mean())
         drift = float((plan.rpm.max() - plan.rpm.min()) / mean_rpm)
-        warnings = () if drift <= cfg.max_rpm_drift else (
-            f"spindle speed drifts {100 * drift:.1f}% across the record "
-            f"(limit {100 * cfg.max_rpm_drift:.1f}%); order tracking "
-            "absorbs the drift but Hz readings use the mean speed",)
+        drift_gate = Gate("max_rpm_drift", drift, cfg.max_rpm_drift,
+                          drift <= cfg.max_rpm_drift)
         averages = plan.average([job.envelope for job in group])
         for job, avg in zip(group, averages):
             try:
                 profile = tooth_segmentation(avg, z, tooth0_offset_frac)
-                findings, inconclusive = classify(
+                findings, gates = classify(
                     averaged_rev_spectrum(avg, mean_rpm / 60.0),
                     profile, cfg)
                 outcomes[job.index] = AnalysisResult(
                     job.ts.channel, mean_rpm, findings, profile, avg,
-                    warnings, inconclusive)
+                    gates + (drift_gate,))
             except AnalysisError as err:
                 outcomes[job.index] = err
     results: dict[str, AnalysisResult] = {}

@@ -7,7 +7,8 @@ and `amplitude_near` reads each order as the largest bin within +-1 bin of
 it. `reference_classify` reads the carrier, the noise-floor orders, the
 sub-tooth orders and the 1x and 2x orders in separate passes. The library
 reads one order table straight off the untiled spectrum, whose bin k is
-order k; both must give the same findings and inconclusive flag.
+order k. Both must give the same findings, and the library's `min_carrier`
+gate must fail exactly when the reference returns inconclusive.
 """
 
 import numpy as np

@@ -54,12 +54,13 @@ PARAMETERS = {
 
 FIELDS = {
     "AnalysisResult": "channel mean_rpm findings tooth_profile "
-                      "averaged_envelope warnings inconclusive",
+                      "averaged_envelope gates",
     "Band": "f_lo_hz f_hi_hz",
     "Cutter": "z diameter_mm feed_per_tooth_mm cutting_speed_m_min",
     "Finding": "kind evidence_freq_hz amplitude_ratio threshold triggered "
                "tooth_index",
     "Frf": "h1 coherence df_hz n_averages force_power response_decay_per_s",
+    "Gate": "name value threshold passed",
     "ImpactRecord": "force response",
     "SimConfig": "cutter per_tooth_gain rpm rpm_end resonance_hz "
                  "damping_ratio eccentricity noise_rms duration_s "

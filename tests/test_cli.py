@@ -91,6 +91,19 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize("resonance_hz", [0.0, -100.0])
+    def test_non_positive_resonance_is_config_error(self, tmp_path, capsys,
+                                                    resonance_hz):
+        # 0 Hz ended in a ZeroDivisionError traceback; -100 Hz wrote a
+        # recording whose vibration channels held noise alone
+        cfg = config_with(tmp_path, "sim", "resonance_hz", resonance_hz)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == (
+            "config error: invalid sim settings: resonance_hz must be "
+            f"positive, got {resonance_hz}\n")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("section, key, value", [
         ("sync", "samples_per_rev", "abc"),
         ("sync", "samples_per_rev", 1152.5),

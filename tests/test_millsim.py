@@ -50,6 +50,14 @@ class TestSimConfig:
         seed = SimConfig(cutter, (1.0,) * 6, seed=np.uint8(3)).seed
         assert type(seed) is int and seed == 3
 
+    @pytest.mark.parametrize("resonance_hz", [0.0, -0.0, -100.0])
+    def test_non_positive_resonance_rejected(self, cutter, resonance_hz):
+        # 0 Hz divided by zero in the oscillator kernel; -100 Hz simulated
+        # vibration channels of noise alone
+        with pytest.raises(ConfigError, match=(
+                f"^resonance_hz must be positive, got {resonance_hz}$")):
+            SimConfig(cutter, (1.0,) * 6, resonance_hz=resonance_hz)
+
     def test_damping_bounds(self, cutter):
         with pytest.raises(ConfigError):
             SimConfig(cutter, (1.0,) * 6, damping_ratio=1.0)

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import millenv.pipeline
-from millenv import (Band, CoverageError, Cutter, InputError, RangeError,
-                     SizeError, Spectrum, TachoTrack, Thresholds, ToothProfile,
-                     analyze, analyze_all_channels, averaged_rev_spectrum,
-                     classify, slice_time, tooth_segmentation)
+from millenv import (Band, CoverageError, Cutter, Gate, InputError,
+                     RangeError, SizeError, Spectrum, TachoTrack, Thresholds,
+                     ToothProfile, analyze, analyze_all_channels,
+                     averaged_rev_spectrum, classify, slice_time,
+                     tooth_segmentation)
 from millenv.fileio import dump_report, report_document
-from millenv.sync import RevolutionPlan
-from conftest import BAND, WAIT_S, analyze_channel, run_simulation
+from millenv.sync import RevolutionPlan, revolution_plan
+from conftest import (BAND, SAMPLES_PER_REV, WAIT_S, analyze_channel,
+                      run_simulation)
 from reference_pipeline import (amplitude_near, reference_classify,
                                 reference_rev_spectrum)
 
@@ -92,13 +94,19 @@ def flat_profile(z=6):
     return tooth_segmentation(np.full(1152, 1.0), z)
 
 
+def gate(gates, name):
+    """The one gate called `name`."""
+    (found,) = [g for g in gates if g.name == name]
+    return found
+
+
 class TestClassify:
     F_ROT = 22.55
 
     def test_single_tooth_order_peak_all_untriggered(self):
         spec = synthetic_spectrum(self.F_ROT, 6, {6: 1.0})
-        findings, inconclusive = classify(spec, flat_profile())
-        assert not inconclusive
+        findings, gates = classify(spec, flat_profile())
+        assert gate(gates, "min_carrier").passed is True
         assert findings
         assert all(not f.triggered for f in findings)
 
@@ -113,8 +121,8 @@ class TestClassify:
 
     def test_all_zero_spectrum_inconclusive(self):
         spec = synthetic_spectrum(self.F_ROT, 6, {})
-        findings, inconclusive = classify(spec, flat_profile())
-        assert inconclusive
+        findings, gates = classify(spec, flat_profile())
+        assert gate(gates, "min_carrier").passed is False
         assert all(not f.triggered for f in findings)
 
     def test_misalignment_needs_second_harmonic_dominance(self):
@@ -128,6 +136,15 @@ class TestClassify:
         findings2, _ = classify(spec2, flat_profile())
         mis2 = next(f for f in findings2 if f.kind == "misalignment")
         assert not mis2.triggered
+
+    def test_order_gate_fails_on_a_tie(self):
+        # order 2 must exceed order 1, not equal it
+        spec = synthetic_spectrum(self.F_ROT, 6, {6: 1.0, 1: 0.4, 2: 0.4})
+        findings, gates = classify(spec, flat_profile())
+        assert gate(gates, "order_2_over_1") == Gate("order_2_over_1", 0.4,
+                                                     0.4, False)
+        mis = next(f for f in findings if f.kind == "misalignment")
+        assert mis.amplitude_ratio >= mis.threshold and not mis.triggered
 
     def test_weak_tooth_gates_imbalance(self):
         spec = synthetic_spectrum(self.F_ROT, 6, {6: 1.0, 1: 0.5})
@@ -219,8 +236,10 @@ def averaged_revolutions(draw):
 
 
 def assert_same_verdicts(got, want):
-    """Same flag and findings; evidence bit-equal, ratios to 1e-12."""
-    assert got[1] == want[1]
+    """Same findings, and the `min_carrier` gate fails exactly when the
+    reference's inconclusive flag is set; evidence bit-equal, ratios to
+    1e-12."""
+    assert gate(got[1], "min_carrier").passed is (not want[1])
     assert len(got[0]) == len(want[0])
     for g, w in zip(got[0], want[0]):
         assert (g.kind, g.triggered, g.tooth_index, g.threshold,
@@ -238,18 +257,44 @@ class TestClassifyMatchesReference:
     @given(averaged_revolutions())
     def test_same_findings_and_flag(self, case):
         avg, f_rot, profile, cfg = case
+        spec = averaged_rev_spectrum(avg, f_rot)
+        got = classify(spec, profile, cfg)
         assert_same_verdicts(
-            classify(averaged_rev_spectrum(avg, f_rot), profile, cfg),
-            reference_classify(reference_rev_spectrum(avg, f_rot), profile,
-                               f_rot, cfg))
+            got, reference_classify(reference_rev_spectrum(avg, f_rot),
+                                    profile, f_rot, cfg))
+        # each gate holds the very values its comparison read
+        findings, gates = got
+        z, amps = profile.z, spec.amplitudes
+        carrier = gate(gates, "min_carrier")
+        assert carrier.value.hex() == float(amps[z]).hex()
+        table = amps[1:order_table_size(spec.n_fft, z) + 1]
+        assert carrier.threshold == cfg.min_carrier * float(np.median(table))
+        assert carrier.passed is (carrier.value > carrier.threshold)
+        if z >= 3:
+            order = gate(gates, "order_2_over_1")
+            assert (order.value, order.threshold) == (amps[2], amps[1])
+            assert order.passed is bool(amps[2] > amps[1])
+        assert [g.name for g in gates] == (
+            ["min_carrier", "order_2_over_1"] if z >= 3 else ["min_carrier"])
+        any_weak = any(f.triggered for f in findings if f.kind == "weak_tooth")
+        for f in findings:
+            if f.kind == "weak_tooth":
+                continue
+            want = carrier.passed and f.amplitude_ratio >= f.threshold
+            if f.kind == "misalignment":
+                want = want and order.passed
+            if f.kind == "imbalance_or_eccentricity":
+                want = want and not any_weak
+            assert f.triggered is want, f.kind
 
     @pytest.mark.parametrize("z", range(1, 9))
     def test_zero_carrier_inconclusive_like_reference(self, z):
         orders = {k: 1.0 / k for k in range(1, 3 * z + 1) if k != z}
         profile = ToothProfile(np.ones(z))
-        got = classify(synthetic_spectrum(22.55, z, orders), profile)
-        assert got[1]
-        assert got == reference_classify(
+        findings, gates = classify(synthetic_spectrum(22.55, z, orders),
+                                   profile)
+        assert gate(gates, "min_carrier").passed is False
+        assert (findings, True) == reference_classify(
             synthetic_spectrum(22.55, z, orders, tile=8), profile, 22.55)
 
     @pytest.mark.parametrize("z", range(2, 11))
@@ -371,7 +416,21 @@ class TestAnalyzeOnSimulator:
         out, track = run_simulation(cutter, [1.0] * 6, rpm=1200.0,
                                     rpm_end=1500.0, duration_s=1.2)
         res = analyze_channel(out, track, cutter)
-        assert any("drift" in w for w in res.warnings)
+        rpm = revolution_plan(out.channels["ax"], track, SAMPLES_PER_REV).rpm
+        drift = float((rpm.max() - rpm.min()) / rpm.mean())
+        limit = Thresholds().max_rpm_drift
+        assert drift > limit
+        assert gate(res.gates, "max_rpm_drift") == Gate(
+            "max_rpm_drift", drift, limit, False)
+        assert res.warnings == (
+            f"spindle speed drifts {100 * drift:.1f}% across the record "
+            f"(limit {100 * limit:.1f}%); order tracking absorbs the drift "
+            "but Hz readings use the mean speed",)
+
+    def test_constant_speed_passes_drift_gate(self, symmetric_run):
+        res = symmetric_run[2]
+        assert gate(res.gates, "max_rpm_drift").passed is True
+        assert res.warnings == ()
 
     def test_indivisible_samples_per_rev_names_fix(self, symmetric_run, cutter):
         out, track, _ = symmetric_run
@@ -566,8 +625,8 @@ def _seven_channels(run):
 
 
 def _outcome(results, errors):
-    return ([(ch, r.averaged_envelope.tobytes(), r.findings, r.warnings,
-              r.inconclusive) for ch, r in results.items()],
+    return ([(ch, r.averaged_envelope.tobytes(), r.findings, r.gates,
+              r.warnings, r.inconclusive) for ch, r in results.items()],
             [(ch, type(e), str(e)) for ch, e in errors.items()])
 
 
